@@ -409,30 +409,48 @@ def _write_ensemble_csv(ctx: RunContext, ens: ForecastEnsemble, labels) -> str:
     return name
 
 
-def _read_ensemble_csv(ctx: RunContext, labels, sigma, origin_year, seed) -> ForecastEnsemble:
+def _read_ensemble_csv(ctx: RunContext, panel: FactorPanel, fdoc: dict) -> ForecastEnsemble:
+    """Load the ensemble written by forecast, refusing (StageError) a file
+    from another config, one whose shape disagrees with
+    forecast_manifest.json, or one with any cell missing or repeated."""
     path = ctx.path("ensemble.csv.gz")
     if not path.exists():
         raise StageError("missing artifact ensemble.csv.gz; run forecast first")
-    idx = {lab: j for j, lab in enumerate(labels)}
-    records = {}
-    max_p = max_h = 0
-    with gzip.open(path, "rt") as fh:
-        rows = (line for line in fh if not line.startswith("#"))
-        reader = csv.reader(rows)
-        next(reader)
-        for p, h, lab, value in reader:
-            p, h = int(p), int(h)
-            records[(p, h, idx[lab])] = float(value)
-            max_p, max_h = max(max_p, p), max(max_h, h)
-    levels = np.zeros((max_p + 1, max_h + 1, len(labels)))
-    for (p, h, j), v in records.items():
-        levels[p, h, j] = v
+    n_paths, horizon = int(fdoc["n_paths"]), int(fdoc["horizon"])
+    idx = {lab: j for j, lab in enumerate(panel.labels)}
+    levels = np.empty((n_paths, horizon + 1, len(idx)))
+    levels[:, 0, :] = panel.values[-1]
+    seen = np.zeros(levels.shape, dtype=bool)
+    seen[:, 0, :] = True
+    try:
+        with gzip.open(path, "rt") as fh:
+            stamp = fh.readline().rstrip("\n")
+            if stamp != f"# config_hash={ctx.hash}":
+                raise StageError(
+                    f"ensemble.csv.gz carries {stamp!r}, current config is {ctx.hash}; "
+                    "refusing to mix"
+                )
+            reader = csv.reader(fh)
+            next(reader)
+            for p, h, lab, value in reader:
+                cell = (int(p), int(h), idx[lab])
+                if not (0 <= cell[0] < n_paths and 1 <= cell[1] <= horizon) or seen[cell]:
+                    raise StageError(f"ensemble.csv.gz has a stray or repeated cell {cell}")
+                seen[cell] = True
+                levels[cell] = float(value)
+    except (OSError, EOFError, ValueError, KeyError, StopIteration) as exc:
+        raise StageError(f"ensemble.csv.gz is unreadable: {exc!r}") from exc
+    if not seen.all():
+        raise StageError(
+            f"ensemble.csv.gz is incomplete: {int((~seen).sum())} of "
+            f"{n_paths} x {horizon} x {len(idx)} cells missing"
+        )
     return ForecastEnsemble(
         levels=levels,
-        years=origin_year + np.arange(max_h + 1),
-        origin_year=origin_year,
-        seed=seed,
-        sigma=sigma,
+        years=int(fdoc["origin_year"]) + np.arange(horizon + 1),
+        origin_year=int(fdoc["origin_year"]),
+        seed=int(fdoc["seed"]),
+        sigma=np.asarray(fdoc["sigma"]),
     )
 
 
@@ -514,12 +532,12 @@ def cmd_forecast(args) -> int:
 
     focus = _focus_country(ctx, params.countries)
     paths = lifetable.e0_paths(ens, params, focus)
-    fan_e0_rows = []
-    for qi, q in enumerate(quantiles):
-        for h in range(paths.shape[1]):
-            fan_e0_rows.append(
-                [int(ens.years[h + 1]), q, f"{risk.quantile(paths[:, h], q):.4f}"]
-            )
+    bands_e0 = risk.sorted_quantiles(np.sort(paths, axis=0), quantiles)
+    fan_e0_rows = [
+        [int(ens.years[h + 1]), q, f"{bands_e0[qi, h]:.4f}"]
+        for qi, q in enumerate(quantiles)
+        for h in range(paths.shape[1])
+    ]
     files.append(ctx.write_csv(f"fan_e0_{focus}.csv", ["year", "quantile", "e0"], fan_e0_rows))
 
     ctx.record_stage(manifest, "forecast", files)
@@ -614,13 +632,7 @@ def cmd_stress(args) -> int:
     params, model, panel = _load_model_panel(ctx)
     ctx.require_stage("forecast")
     fdoc = ctx.read_json("forecast_manifest.json")
-    ens = _read_ensemble_csv(
-        ctx,
-        panel.labels,
-        sigma=np.asarray(fdoc["sigma"]),
-        origin_year=int(fdoc["origin_year"]),
-        seed=int(fdoc["seed"]),
-    )
+    ens = _read_ensemble_csv(ctx, panel, fdoc)
 
     risk_rows = []
     reports = {}

@@ -11,6 +11,13 @@ historical variability of the factor differences (process uncertainty).
 Every path recurses on its own noisy history.  Paths get independent RNG
 streams spawned from the run seed, so ensembles are reproducible and safe
 to parallelize.
+
+Contract: path p depends only on (seed, p), bit for bit, whatever
+`n_paths` is, and the ensemble with zero dropout and zero sigma equals the
+deterministic path bit for bit.  All paths advance together through one
+batched network forward per step; the LSTM kernel multiplies row by row
+(`lstm._rows`), so a row of the batch gets exactly the arithmetic of a
+single window.
 """
 
 from __future__ import annotations
@@ -28,13 +35,14 @@ from .lstm import (
     NetworkParams,
     TrainConfig,
     TrainTrace,
+    dropout_mask,
     forward,
-    draw_mask,
     load_network,
     predict,
     save_network,
     train,
 )
+from .risk import sorted_quantiles
 from .windows import (
     DiffPanel,
     ScalerParams,
@@ -140,16 +148,15 @@ def fit_forecaster(
     return model, trace, windows, (train_idx, val_idx)
 
 
-def _advance(model: ForecastModel, recent_levels: np.ndarray, mask) -> np.ndarray:
-    """One recursion step: scale the last L diffs, predict, bias-correct,
-    inverse-scale, integrate.  Shared by every forecasting mode so the
-    degenerate stochastic ensemble is bit-identical to the deterministic
-    path."""
-    diffs = np.diff(recent_levels, axis=0)
-    x = transform(model.scaler, diffs)
+def _advance(model: ForecastModel, windows: np.ndarray, mask) -> np.ndarray:
+    """One recursion step for a stack of level windows (n, L+1, F): scale
+    the last L diffs, predict, bias-correct, inverse-scale, integrate.
+    Shared by every forecasting mode so the degenerate stochastic ensemble
+    is bit-identical to the deterministic path.  Returns (n, F)."""
+    x = transform(model.scaler, np.diff(windows, axis=1))
     pred = forward(model.net, x, mask=mask) + model.mbc
     step = pred * model.scaler.sd + model.scaler.mean
-    return recent_levels[-1] + step
+    return windows[:, -1] + step
 
 
 def forecast_deterministic(
@@ -167,8 +174,8 @@ def forecast_deterministic(
         return history
     levels = list(history.values)
     for _ in range(horizon):
-        window = np.asarray(levels[-need:])
-        levels.append(_advance(model, window, mask=None))
+        window = np.asarray(levels[-need:])[None]
+        levels.append(_advance(model, window, mask=None)[0])
     years = np.arange(history.years[0], history.years[-1] + horizon + 1)
     return FactorPanel(years=years, values=np.asarray(levels), labels=history.labels)
 
@@ -194,7 +201,8 @@ def forecast_stochastic(
     dropout-masked prediction plus the bias correction gives the factor
     increment, then a Normal(0, diag(sigma^2)) level innovation is added.
     A path with zero dropout and zero sigma reproduces the deterministic
-    forecast exactly.
+    forecast exactly.  Per step, each path's own stream draws its mask and
+    then its noise, as if the paths ran one after another.
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
@@ -212,20 +220,26 @@ def forecast_stochastic(
     streams = [
         np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(n_paths)
     ]
-    origin = history.values[-need:]
-    out = np.empty((n_paths, horizon + 1, history.values.shape[1]))
+    n_factors = history.values.shape[1]
+    windows = np.repeat(history.values[None, -need:], n_paths, axis=0)
+    uniforms = np.empty((n_paths, model.lookback, model.net.hidden[0]))
+    normals = np.empty((n_paths, n_factors))
+    out = np.empty((n_paths, horizon + 1, n_factors))
     out[:, 0, :] = history.values[-1]
-    for p, rng in enumerate(streams):
-        window = origin.copy()
-        for h in range(1, horizon + 1):
-            mask = (
-                draw_mask(model.net, rng, 1, model.lookback)[0] if use_mask else None
-            )
-            nxt = _advance(model, window, mask=mask)
+    for h in range(1, horizon + 1):
+        # each path's own stream: its mask draws first, then its noise
+        for p, rng in enumerate(streams):
+            if use_mask:
+                rng.random(out=uniforms[p])
             if use_noise:
-                nxt = nxt + rng.normal(0.0, sigma)
-            window = np.vstack([window[1:], nxt])
-            out[p, h, :] = nxt
+                rng.standard_normal(out=normals[p])
+        mask = dropout_mask(model.net, uniforms) if use_mask else None
+        nxt = _advance(model, windows, mask=mask)
+        if use_noise:
+            nxt += sigma * normals
+        windows[:, :-1] = windows[:, 1:]
+        windows[:, -1] = nxt
+        out[:, h, :] = nxt
     years = history.years[-1] + np.arange(horizon + 1)
     return ForecastEnsemble(
         levels=out,
@@ -244,18 +258,7 @@ def ensemble_quantiles(
     Uses the same linear-interpolation rule as the risk measures."""
     if ensemble.n_paths < 2:
         raise ValueError("need at least 2 paths")
-    sorted_paths = np.sort(ensemble.levels, axis=0)
-    n = ensemble.n_paths
-    out = np.empty((len(levels), *sorted_paths.shape[1:]))
-    for qi, q in enumerate(levels):
-        if not 0.0 <= q <= 1.0:
-            raise ValueError("quantile levels must lie in [0, 1]")
-        pos = (n - 1) * q
-        lo = int(np.floor(pos))
-        hi = min(lo + 1, n - 1)
-        frac = pos - lo
-        out[qi] = sorted_paths[lo] + frac * (sorted_paths[hi] - sorted_paths[lo])
-    return out
+    return sorted_quantiles(np.sort(ensemble.levels, axis=0), levels)
 
 
 def save_forecaster(model: ForecastModel, path: str | Path, net_path: str | Path) -> None:

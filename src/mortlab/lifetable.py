@@ -17,6 +17,9 @@ import numpy as np
 from .errors import DimensionError, DomainError
 from .lilee import LiLeeParams
 
+# rate curves per block in e0_paths: a (block, ages) matrix of ~1.5 MB
+E0_BLOCK = 2048
+
 
 @dataclass(frozen=True)
 class LifeTable:
@@ -112,9 +115,15 @@ def e0_paths(ensemble, params: LiLeeParams, country: int | str) -> np.ndarray:
     """Per-path, per-horizon life expectancy from an ensemble's K levels.
 
     Returns (paths, horizon); the anchor row at horizon 0 is excluded.
+    Curves are evaluated E0_BLOCK at a time, so the rate matrix and its
+    temporaries stay bounded whatever the ensemble size.
     """
     i = params.country_index(country)
     k_vals = ensemble.levels[:, 1:, 0]  # (S, H)
-    s, h = k_vals.shape
-    m = np.exp(params.alpha[i][None, :] + np.outer(k_vals.ravel(), params.B))
-    return _e0_batch(m).reshape(s, h)
+    k_flat = k_vals.ravel()
+    out = np.empty(k_flat.size)
+    for lo in range(0, k_flat.size, E0_BLOCK):
+        k = k_flat[lo : lo + E0_BLOCK]
+        m = np.exp(params.alpha[i][None, :] + np.outer(k, params.B))
+        out[lo : lo + k.size] = _e0_batch(m)
+    return out.reshape(k_vals.shape)

@@ -130,6 +130,19 @@ def init_params(
     )
 
 
+def _cell(z, c, h):
+    """One LSTM step from the pre-activations z (n, 4h).  Updates the cell
+    state c in place (so no second copy of it is alive) and returns the
+    gates i, f, g, o and the new hidden state."""
+    i = _sigmoid(z[:, :h])
+    f = _sigmoid(z[:, h : 2 * h])
+    g = np.tanh(z[:, 2 * h : 3 * h])
+    o = _sigmoid(z[:, 3 * h :])
+    c *= f
+    c += i * g
+    return i, f, g, o, o * np.tanh(c)
+
+
 def _layer_forward(X, W, U, b):
     """Run one LSTM layer over (n, L, in); returns hidden sequence and caches."""
     n, L, _ = X.shape
@@ -141,12 +154,7 @@ def _layer_forward(X, W, U, b):
     c_t = np.zeros((n, h))
     for t in range(L):
         z = X[:, t, :] @ W + h_t @ U + b
-        i = _sigmoid(z[:, :h])
-        f = _sigmoid(z[:, h : 2 * h])
-        g = np.tanh(z[:, 2 * h : 3 * h])
-        o = _sigmoid(z[:, 3 * h :])
-        c_t = f * c_t + i * g
-        h_t = o * np.tanh(c_t)
+        i, f, g, o, h_t = _cell(z, c_t, h)
         gates[t] = np.concatenate([i, f, g, o], axis=1)
         cs[t] = c_t
         hs[t] = h_t
@@ -236,15 +244,47 @@ def _backward(params: NetworkParams, cache, dpred: np.ndarray):
     return grads, dX
 
 
+def _rows(a, W):
+    """(n, k) @ (k, m) as n separate (1, k) @ (k, m) products.
+
+    A 2-D product lets BLAS block across rows, which moves the last bits
+    of a row with the batch size (the degenerate-ensemble test
+    test_degenerate_ensemble_equals_deterministic_bitwise then fails); the
+    stacked form gives every row the single-window arithmetic.
+    """
+    return (a[:, None, :] @ W)[:, 0]
+
+
+def _infer(params: NetworkParams, X: np.ndarray, mask: np.ndarray | None):
+    """Inference-only forward over (n, L, in) keeping no backward caches.
+
+    Row p of the result is bit-identical to running window p alone."""
+    n, L, _ = X.shape
+    h1, h2 = params.hidden
+    h1_t, c1_t = np.zeros((n, h1)), np.zeros((n, h1))
+    h2_t, c2_t = np.zeros((n, h2)), np.zeros((n, h2))
+    for t in range(L):
+        z1 = _rows(X[:, t, :], params.W1) + _rows(h1_t, params.U1) + params.b1
+        h1_t = _cell(z1, c1_t, h1)[-1]
+        h1_in = h1_t if mask is None else h1_t * mask[:, t, :]
+        z2 = _rows(h1_in, params.W2) + _rows(h2_t, params.U2) + params.b2
+        h2_t = _cell(z2, c2_t, h2)[-1]
+    return _rows(h2_t, params.Wh) + params.bh
+
+
+def dropout_mask(params: NetworkParams, u: np.ndarray) -> np.ndarray:
+    """Inverted-dropout mask from uniform draws u in [0, 1)."""
+    keep = 1.0 - params.dropout_rate
+    return (u < keep) / keep
+
+
 def draw_mask(
     params: NetworkParams, rng: np.random.Generator, n: int, steps: int
 ) -> np.ndarray | None:
     """Inverted-dropout mask for layer 1, or None when the rate is zero."""
     if params.dropout_rate == 0.0:
         return None
-    keep = 1.0 - params.dropout_rate
-    h1 = params.U1.shape[0]
-    return (rng.random((n, steps, h1)) < keep) / keep
+    return dropout_mask(params, rng.random((n, steps, params.U1.shape[0])))
 
 
 def forward(
@@ -254,26 +294,35 @@ def forward(
     rng: np.random.Generator | None = None,
     mask: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Predict the next step from one window (steps, features).
+    """Predict the next step from one window (steps, features) or from a
+    stack of windows (n, steps, features), with an optional layer-1
+    dropout mask shaped like the windows' (steps, h1) or (n, steps, h1).
 
     Deterministic without `rng`/`mask`; passing an rng draws a seeded
-    dropout mask, so a fixed seed reproduces the same prediction.
+    dropout mask, so a fixed seed reproduces the same prediction.  Each row
+    of a stack gives the same bits as that window run alone.
     """
     x = np.asarray(x, dtype=float)
-    if x.ndim != 2:
-        raise DimensionError("forward expects a single (steps, features) window")
-    if not np.all(np.isfinite(x)):
+    single = x.ndim == 2
+    X = x[None] if single else x
+    if X.ndim != 3 or X.shape[2] != params.input_dim:
+        raise DimensionError(
+            f"forward expects (steps, {params.input_dim}) or (n, steps, "
+            f"{params.input_dim}) windows, got {x.shape}"
+        )
+    if not np.all(np.isfinite(X)):
         raise NumericError("non-finite input window")
     if mask is None and rng is not None:
-        m3 = draw_mask(params, rng, 1, x.shape[0])
+        mask = draw_mask(params, rng, X.shape[0], X.shape[1])
     elif mask is not None:
-        m3 = mask[None, :, :]
-    else:
-        m3 = None
-    pred, _ = _forward(params, x[None, :, :], m3)
+        mask = np.asarray(mask, dtype=float)
+        mask = mask[None] if single else mask
+        if mask.shape != (*X.shape[:2], params.hidden[0]):
+            raise DimensionError(f"dropout mask shape {mask.shape} does not fit the windows")
+    pred = _infer(params, X, mask)
     if not np.all(np.isfinite(pred)):
         raise NumericError("non-finite prediction")
-    return pred[0]
+    return pred[0] if single else pred
 
 
 def predict(params: NetworkParams, X: np.ndarray) -> np.ndarray:

@@ -44,18 +44,28 @@ class StressResult:
     e0_gains: tuple[float, ...]
 
 
+def sorted_quantiles(a: np.ndarray, levels) -> np.ndarray:
+    """Linear-interpolation quantiles along axis 0 of an array already
+    sorted along it: position (n-1)*level.  Returns (len(levels), *rest)."""
+    n = a.shape[0]
+    if n == 0:
+        raise ValueError("empty sample")
+    out = np.empty((len(levels), *a.shape[1:]))
+    for qi, level in enumerate(levels):
+        if not 0.0 <= level <= 1.0:
+            raise ValueError("quantile levels must lie in [0, 1]")
+        pos = (n - 1) * level
+        lo = int(np.floor(pos))
+        hi = min(lo + 1, n - 1)
+        frac = pos - lo
+        out[qi] = a[lo] + frac * (a[hi] - a[lo])
+    return out
+
+
 def quantile(sample: np.ndarray, level: float) -> float:
     """Linear-interpolation quantile: sort ascending, position (n-1)*level."""
     a = np.sort(np.asarray(sample, dtype=float).ravel())
-    if a.size == 0:
-        raise ValueError("empty sample")
-    if not 0.0 <= level <= 1.0:
-        raise ValueError("level must lie in [0, 1]")
-    pos = (a.size - 1) * level
-    lo = int(np.floor(pos))
-    hi = min(lo + 1, a.size - 1)
-    frac = pos - lo
-    return float(a[lo] + frac * (a[hi] - a[lo]))
+    return float(sorted_quantiles(a, (level,))[0])
 
 
 def var(sample: np.ndarray, level: float = 0.995) -> float:

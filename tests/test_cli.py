@@ -1,5 +1,6 @@
 import gzip
 import json
+import shutil
 from pathlib import Path
 
 import pytest
@@ -157,6 +158,27 @@ class TestExitCodes:
             fh.write(header + "\n")
             fh.write("\n".join(collapsed) + "\n")
         assert main(["stress", "--config", str(cfg), "--quiet"]) == 4
+
+    def _stress_on_edited_ensemble(self, pipeline, tmp_path, edit):
+        root, _ = pipeline
+        copy = shutil.copytree(root, tmp_path / "copy")
+        path = copy / "run" / "ensemble.csv.gz"
+        lines = edit(read_artifact_lines(path))
+        with gzip.open(path, "wt") as fh:
+            fh.write("\n".join(lines) + "\n")
+        return main(["stress", "--config", str(copy / "config.json"), "--quiet"])
+
+    def test_rewritten_intact_ensemble_is_0(self, pipeline, tmp_path):
+        assert self._stress_on_edited_ensemble(pipeline, tmp_path, lambda l: l) == 0
+
+    def test_row_truncated_ensemble_is_3(self, pipeline, tmp_path):
+        assert self._stress_on_edited_ensemble(pipeline, tmp_path, lambda l: l[:-30]) == 3
+
+    def test_foreign_hash_ensemble_is_3(self, pipeline, tmp_path):
+        def restamp(lines):
+            return ["# config_hash=0123456789abcdef", *lines[1:]]
+
+        assert self._stress_on_edited_ensemble(pipeline, tmp_path, restamp) == 3
 
     def test_bad_usage_is_1(self):
         with pytest.raises(SystemExit) as exc:

@@ -15,7 +15,7 @@ from mortlab.forecast import (
     save_forecaster,
 )
 from mortlab.lilee import FactorPanel
-from mortlab.lstm import init_params, predict
+from mortlab.lstm import draw_mask, forward, init_params, predict
 from mortlab.risk import quantile
 from mortlab.windows import ScalerParams
 from tests.test_lstm import zero_params
@@ -109,7 +109,47 @@ class TestDeterministic:
             forecast_deterministic(model, history, horizon=2)
 
 
+def per_path_oracle(model, history, horizon, n_paths, sigma, seed):
+    """The ensemble as one path at a time, one single-window forward per
+    step: the reference the batched recursion must reproduce bit for bit."""
+    streams = [
+        np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(n_paths)
+    ]
+    need = model.lookback + 1
+    out = np.empty((n_paths, horizon + 1, history.values.shape[1]))
+    out[:, 0, :] = history.values[-1]
+    for p, rng in enumerate(streams):
+        window = history.values[-need:].copy()
+        for h in range(1, horizon + 1):
+            mask = draw_mask(model.net, rng, 1, model.lookback)
+            x = (np.diff(window, axis=0) - model.scaler.mean) / model.scaler.sd
+            pred = forward(model.net, x, mask=None if mask is None else mask[0])
+            nxt = window[-1] + ((pred + model.mbc) * model.scaler.sd + model.scaler.mean)
+            if np.any(sigma > 0):
+                nxt = nxt + rng.normal(0.0, sigma)
+            window = np.vstack([window[1:], nxt])
+            out[p, h, :] = nxt
+    return out
+
+
 class TestStochastic:
+    def test_batched_equals_per_path_oracle_bitwise(self, trained_model, fitted_panel):
+        model = trained_model[0]
+        _, panel = fitted_panel
+        assert model.net.dropout_rate > 0
+        sigma = historical_diff_sd(panel)
+        ens = forecast_stochastic(model, panel, horizon=6, n_paths=37, sigma=sigma, seed=8)
+        want = per_path_oracle(model, panel, 6, 37, sigma, seed=8)
+        assert ens.levels.tobytes() == want.tobytes()
+
+    def test_path_depends_only_on_seed_and_index(self, trained_model, fitted_panel):
+        model = trained_model[0]
+        _, panel = fitted_panel
+        sigma = historical_diff_sd(panel)
+        small = forecast_stochastic(model, panel, horizon=5, n_paths=4, sigma=sigma, seed=2)
+        large = forecast_stochastic(model, panel, horizon=5, n_paths=29, sigma=sigma, seed=2)
+        assert small.levels.tobytes() == large.levels[:4].tobytes()
+
     def test_degenerate_ensemble_equals_deterministic_bitwise(
         self, trained_model, fitted_panel
     ):

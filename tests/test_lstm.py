@@ -102,8 +102,23 @@ class TestForward:
 
     def test_bad_shapes_rejected(self):
         params = toy_params()
+        for bad in (np.zeros(3), np.zeros((2, 3, 3, 3)), np.zeros((5, 4)), np.zeros((2, 5, 2))):
+            with pytest.raises(DimensionError):
+                forward(params, bad)
         with pytest.raises(DimensionError):
-            forward(params, np.zeros((2, 3, 3)))
+            forward(params, np.zeros((2, 5, 3)), mask=np.ones((2, 4, 4)))
+
+    def test_batch_with_masks_equals_single_calls_bitwise(self):
+        params = toy_params(seed=4, hidden=(6, 5), dropout=0.3)
+        rng = np.random.default_rng(5)
+        X = rng.standard_normal((9, 7, 3))
+        masks = draw_mask(params, rng, 9, 7)
+        batch = forward(params, X, mask=masks)
+        for i in range(9):
+            assert np.array_equal(batch[i], forward(params, X[i], mask=masks[i]))
+        plain = forward(params, X)
+        for i in range(9):
+            assert np.array_equal(plain[i], forward(params, X[i]))
 
 
 class TestGradients:
