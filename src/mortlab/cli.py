@@ -2,9 +2,14 @@
 stress, ablate.
 
 Every run is driven by one JSON config.  The config's SHA-256 hash (minus
-the output directory) is stamped into every artifact; stages refuse to mix
-artifacts from different hashes.  All randomness flows from the single
-config seed through named substreams, so reruns are bit-reproducible.
+the output directory) is stamped into every CSV and JSON artifact; stages
+refuse to mix artifacts from different hashes.  The binary ensemble
+(`ensemble.npy`, little-endian float64, paths x (horizon + 1) x factors,
+origin row included) is bound to the run by the SHA-256 of its bytes in
+the hash-stamped forecast_manifest.json; stress refuses it unless bytes,
+header, shape and origin row are exactly what forecast wrote.  All
+randomness flows from the single config seed through named substreams, so
+reruns, the ensemble's bytes included, are bit-reproducible.
 
 Exit codes: 0 ok, 1 usage/config, 2 data, 3 missing or mismatched stage
 artifacts, 4 degenerate domain, 5 numeric failure.
@@ -14,10 +19,11 @@ from __future__ import annotations
 
 import argparse
 import csv
-import gzip
 import hashlib
+import io
 import json
 import logging
+import math
 import os
 import sys
 from datetime import datetime, timezone
@@ -395,60 +401,62 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _write_ensemble_csv(ctx: RunContext, ens: ForecastEnsemble, labels) -> str:
-    name = "ensemble.csv.gz"
-    with gzip.open(ctx.path(name), "wt", newline="") as fh:
-        fh.write(f"# config_hash={ctx.hash}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["path", "horizon", "factor", "value"])
-        s, h1, f = ens.levels.shape
-        for p in range(s):
-            for h in range(1, h1):
-                for j in range(f):
-                    writer.writerow([p, h, labels[j], repr(float(ens.levels[p, h, j]))])
-    return name
+ENSEMBLE = "ensemble.npy"
+# the one header forecast writes: little-endian float64, C order
+ENSEMBLE_DTYPE = np.dtype("<f8")
 
 
-def _read_ensemble_csv(ctx: RunContext, panel: FactorPanel, fdoc: dict) -> ForecastEnsemble:
-    """Load the ensemble written by forecast, refusing (StageError) a file
-    from another config, one whose shape disagrees with
-    forecast_manifest.json, or one with any cell missing or repeated."""
-    path = ctx.path("ensemble.csv.gz")
-    if not path.exists():
-        raise StageError("missing artifact ensemble.csv.gz; run forecast first")
-    n_paths, horizon = int(fdoc["n_paths"]), int(fdoc["horizon"])
-    idx = {lab: j for j, lab in enumerate(panel.labels)}
-    levels = np.empty((n_paths, horizon + 1, len(idx)))
-    levels[:, 0, :] = panel.values[-1]
-    seen = np.zeros(levels.shape, dtype=bool)
-    seen[:, 0, :] = True
-    try:
-        with gzip.open(path, "rt") as fh:
-            stamp = fh.readline().rstrip("\n")
-            if stamp != f"# config_hash={ctx.hash}":
-                raise StageError(
-                    f"ensemble.csv.gz carries {stamp!r}, current config is {ctx.hash}; "
-                    "refusing to mix"
-                )
-            reader = csv.reader(fh)
-            next(reader)
-            for p, h, lab, value in reader:
-                cell = (int(p), int(h), idx[lab])
-                if not (0 <= cell[0] < n_paths and 1 <= cell[1] <= horizon) or seen[cell]:
-                    raise StageError(f"ensemble.csv.gz has a stray or repeated cell {cell}")
-                seen[cell] = True
-                levels[cell] = float(value)
-    except (OSError, EOFError, ValueError, KeyError, StopIteration) as exc:
-        raise StageError(f"ensemble.csv.gz is unreadable: {exc!r}") from exc
-    if not seen.all():
+def _write_ensemble(ctx: RunContext, ens: ForecastEnsemble) -> str:
+    """Save the levels, origin row included, and return the SHA-256 of the
+    file's bytes.  np.save stamps no time, so reruns give the same bytes."""
+    buf = io.BytesIO()
+    np.save(buf, np.ascontiguousarray(ens.levels, dtype=ENSEMBLE_DTYPE), allow_pickle=False)
+    data = buf.getvalue()
+    ctx.path(ENSEMBLE).write_bytes(data)
+    return hashlib.sha256(data).hexdigest()
+
+
+def _read_ensemble(ctx: RunContext, panel: FactorPanel, fdoc: dict) -> ForecastEnsemble:
+    """Load the ensemble written by forecast.  The file is read once and
+    refused (StageError) unless its SHA-256 is the one forecast_manifest.json
+    records, its header is exactly the one forecast writes with the
+    manifest's shape, its payload is complete and its row 0 is the panel's
+    last year on every path."""
+    path = ctx.path(ENSEMBLE)
+    if not path.is_file():
+        raise StageError(f"missing artifact {ENSEMBLE}; run forecast first")
+    data = path.read_bytes()
+    if hashlib.sha256(data).hexdigest() != fdoc.get("ensemble_sha256"):
         raise StageError(
-            f"ensemble.csv.gz is incomplete: {int((~seen).sum())} of "
-            f"{n_paths} x {horizon} x {len(idx)} cells missing"
+            f"{ENSEMBLE} does not match the checksum in forecast_manifest.json; "
+            "refusing a corrupted or foreign ensemble"
+        )
+    shape = (int(fdoc["n_paths"]), int(fdoc["horizon"]) + 1, panel.n_factors)
+    buf = io.BytesIO(data)
+    try:
+        if np.lib.format.read_magic(buf) != (1, 0):
+            raise ValueError("not a version 1.0 .npy file")
+        header = np.lib.format.read_array_header_1_0(buf)
+        if header != (shape, False, ENSEMBLE_DTYPE):
+            raise ValueError(
+                f"header (shape, fortran_order, dtype) = {header}, "
+                f"expected {(shape, False, ENSEMBLE_DTYPE)}"
+            )
+        if len(data) - buf.tell() != math.prod(shape) * ENSEMBLE_DTYPE.itemsize:
+            raise ValueError(f"payload is {len(data) - buf.tell()} bytes, not {shape} doubles")
+        buf.seek(0)
+        levels = np.load(buf, allow_pickle=False)
+    except (ValueError, EOFError) as exc:
+        raise StageError(f"{ENSEMBLE} is unreadable or misshapen: {exc}") from exc
+    origin_year = int(fdoc["origin_year"])
+    if origin_year != int(panel.years[-1]) or np.any(levels[:, 0, :] != panel.values[-1]):
+        raise StageError(
+            f"{ENSEMBLE} does not start from the panel's last year {int(panel.years[-1])}"
         )
     return ForecastEnsemble(
         levels=levels,
-        years=int(fdoc["origin_year"]) + np.arange(horizon + 1),
-        origin_year=int(fdoc["origin_year"]),
+        years=origin_year + np.arange(shape[1]),
+        origin_year=origin_year,
         seed=int(fdoc["seed"]),
         sigma=np.asarray(fdoc["sigma"]),
     )
@@ -468,8 +476,8 @@ def cmd_forecast(args) -> int:
     ens = forecast_stochastic(
         model, panel, horizon, n_paths=n_paths, sigma=sigma, seed=seed
     )
-    # anchor the ensemble origin for later stages: all paths share row 0
-    files = [_write_ensemble_csv(ctx, ens, panel.labels)]
+    checksum = _write_ensemble(ctx, ens)
+    files = [ENSEMBLE]
     files.append(
         ctx.write_json(
             "forecast_manifest.json",
@@ -480,6 +488,7 @@ def cmd_forecast(args) -> int:
                 "origin_year": int(panel.years[-1]),
                 "sigma": sigma.tolist(),
                 "quantiles": list(quantiles),
+                "ensemble_sha256": checksum,
             },
         )
     )
@@ -501,15 +510,19 @@ def cmd_forecast(args) -> int:
             for row in reader:
                 observed[row["country"]] = float(row["e0_observed"])
 
+    # only the focus country's fan chart needs every horizon
+    focus = _focus_country(ctx, params.countries)
     summary_rows = []
-    e0_terminal = {}
     for code in params.countries:
-        paths = lifetable.e0_paths(ens, params, code)
-        e0_terminal[code] = paths[:, -1]
+        if code == focus:
+            focus_paths = lifetable.e0_paths(ens, params, code)
+            terminal = focus_paths[:, -1]
+        else:
+            terminal = lifetable.e0_paths(ens, params, code, horizons=-1)
         origin_model = lifetable.e0_at(params, code, float(panel.values[-1, 0]))
-        mean_term = float(paths[:, -1].mean())
-        ci_low = risk.quantile(paths[:, -1], 0.025)
-        ci_high = risk.quantile(paths[:, -1], 0.975)
+        mean_term = float(terminal.mean())
+        ci_low = risk.quantile(terminal, 0.025)
+        ci_high = risk.quantile(terminal, 0.975)
         summary_rows.append(
             [
                 code,
@@ -530,13 +543,11 @@ def cmd_forecast(args) -> int:
         )
     )
 
-    focus = _focus_country(ctx, params.countries)
-    paths = lifetable.e0_paths(ens, params, focus)
-    bands_e0 = risk.sorted_quantiles(np.sort(paths, axis=0), quantiles)
+    bands_e0 = risk.sorted_quantiles(np.sort(focus_paths, axis=0), quantiles)
     fan_e0_rows = [
         [int(ens.years[h + 1]), q, f"{bands_e0[qi, h]:.4f}"]
         for qi, q in enumerate(quantiles)
-        for h in range(paths.shape[1])
+        for h in range(focus_paths.shape[1])
     ]
     files.append(ctx.write_csv(f"fan_e0_{focus}.csv", ["year", "quantile", "e0"], fan_e0_rows))
 
@@ -632,12 +643,12 @@ def cmd_stress(args) -> int:
     params, model, panel = _load_model_panel(ctx)
     ctx.require_stage("forecast")
     fdoc = ctx.read_json("forecast_manifest.json")
-    ens = _read_ensemble_csv(ctx, panel, fdoc)
+    ens = _read_ensemble(ctx, panel, fdoc)
 
     risk_rows = []
     reports = {}
     for code in params.countries:
-        sample = lifetable.e0_paths(ens, params, code)[:, -1]
+        sample = lifetable.e0_paths(ens, params, code, horizons=-1)
         rep = risk.scr(sample)
         reports[code] = rep
         risk_rows.append(

@@ -111,15 +111,20 @@ def e0_at(params: LiLeeParams, country: int | str, k_value: float) -> float:
     return float(_e0_batch(reconstruct_surface(params, country, k_value)[None, :])[0])
 
 
-def e0_paths(ensemble, params: LiLeeParams, country: int | str) -> np.ndarray:
+def e0_paths(
+    ensemble, params: LiLeeParams, country: int | str, *, horizons=slice(None)
+) -> np.ndarray:
     """Per-path, per-horizon life expectancy from an ensemble's K levels.
 
     Returns (paths, horizon); the anchor row at horizon 0 is excluded.
-    Curves are evaluated E0_BLOCK at a time, so the rate matrix and its
-    temporaries stay bounded whatever the ensemble size.
+    `horizons` indexes that horizon axis, so only the selected curves are
+    evaluated: `horizons=-1` gives the terminal year as (paths,), bit for
+    bit equal to `e0_paths(...)[:, -1]`.  Curves are evaluated E0_BLOCK at
+    a time, so the rate matrix and its temporaries stay bounded whatever
+    the ensemble size; each curve's e0 depends on that curve alone.
     """
     i = params.country_index(country)
-    k_vals = ensemble.levels[:, 1:, 0]  # (S, H)
+    k_vals = ensemble.levels[:, 1:, 0][:, horizons]
     k_flat = k_vals.ravel()
     out = np.empty(k_flat.size)
     for lo in range(0, k_flat.size, E0_BLOCK):

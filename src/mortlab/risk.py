@@ -22,17 +22,13 @@ DEFAULT_SHOCK_GRID = (0.05, 0.10, 0.15, 0.20)
 
 @dataclass(frozen=True)
 class RiskReport:
-    """Tail measures of a terminal life-expectancy distribution; the stress
-    fields stay None until a reverse stress test fills them in."""
+    """Tail measures of a terminal life-expectancy distribution."""
 
     mean_e0: float
     var_99_5: float
     es_99_0: float
     scr_var: float
     scr_es: float
-    delta_star: float | None = None
-    sensitivity: float | None = None
-    sensitivity_cv: float | None = None
 
 
 @dataclass(frozen=True)

@@ -1,12 +1,15 @@
-import gzip
+import hashlib
+import io
 import json
 import shutil
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from mortlab.cli import main
-from mortlab.lilee import load_params
+from mortlab.forecast import forecast_stochastic, load_forecaster
+from mortlab.lilee import FactorPanel, load_params
 
 
 def write_config(path: Path, **overrides) -> Path:
@@ -47,9 +50,22 @@ def pipeline(tmp_path_factory):
     return root, cfg
 
 
-def read_artifact_lines(path: Path):
-    text = gzip.open(path, "rt").read() if path.suffix == ".gz" else path.read_text()
-    return text.splitlines()
+def npy_bytes(array, **kwargs) -> bytes:
+    """The .npy file np.save would write; kwargs go to write_array."""
+    buf = io.BytesIO()
+    np.lib.format.write_array(buf, np.asanyarray(array), **kwargs)
+    return buf.getvalue()
+
+
+def write_ensemble(run_dir: Path, data: bytes, record_checksum: bool = False) -> None:
+    """Replace ensemble.npy; optionally record the new bytes' SHA-256 in
+    forecast_manifest.json, so only the structural checks stand in the way."""
+    (run_dir / "ensemble.npy").write_bytes(data)
+    if record_checksum:
+        path = run_dir / "forecast_manifest.json"
+        doc = json.loads(path.read_text())
+        doc["ensemble_sha256"] = hashlib.sha256(data).hexdigest()
+        path.write_text(json.dumps(doc))
 
 
 class TestPipeline:
@@ -59,7 +75,7 @@ class TestPipeline:
         for name in (
             "manifest.json", "params.json", "factors.csv", "stationarity.csv",
             "observed_e0.csv", "model.json", "network.json", "training_trace.csv",
-            "ensemble.csv.gz", "forecast_manifest.json", "fan_factors.csv",
+            "ensemble.npy", "forecast_manifest.json", "fan_factors.csv",
             "e0_summary.csv", "benchmark.csv", "saliency.csv", "influence.csv",
             "risk.csv", "stress.json", "ablation.csv", "lookback.csv",
         ):
@@ -67,9 +83,25 @@ class TestPipeline:
 
     def test_ensemble_row_count(self, pipeline):
         root, _ = pipeline
-        lines = read_artifact_lines(root / "run" / "ensemble.csv.gz")
-        data_rows = [l for l in lines if l and not l.startswith("#")][1:]
-        assert len(data_rows) == 120 * 6 * 4  # paths * horizon * (N+1)
+        levels = np.load(root / "run" / "ensemble.npy", allow_pickle=False)
+        assert levels.dtype == np.dtype("<f8")
+        assert levels.shape == (120, 6 + 1, 4)  # paths, origin row + horizon, N+1
+
+    def test_ensemble_round_trips_bitwise(self, pipeline):
+        root, _ = pipeline
+        out = root / "run"
+        fdoc = json.loads((out / "forecast_manifest.json").read_text())
+        panel = FactorPanel.from_params(load_params(out / "params.json"))
+        ens = forecast_stochastic(
+            load_forecaster(out / "model.json"), panel, fdoc["horizon"],
+            n_paths=fdoc["n_paths"], sigma=np.asarray(fdoc["sigma"]), seed=fdoc["seed"],
+        )
+        data = (out / "ensemble.npy").read_bytes()
+        assert hashlib.sha256(data).hexdigest() == fdoc["ensemble_sha256"]
+        levels = np.load(io.BytesIO(data), allow_pickle=False)
+        assert levels.shape == ens.levels.shape
+        assert levels.tobytes() == ens.levels.tobytes()
+        assert (levels[:, 0, :] == panel.values[-1]).all()
 
     def test_csv_artifacts_carry_hash(self, pipeline):
         root, cfg = pipeline
@@ -120,6 +152,14 @@ class TestDeterminism:
         assert main(["fit", "--config", str(cfg), "--quiet"]) == 0
         assert (tmp_path / "run" / "params.json").read_bytes() == first
 
+    def test_rerun_forecast_identical_ensemble(self, pipeline, tmp_path):
+        root, _ = pipeline
+        copy = shutil.copytree(root, tmp_path / "copy")
+        (copy / "run" / "ensemble.npy").unlink()
+        assert main(["forecast", "--config", str(copy / "config.json"), "--quiet"]) == 0
+        for name in ("ensemble.npy", "forecast_manifest.json"):
+            assert (copy / "run" / name).read_bytes() == (root / "run" / name).read_bytes()
+
 
 class TestExitCodes:
     def test_missing_data_file_is_2(self, tmp_path, capsys):
@@ -144,41 +184,93 @@ class TestExitCodes:
             assert main([stage, "--config", str(cfg), "--quiet"]) == 0
         # collapse the ensemble: identical paths make SCR exactly zero
         out = tmp_path / "run"
-        manifest = json.loads((out / "manifest.json").read_text())
-        lines = read_artifact_lines(out / "ensemble.csv.gz")
-        header, rows = lines[1], lines[2:]
-        collapsed = []
-        first_by_key = {}
-        for row in rows:
-            p, h, lab, v = row.split(",")
-            v = first_by_key.setdefault((h, lab), v)
-            collapsed.append(f"{p},{h},{lab},{v}")
-        with gzip.open(out / "ensemble.csv.gz", "wt") as fh:
-            fh.write(f"# config_hash={manifest['config_hash']}\n")
-            fh.write(header + "\n")
-            fh.write("\n".join(collapsed) + "\n")
+        levels = np.load(out / "ensemble.npy", allow_pickle=False)
+        collapsed = np.repeat(levels[:1], levels.shape[0], axis=0)
+        write_ensemble(out, npy_bytes(collapsed), record_checksum=True)
         assert main(["stress", "--config", str(cfg), "--quiet"]) == 4
 
-    def _stress_on_edited_ensemble(self, pipeline, tmp_path, edit):
+    def _stress_on_edited_ensemble(self, pipeline, tmp_path, edit, record_checksum=False):
+        """Rerun stress on a copy of the pipeline whose ensemble.npy bytes
+        went through `edit`."""
         root, _ = pipeline
         copy = shutil.copytree(root, tmp_path / "copy")
-        path = copy / "run" / "ensemble.csv.gz"
-        lines = edit(read_artifact_lines(path))
-        with gzip.open(path, "wt") as fh:
-            fh.write("\n".join(lines) + "\n")
+        data = (copy / "run" / "ensemble.npy").read_bytes()
+        write_ensemble(copy / "run", edit(data), record_checksum)
         return main(["stress", "--config", str(copy / "config.json"), "--quiet"])
 
     def test_rewritten_intact_ensemble_is_0(self, pipeline, tmp_path):
-        assert self._stress_on_edited_ensemble(pipeline, tmp_path, lambda l: l) == 0
+        def resave(data):
+            return npy_bytes(np.load(io.BytesIO(data), allow_pickle=False))
+
+        assert self._stress_on_edited_ensemble(pipeline, tmp_path, resave) == 0
 
     def test_row_truncated_ensemble_is_3(self, pipeline, tmp_path):
-        assert self._stress_on_edited_ensemble(pipeline, tmp_path, lambda l: l[:-30]) == 3
+        # a well-formed file missing its last 30 paths, checksum recorded
+        def drop_paths(data):
+            return npy_bytes(np.load(io.BytesIO(data), allow_pickle=False)[:-30])
 
-    def test_foreign_hash_ensemble_is_3(self, pipeline, tmp_path):
-        def restamp(lines):
-            return ["# config_hash=0123456789abcdef", *lines[1:]]
+        assert self._stress_on_edited_ensemble(
+            pipeline, tmp_path, drop_paths, record_checksum=True) == 3
 
-        assert self._stress_on_edited_ensemble(pipeline, tmp_path, restamp) == 3
+    def test_byte_truncated_ensemble_is_3(self, pipeline, tmp_path, caplog):
+        assert self._stress_on_edited_ensemble(pipeline, tmp_path, lambda d: d[:-200]) == 3
+        assert "checksum" in caplog.text
+
+    def test_flipped_payload_byte_is_3(self, pipeline, tmp_path, caplog):
+        def flip(data):
+            edited = bytearray(data)
+            edited[-100] ^= 0x01
+            return bytes(edited)
+
+        assert self._stress_on_edited_ensemble(pipeline, tmp_path, flip) == 3
+        assert "checksum" in caplog.text
+
+    def test_foreign_hash_ensemble_is_3(self, pipeline, tmp_path, caplog):
+        # a complete, well-formed ensemble.npy from another seed's run
+        other = tmp_path / "other"
+        other.mkdir()
+        cfg = write_config(other, seed=778)
+        for stage in ("synth", "fit", "train", "forecast"):
+            assert main([stage, "--config", str(cfg), "--quiet"]) == 0
+        foreign = (other / "run" / "ensemble.npy").read_bytes()
+        assert self._stress_on_edited_ensemble(pipeline, tmp_path, lambda d: foreign) == 3
+        assert "checksum" in caplog.text
+
+    def test_missing_ensemble_is_3(self, pipeline, tmp_path):
+        root, _ = pipeline
+        copy = shutil.copytree(root, tmp_path / "copy")
+        (copy / "run" / "ensemble.npy").unlink()
+        assert main(["stress", "--config", str(copy / "config.json"), "--quiet"]) == 3
+
+    @pytest.mark.parametrize("key, value", [
+        ("n_paths", 119), ("horizon", 5), ("origin_year", 2019),
+    ])
+    def test_manifest_disagreeing_with_ensemble_is_3(self, pipeline, tmp_path, key, value):
+        root, _ = pipeline
+        copy = shutil.copytree(root, tmp_path / "copy")
+        path = copy / "run" / "forecast_manifest.json"
+        doc = json.loads(path.read_text())
+        doc[key] = value
+        path.write_text(json.dumps(doc))
+        assert main(["stress", "--config", str(copy / "config.json"), "--quiet"]) == 3
+
+    @pytest.mark.parametrize("edit", [
+        lambda d: d[:-200],
+        lambda d: d + bytes(8),
+        lambda d: b"not an npy file",
+        lambda d: npy_bytes(np.load(io.BytesIO(d)).astype("<f4")),
+        lambda d: npy_bytes(np.load(io.BytesIO(d)).astype(">f8")),
+        lambda d: npy_bytes(np.asfortranarray(np.load(io.BytesIO(d)))),
+        lambda d: npy_bytes(np.load(io.BytesIO(d)).astype(object)),
+        lambda d: npy_bytes(np.load(io.BytesIO(d))[:, :, :-1]),
+        lambda d: npy_bytes(np.load(io.BytesIO(d)) * np.r_[0.0, np.ones(6)][:, None]),
+        lambda d: npy_bytes(np.load(io.BytesIO(d)), version=(2, 0)),
+    ], ids=["cut-200-bytes", "trailing-bytes", "not-npy", "float32", "big-endian",
+            "fortran-order", "object-dtype", "factor-missing", "origin-row-zeroed",
+            "format-version-2"])
+    def test_misshapen_ensemble_with_recorded_checksum_is_3(self, pipeline, tmp_path, edit):
+        assert self._stress_on_edited_ensemble(
+            pipeline, tmp_path, edit, record_checksum=True) == 3
 
     def test_bad_usage_is_1(self):
         with pytest.raises(SystemExit) as exc:

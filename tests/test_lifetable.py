@@ -3,6 +3,7 @@ import pytest
 
 from mortlab.errors import DomainError
 from mortlab.lifetable import (
+    E0_BLOCK,
     e0_at,
     e0_paths,
     life_table,
@@ -180,3 +181,16 @@ class TestE0Paths:
         paths = e0_paths(ens, params, 0)
         assert paths[0, 0] == pytest.approx(e0_at(params, 0, -1.0), abs=1e-12)
         assert paths[0, 1] == pytest.approx(e0_at(params, 0, -2.0), abs=1e-12)
+
+    def test_terminal_only_equals_last_column_bitwise(self):
+        # more paths than E0_BLOCK: the terminal curves fall into blocks
+        # at other offsets than they do in the full (paths x horizon) run
+        rng = np.random.default_rng(4)
+        params = make_params([np.linspace(-9, -2, 91)])
+        k = np.cumsum(rng.normal(-0.3, 0.5, size=(2100, 31)), axis=1)
+        ens = self._ensemble(k)
+        assert ens.n_paths > E0_BLOCK
+        full = e0_paths(ens, params, 0)
+        terminal = e0_paths(ens, params, 0, horizons=-1)
+        assert full.shape == (2100, 30) and terminal.shape == (2100,)
+        assert np.array_equal(terminal, full[:, -1])
