@@ -202,10 +202,9 @@ def validate(
     raise ValueError(f"unknown rmse_target {rmse_target!r}")
 
 
-def train_hybrid(
-    panel: FactorPanel, split_year: int, cfg: HybridConfig
-) -> ForecastModel:
-    model, _, _, _ = fit_forecaster(
+def fit_hybrid(panel: FactorPanel, split_year: int, cfg: HybridConfig):
+    """`fit_forecaster` under `cfg`: (model, trace, windows, (train, val))."""
+    return fit_forecaster(
         panel,
         split_year,
         cfg.lookback,
@@ -213,7 +212,12 @@ def train_hybrid(
         dropout_rate=cfg.dropout_rate,
         train_config=cfg.train,
     )
-    return model
+
+
+def train_hybrid(
+    panel: FactorPanel, split_year: int, cfg: HybridConfig
+) -> ForecastModel:
+    return fit_hybrid(panel, split_year, cfg)[0]
 
 
 def _rmse_kt_recursive(model: ForecastModel, panel: FactorPanel, split_year: int) -> float:
@@ -262,9 +266,16 @@ def ablate(
     split_year: int,
     cfg: HybridConfig,
     variants: tuple[str, ...] = ("baseline", "no_mbc", "no_differences"),
+    *,
+    baseline=None,
 ) -> dict[str, AblationResult]:
-    """Common-factor RMSE per design variant, with degradation vs baseline."""
-    model = train_hybrid(panel, split_year, cfg)
+    """Common-factor RMSE per design variant, with degradation vs baseline.
+
+    `baseline` is `fit_hybrid(panel, split_year, cfg)` when the caller
+    already has it; None trains it here."""
+    if baseline is None:
+        baseline = fit_hybrid(panel, split_year, cfg)
+    model = baseline[0]
     base = _rmse_kt_recursive(model, panel, split_year)
     out = {"baseline": AblationResult("baseline", base, 0.0)}
     for name in variants:
@@ -286,21 +297,23 @@ def lookback_sweep(
     split_year: int,
     cfg: HybridConfig,
     lookbacks: tuple[int, ...] = (5, 10, 15),
+    *,
+    baseline=None,
 ) -> list[SweepResult]:
-    """Retrain with identical seed policy per window length."""
+    """Retrain with identical seed policy per window length.
+
+    `baseline` is `fit_hybrid(panel, split_year, cfg)` when the caller
+    already has it; the sweep then reuses it for `cfg.lookback` instead of
+    training the same model again."""
     results = []
     n_diffs = panel.values.shape[0] - 1
     for lb in lookbacks:
-        sub = replace(cfg, lookback=lb)
         try:
-            model, _, windows, (train_idx, val_idx) = fit_forecaster(
-                panel,
-                split_year,
-                lb,
-                hidden=sub.hidden,
-                dropout_rate=sub.dropout_rate,
-                train_config=sub.train,
-            )
+            if baseline is not None and lb == cfg.lookback:
+                fit = baseline
+            else:
+                fit = fit_hybrid(panel, split_year, replace(cfg, lookback=lb))
+            model, _, _, (train_idx, val_idx) = fit
         except InsufficientHistoryError as exc:
             results.append(
                 SweepResult(

@@ -64,7 +64,7 @@ from .forecast import (
 )
 from .lilee import FactorPanel, fit_lilee, load_params, save_params
 from .lstm import TrainConfig
-from .windows import difference, fit_scaler, make_windows, split_windows, transform
+from .windows import difference, make_windows, split_windows, transform
 from .windows import DiffPanel
 
 log = logging.getLogger("mortlab")
@@ -593,8 +593,7 @@ def cmd_explain(args) -> int:
     split_year = int(ctx.cfg["split_year"])
 
     diff = difference(panel)
-    scaler = fit_scaler(diff, split_year)
-    scaled = DiffPanel(years=diff.years, V=transform(scaler, diff.V))
+    scaled = DiffPanel(years=diff.years, V=transform(model.scaler, diff.V))
     windows = make_windows(scaled, model.lookback)
     train_idx, val_idx = split_windows(windows, split_year)
 
@@ -714,7 +713,8 @@ def cmd_ablate(args) -> int:
         ),
     )
     split_year = int(ctx.cfg["split_year"])
-    results = benchmark.ablate(panel, split_year, cfg)
+    baseline = benchmark.fit_hybrid(panel, split_year, cfg)
+    results = benchmark.ablate(panel, split_year, cfg, baseline=baseline)
     files = [
         ctx.write_csv(
             "ablation.csv",
@@ -726,7 +726,8 @@ def cmd_ablate(args) -> int:
         )
     ]
     sweep = benchmark.lookback_sweep(
-        panel, split_year, cfg, lookbacks=tuple(ctx.cfg["ablate"]["lookbacks"])
+        panel, split_year, cfg, lookbacks=tuple(ctx.cfg["ablate"]["lookbacks"]),
+        baseline=baseline,
     )
     files.append(
         ctx.write_csv(

@@ -183,9 +183,11 @@ def _kernel_coalitions(d, n_coalitions, rng):
     size_p = (d - 1) / (sizes * (d - sizes))
     size_p = size_p / size_p.sum()
     drawn = rng.choice(sizes, size=n_coalitions, p=size_p)
+    # one shuffle per row, drawn in row order exactly as a per-row
+    # rng.permutation(d) would; row r's first drawn[r] entries join it
+    perms = rng.permuted(np.tile(np.arange(d), (n_coalitions, 1)), axis=1)
     Z = np.zeros((n_coalitions, d))
-    for row, s in enumerate(drawn):
-        Z[row, rng.permutation(d)[:s]] = 1.0
+    np.put_along_axis(Z, perms, np.arange(d) < drawn[:, None], axis=1)
     return Z, np.ones(n_coalitions)
 
 

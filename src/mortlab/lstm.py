@@ -13,6 +13,14 @@ Conventions
 * Dropout is inverted (mask Bernoulli(keep)/keep) and applies to the first
   layer's output sequence only; the mask is drawn per step and unit.
 * The training loss is the mean over samples of the squared error norm.
+
+Inference runs one cache-free kernel (`_infer`) with two product rules.
+`forward` multiplies row by row, so every row of a stack has the bits of
+its window run alone; the stochastic ensemble relies on that.  `predict`
+uses plain 2-D products, bit for bit the training forward, so validation
+losses, the mean-bias correction and attributions see the bits training
+saw.  Only `train` and `input_gradient` run `_forward`, which keeps the
+caches that backpropagation reads.
 """
 
 from __future__ import annotations
@@ -255,21 +263,25 @@ def _rows(a, W):
     return (a[:, None, :] @ W)[:, 0]
 
 
-def _infer(params: NetworkParams, X: np.ndarray, mask: np.ndarray | None):
+def _infer(params: NetworkParams, X: np.ndarray, mask: np.ndarray | None, product):
     """Inference-only forward over (n, L, in) keeping no backward caches.
 
-    Row p of the result is bit-identical to running window p alone."""
+    `product(a, W)` computes every matrix product: `_rows` makes row p
+    bit-identical to window p run alone; `np.matmul` reproduces the bits
+    of `_forward` (each layer's step products are the same 2-D products
+    whether the layers run interleaved per step or one after the other).
+    """
     n, L, _ = X.shape
     h1, h2 = params.hidden
     h1_t, c1_t = np.zeros((n, h1)), np.zeros((n, h1))
     h2_t, c2_t = np.zeros((n, h2)), np.zeros((n, h2))
     for t in range(L):
-        z1 = _rows(X[:, t, :], params.W1) + _rows(h1_t, params.U1) + params.b1
+        z1 = product(X[:, t, :], params.W1) + product(h1_t, params.U1) + params.b1
         h1_t = _cell(z1, c1_t, h1)[-1]
         h1_in = h1_t if mask is None else h1_t * mask[:, t, :]
-        z2 = _rows(h1_in, params.W2) + _rows(h2_t, params.U2) + params.b2
+        z2 = product(h1_in, params.W2) + product(h2_t, params.U2) + params.b2
         h2_t = _cell(z2, c2_t, h2)[-1]
-    return _rows(h2_t, params.Wh) + params.bh
+    return product(h2_t, params.Wh) + params.bh
 
 
 def dropout_mask(params: NetworkParams, u: np.ndarray) -> np.ndarray:
@@ -300,7 +312,8 @@ def forward(
 
     Deterministic without `rng`/`mask`; passing an rng draws a seeded
     dropout mask, so a fixed seed reproduces the same prediction.  Each row
-    of a stack gives the same bits as that window run alone.
+    of a stack gives the same bits as that window run alone, because every
+    product is taken row by row; the stochastic ensemble relies on this.
     """
     x = np.asarray(x, dtype=float)
     single = x.ndim == 2
@@ -319,19 +332,26 @@ def forward(
         mask = mask[None] if single else mask
         if mask.shape != (*X.shape[:2], params.hidden[0]):
             raise DimensionError(f"dropout mask shape {mask.shape} does not fit the windows")
-    pred = _infer(params, X, mask)
+    pred = _infer(params, X, mask, _rows)
     if not np.all(np.isfinite(pred)):
         raise NumericError("non-finite prediction")
     return pred[0] if single else pred
 
 
 def predict(params: NetworkParams, X: np.ndarray) -> np.ndarray:
-    """Deterministic batched predictions for (samples, steps, features)."""
+    """Deterministic batched predictions for (samples, steps, features).
+
+    Runs the cache-free kernel with plain 2-D products, so the result is
+    bit for bit the prediction of the training forward `_forward`.  A row's
+    bits are not stable across batch sizes: one row goes through a
+    matrix-vector product (gemv), more rows through a matrix-matrix
+    product (gemm), which may round differently.  Use `forward` where a
+    row must equal its window run alone.
+    """
     X = np.asarray(X, dtype=float)
     if X.ndim != 3:
         raise DimensionError("predict expects (samples, steps, features)")
-    pred, _ = _forward(params, X, None)
-    return pred
+    return _infer(params, X, None, np.matmul)
 
 
 def input_gradient(

@@ -6,6 +6,7 @@ from mortlab.benchmark import (
     BenchmarkRow,
     HybridConfig,
     ablate,
+    fit_hybrid,
     hybrid_validation_forecast,
     linear_benchmark_forecast,
     lookback_sweep,
@@ -171,6 +172,15 @@ class TestLookbackSweep:
         by_l = {r.lookback: r for r in out}
         assert by_l[40].skipped and "skipped" in by_l[40].note
         assert not by_l[5].skipped
+
+    def test_reused_baseline_equals_retraining(self, fitted_panel):
+        _, panel = fitted_panel
+        cfg = quick_cfg(seed=10)
+        fresh = lookback_sweep(panel, 2011, cfg, lookbacks=(5, 10))
+        reused = lookback_sweep(
+            panel, 2011, cfg, lookbacks=(5, 10), baseline=fit_hybrid(panel, 2011, cfg)
+        )
+        assert reused == fresh
 
     def test_deterministic_output(self, fitted_panel):
         _, panel = fitted_panel

@@ -2,11 +2,13 @@ import hashlib
 import io
 import json
 import shutil
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from mortlab import lstm
 from mortlab.cli import main
 from mortlab.forecast import forecast_stochastic, load_forecaster
 from mortlab.lilee import FactorPanel, load_params
@@ -159,6 +161,29 @@ class TestDeterminism:
         assert main(["forecast", "--config", str(copy / "config.json"), "--quiet"]) == 0
         for name in ("ensemble.npy", "forecast_manifest.json"):
             assert (copy / "run" / name).read_bytes() == (root / "run" / name).read_bytes()
+
+
+class TestAblate:
+    def test_default_stage_trains_four_networks(self, tmp_path, monkeypatch):
+        # baseline, the levels variant, and lookbacks 5 and 15; lookback 10
+        # is the baseline itself and must not be trained again
+        cfg = write_config(tmp_path, ablate={})
+        for stage in ("synth", "fit"):
+            assert main([stage, "--config", str(cfg), "--quiet"]) == 0
+        real, calls = lstm.train, []
+
+        def counting_train(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("mortlab") and getattr(module, "train", None) is real:
+                monkeypatch.setattr(module, "train", counting_train)
+        assert main(["ablate", "--config", str(cfg), "--quiet"]) == 0
+        assert len(calls) == 4
+        lines = (tmp_path / "run" / "lookback.csv").read_text().splitlines()
+        assert [line.split(",")[:1] for line in lines[2:]] == [["5"], ["10"], ["15"]]
+        assert all(line.split(",")[4] == "0" for line in lines[2:])
 
 
 class TestExitCodes:

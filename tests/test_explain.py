@@ -3,6 +3,7 @@ import pytest
 
 from mortlab.explain import (
     ShapReport,
+    _kernel_coalitions,
     aggregate_country_influence,
     kernel_shap,
     temporal_saliency,
@@ -169,6 +170,32 @@ class TestKernelShap:
                 model.net, windows.X[val_idx], windows.X[val_idx][:1],
                 mode="sampled", n_coalitions=50,
             )
+
+
+def per_row_coalitions(d, n_coalitions, rng):
+    """The sampled branch of _kernel_coalitions as one permutation per row."""
+    sizes = np.arange(1, d)
+    size_p = (d - 1) / (sizes * (d - sizes))
+    size_p = size_p / size_p.sum()
+    drawn = rng.choice(sizes, size=n_coalitions, p=size_p)
+    Z = np.zeros((n_coalitions, d))
+    for row, s in enumerate(drawn):
+        Z[row, rng.permutation(d)[:s]] = 1.0
+    return Z
+
+
+class TestCoalitions:
+    @pytest.mark.parametrize(
+        "d, n, seed", [(3, 4, 0), (5, 7, 1), (13, 100, 2), (30, 500, 3), (70, 2188, 4)]
+    )
+    def test_sampled_equals_per_row_loop_bitwise(self, d, n, seed):
+        want_rng = np.random.default_rng(seed)
+        got_rng = np.random.default_rng(seed)
+        want = per_row_coalitions(d, n, want_rng)
+        Z, w = _kernel_coalitions(d, n, got_rng)
+        assert Z.dtype == want.dtype and np.array_equal(Z, want)
+        assert np.array_equal(w, np.ones(n))
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
 
 class TestAggregate:

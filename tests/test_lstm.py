@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -119,6 +121,29 @@ class TestForward:
         plain = forward(params, X)
         for i in range(9):
             assert np.array_equal(plain[i], forward(params, X[i]))
+
+
+class TestPredict:
+    @pytest.mark.parametrize("hidden", [(32, 16), (4, 3)])
+    def test_equals_training_forward_bitwise(self, hidden):
+        params = init_params(7, hidden=hidden, seed=3)
+        rng = np.random.default_rng(6)
+        for n in (1, 2, 15, 2188):
+            X = rng.standard_normal((n, 10, 7))
+            assert np.array_equal(predict(params, X), _forward(params, X, None)[0]), n
+
+    def test_keeps_no_backward_caches(self):
+        # the caches of _forward for this batch take about 50 MB
+        params = init_params(7, hidden=(32, 16), seed=3)
+        X = np.random.default_rng(7).standard_normal((2188, 10, 7))
+        predict(params, X)
+        tracemalloc.start()
+        try:
+            predict(params, X)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6, f"predict peaked at {peak / 1e6:.1f} MB"
 
 
 class TestGradients:
