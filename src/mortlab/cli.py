@@ -11,8 +11,8 @@ header, shape and origin row are exactly what forecast wrote.  All
 randomness flows from the single config seed through named substreams, so
 reruns, the ensemble's bytes included, are bit-reproducible.
 
-Exit codes: 0 ok, 1 usage/config, 2 data, 3 missing or mismatched stage
-artifacts, 4 degenerate domain, 5 numeric failure.
+Exit codes: 0 ok, 1 usage/config, 2 data, 3 missing, mismatched or
+unparseable stage artifacts, 4 degenerate domain, 5 numeric failure.
 """
 
 from __future__ import annotations
@@ -151,7 +151,7 @@ class RunContext:
     def check_manifest(self):
         mpath = self.path("manifest.json")
         if mpath.exists():
-            doc = json.loads(mpath.read_text())
+            doc = _parse_artifact("manifest.json", json.loads, mpath.read_text())
             if doc.get("config_hash") != self.hash:
                 raise StageError(
                     f"output directory {self.out_dir} holds artifacts for config "
@@ -160,10 +160,11 @@ class RunContext:
             return doc
         return {"config_hash": self.hash, "stages": {}}
 
-    def record_stage(self, manifest: dict, stage: str, files: list[str]):
+    def record_stage(self, manifest: dict, stage: str, files: list[str], **facts):
         manifest["stages"][stage] = {
             "completed": datetime.now(timezone.utc).isoformat(timespec="seconds"),
             "files": files,
+            **facts,
         }
         self.path("manifest.json").write_text(json.dumps(manifest, indent=2))
 
@@ -191,13 +192,21 @@ class RunContext:
         path = self.path(name)
         if not path.exists():
             raise StageError(f"missing artifact {name}; run the producing stage first")
-        doc = json.loads(path.read_text())
+        doc = _parse_artifact(name, json.loads, path.read_text())
         if doc.get("config_hash") not in (None, self.hash):
             raise StageError(
                 f"artifact {name} was produced under config {doc.get('config_hash')}, "
                 f"current is {self.hash}; refusing to mix"
             )
         return doc
+
+
+def _parse_artifact(name: str, load, *args):
+    """`load(*args)`; an artifact that does not parse is refused (exit 3)."""
+    try:
+        return load(*args)
+    except json.JSONDecodeError as exc:
+        raise StageError(f"artifact {name} does not parse: {exc}") from exc
 
 
 def load_context(args) -> RunContext:
@@ -278,10 +287,10 @@ def _focus_country(ctx: RunContext, countries) -> str:
 def _load_model_panel(ctx: RunContext):
     ctx.require_stage("fit")
     ctx.require_stage("train")
-    # params/bundle JSON carry their own hash checks
-    ctx.read_json("model.json")
-    params = load_params(ctx.path("params.json"))
-    model = load_forecaster(ctx.path("model.json"))
+    ctx.read_json("model.json")  # hash check
+    params = _parse_artifact("params.json", load_params, ctx.path("params.json"))
+    # model.json parsed just above, so only its network file can fail here
+    model = _parse_artifact("network.json", load_forecaster, ctx.path("model.json"))
     return params, model, FactorPanel.from_params(params)
 
 
@@ -360,7 +369,7 @@ def cmd_train(args) -> int:
     ctx = load_context(args)
     manifest = ctx.check_manifest()
     ctx.require_stage("fit")
-    params = load_params(ctx.path("params.json"))
+    params = _parse_artifact("params.json", load_params, ctx.path("params.json"))
     panel = FactorPanel.from_params(params)
     tc = ctx.cfg["train"]
     config = TrainConfig(
@@ -551,7 +560,7 @@ def cmd_forecast(args) -> int:
     ]
     files.append(ctx.write_csv(f"fan_e0_{focus}.csv", ["year", "quantile", "e0"], fan_e0_rows))
 
-    ctx.record_stage(manifest, "forecast", files)
+    ctx.record_stage(manifest, "forecast", files, path_blocks=ens.blocks)
     log.info("forecast: %d paths x %d years, %d factors", n_paths, horizon, panel.n_factors)
     return 0
 
@@ -698,7 +707,7 @@ def cmd_ablate(args) -> int:
     ctx = load_context(args)
     manifest = ctx.check_manifest()
     ctx.require_stage("fit")
-    params = load_params(ctx.path("params.json"))
+    params = _parse_artifact("params.json", load_params, ctx.path("params.json"))
     panel = FactorPanel.from_params(params)
     tc = ctx.cfg["train"]
     cfg = benchmark.HybridConfig(

@@ -14,15 +14,20 @@ to parallelize.
 
 Contract: path p depends only on (seed, p), bit for bit, whatever
 `n_paths` is, and the ensemble with zero dropout and zero sigma equals the
-deterministic path bit for bit.  All paths advance together through one
-batched network forward per step; the LSTM kernel multiplies row by row
-(`lstm._rows`), so a row of the batch gets exactly the arithmetic of a
-single window.
+deterministic path bit for bit.  Paths run in contiguous blocks on worker
+threads; a block's paths advance together through one batched network
+forward per step.  The LSTM kernel multiplies row by row (`lstm._rows`) and
+all else is elementwise, so a row gets exactly the arithmetic of a single
+window and any split into blocks gives the same bits.
 """
 
 from __future__ import annotations
 
+import contextvars
+import functools
 import json
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -58,6 +63,9 @@ MODEL_SCHEMA = "mortlab/forecaster-v1"
 
 DEFAULT_QUANTILES = (0.025, 0.10, 0.50, 0.90, 0.975)
 
+# smallest path block worth a thread: hand-offs cost more below ~400 paths
+MIN_BLOCK = 256
+
 
 @dataclass(frozen=True)
 class ForecastModel:
@@ -79,13 +87,15 @@ class ForecastModel:
 @dataclass(frozen=True)
 class ForecastEnsemble:
     """Stochastic factor paths; levels is (paths, horizon + 1, factors) with
-    the shared origin level at horizon index 0."""
+    the shared origin level at horizon index 0.  `blocks` is the number of
+    path blocks that ran it, which does not change a bit of `levels`."""
 
     levels: np.ndarray
     years: np.ndarray
     origin_year: int
     seed: int
     sigma: np.ndarray
+    blocks: int = 1
 
     def __post_init__(self):
         object.__setattr__(self, "levels", np.asarray(self.levels, dtype=float))
@@ -202,7 +212,9 @@ def forecast_stochastic(
     increment, then a Normal(0, diag(sigma^2)) level innovation is added.
     A path with zero dropout and zero sigma reproduces the deterministic
     forecast exactly.  Per step, each path's own stream draws its mask and
-    then its noise, as if the paths ran one after another.
+    then its noise, as if the paths ran one after another.  With at least
+    2 * MIN_BLOCK paths, contiguous blocks of paths run on worker threads,
+    one per usable core; the bits do not depend on the split.
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
@@ -215,18 +227,43 @@ def forecast_stochastic(
     if history.values.shape[0] < need:
         raise InsufficientHistoryError(f"need at least {need} level rows")
 
+    children = np.random.SeedSequence(seed).spawn(n_paths)
+    out = np.empty((n_paths, horizon + 1, history.values.shape[1]))
+    out[:, 0, :] = history.values[-1]
+    blocks = _block_count(n_paths)
+    bounds = [n_paths * k // blocks for k in range(blocks + 1)]
+    run = functools.partial(_run_block, model, history, sigma, children, out)
+    if blocks == 1:
+        run(0, n_paths)
+    else:
+        # copies of the caller's context carry numpy's errstate into the workers
+        ctxs = [contextvars.copy_context() for _ in range(blocks)]
+        with ThreadPoolExecutor(blocks) as pool:
+            list(pool.map(contextvars.Context.run, ctxs, [run] * blocks, bounds[:-1], bounds[1:]))
+    years = history.years[-1] + np.arange(horizon + 1)
+    return ForecastEnsemble(levels=out, years=years, origin_year=int(history.years[-1]),
+                            seed=seed, sigma=sigma, blocks=blocks)
+
+
+def _block_count(n_paths: int) -> int:
+    """Path blocks for `n_paths`: one per usable core, each at least
+    MIN_BLOCK paths, so small ensembles stay on the calling thread."""
+    affinity = getattr(os, "sched_getaffinity", None)  # Linux only
+    cores = len(affinity(0)) if affinity else os.cpu_count() or 1
+    return max(1, min(cores, n_paths // MIN_BLOCK))
+
+
+def _run_block(model, history, sigma, children, out, lo: int, hi: int) -> None:
+    """Run paths [lo, hi) over the whole horizon into out[lo:hi], each on
+    the stream spawned for its index."""
     use_noise = bool(np.any(sigma > 0))
     use_mask = model.net.dropout_rate > 0.0
-    streams = [
-        np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(n_paths)
-    ]
-    n_factors = history.values.shape[1]
-    windows = np.repeat(history.values[None, -need:], n_paths, axis=0)
-    uniforms = np.empty((n_paths, model.lookback, model.net.hidden[0]))
-    normals = np.empty((n_paths, n_factors))
-    out = np.empty((n_paths, horizon + 1, n_factors))
-    out[:, 0, :] = history.values[-1]
-    for h in range(1, horizon + 1):
+    streams = [np.random.default_rng(s) for s in children[lo:hi]]
+    n = hi - lo
+    windows = np.repeat(history.values[None, -(model.lookback + 1) :], n, axis=0)
+    uniforms = np.empty((n, model.lookback, model.net.hidden[0]))
+    normals = np.empty((n, history.values.shape[1]))
+    for h in range(1, out.shape[1]):
         # each path's own stream: its mask draws first, then its noise
         for p, rng in enumerate(streams):
             if use_mask:
@@ -239,15 +276,7 @@ def forecast_stochastic(
             nxt += sigma * normals
         windows[:, :-1] = windows[:, 1:]
         windows[:, -1] = nxt
-        out[:, h, :] = nxt
-    years = history.years[-1] + np.arange(horizon + 1)
-    return ForecastEnsemble(
-        levels=out,
-        years=years,
-        origin_year=int(history.years[-1]),
-        seed=seed,
-        sigma=sigma,
-    )
+        out[lo:hi, h, :] = nxt
 
 
 def ensemble_quantiles(

@@ -16,7 +16,8 @@ Conventions
 
 Inference runs one cache-free kernel (`_infer`) with two product rules.
 `forward` multiplies row by row, so every row of a stack has the bits of
-its window run alone; the stochastic ensemble relies on that.  `predict`
+its window run alone; the stochastic ensemble relies on that to run its
+paths in blocks on worker threads, whatever the split.  `predict`
 uses plain 2-D products, bit for bit the training forward, so validation
 losses, the mean-bias correction and attributions see the bits training
 saw.  Only `train` and `input_gradient` run `_forward`, which keeps the
@@ -25,10 +26,10 @@ caches that backpropagation reads.
 
 from __future__ import annotations
 
+import functools
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
@@ -37,11 +38,6 @@ from .errors import DimensionError, NumericError, TrainingError
 WEIGHTS_SCHEMA = "mortlab/network-v1"
 
 _WEIGHT_KEYS = ("W1", "U1", "b1", "W2", "U2", "b2", "Wh", "bh")
-
-
-def _sigmoid(x):
-    # tanh form avoids overflow in exp for large negative inputs
-    return 0.5 * (1.0 + np.tanh(0.5 * x))
 
 
 @dataclass
@@ -138,17 +134,28 @@ def init_params(
     )
 
 
+@functools.lru_cache(maxsize=None)
+def _gate_affine(h: int):
+    """Read-only (scale, shift) over the gate columns [i, f, g, o]: z * scale,
+    tanh, + shift, * scale is 0.5 * (1 + tanh(0.5 * x)) on i, f and o, op for
+    op, and leaves tanh(g) as is (* 1.0 and + -0.0 change no bit).  Full-width
+    passes beat per-gate slices, which cost one inner loop per row."""
+    scale, shift = np.repeat((0.5, 0.5, 1.0, 0.5), h), np.repeat((1.0, 1.0, -0.0, 1.0), h)
+    scale.flags.writeable = shift.flags.writeable = False
+    return scale, shift
+
+
 def _cell(z, c, h):
-    """One LSTM step from the pre-activations z (n, 4h).  Updates the cell
-    state c in place (so no second copy of it is alive) and returns the
-    gates i, f, g, o and the new hidden state."""
-    i = _sigmoid(z[:, :h])
-    f = _sigmoid(z[:, h : 2 * h])
-    g = np.tanh(z[:, 2 * h : 3 * h])
-    o = _sigmoid(z[:, 3 * h :])
-    c *= f
-    c += i * g
-    return i, f, g, o, o * np.tanh(c)
+    """One LSTM step from the pre-activations z (n, 4h), in place: z becomes
+    the gates [i, f, g, o], c the new cell state; returns the hidden state."""
+    scale, shift = _gate_affine(h)
+    z *= scale
+    np.tanh(z, out=z)
+    z += shift
+    z *= scale
+    c *= z[:, h : 2 * h]
+    c += z[:, :h] * z[:, 2 * h : 3 * h]
+    return z[:, 3 * h :] * np.tanh(c)
 
 
 def _layer_forward(X, W, U, b):
@@ -157,13 +164,14 @@ def _layer_forward(X, W, U, b):
     h = W.shape[1] // 4
     hs = np.zeros((L, n, h))
     cs = np.zeros((L, n, h))
-    gates = np.zeros((L, n, 4 * h))
+    gates = np.empty((L, n, 4 * h))
     h_t = np.zeros((n, h))
     c_t = np.zeros((n, h))
     for t in range(L):
-        z = X[:, t, :] @ W + h_t @ U + b
-        i, f, g, o, h_t = _cell(z, c_t, h)
-        gates[t] = np.concatenate([i, f, g, o], axis=1)
+        z = np.matmul(X[:, t, :], W, out=gates[t])
+        z += h_t @ U
+        z += b
+        h_t = _cell(z, c_t, h)
         cs[t] = c_t
         hs[t] = h_t
     return hs, cs, gates
@@ -276,11 +284,15 @@ def _infer(params: NetworkParams, X: np.ndarray, mask: np.ndarray | None, produc
     h1_t, c1_t = np.zeros((n, h1)), np.zeros((n, h1))
     h2_t, c2_t = np.zeros((n, h2)), np.zeros((n, h2))
     for t in range(L):
-        z1 = product(X[:, t, :], params.W1) + product(h1_t, params.U1) + params.b1
-        h1_t = _cell(z1, c1_t, h1)[-1]
+        z1 = product(X[:, t, :], params.W1)
+        z1 += product(h1_t, params.U1)
+        z1 += params.b1
+        h1_t = _cell(z1, c1_t, h1)
         h1_in = h1_t if mask is None else h1_t * mask[:, t, :]
-        z2 = product(h1_in, params.W2) + product(h2_t, params.U2) + params.b2
-        h2_t = _cell(z2, c2_t, h2)[-1]
+        z2 = product(h1_in, params.W2)
+        z2 += product(h2_t, params.U2)
+        z2 += params.b2
+        h2_t = _cell(z2, c2_t, h2)
     return product(h2_t, params.Wh) + params.bh
 
 
@@ -503,47 +515,6 @@ def train(
                 break
 
     return best_params, trace
-
-
-@dataclass(frozen=True)
-class GridCandidate:
-    hidden: tuple[int, int]
-    learning_rate: float = 1e-3
-
-
-def grid_search(
-    candidates: Sequence[GridCandidate],
-    X_train: np.ndarray,
-    Y_train: np.ndarray,
-    X_val: np.ndarray,
-    Y_val: np.ndarray,
-    base: TrainConfig,
-    *,
-    dropout_rate: float = 0.2,
-) -> list[tuple[GridCandidate, float]]:
-    """Train every candidate and rank by best validation MSE (stable order).
-
-    The dropout rate is a fixed architectural setting, deliberately not a
-    grid dimension, so every candidate stays usable for stochastic
-    inference.
-    """
-    if not candidates:
-        raise ValueError("need at least one candidate")
-    scored = []
-    for idx, cand in enumerate(candidates):
-        cfg = replace(base, learning_rate=cand.learning_rate)
-        _, trace = train(
-            X_train,
-            Y_train,
-            X_val,
-            Y_val,
-            cfg,
-            hidden=cand.hidden,
-            dropout_rate=dropout_rate,
-        )
-        scored.append((idx, cand, trace.best_val_mse))
-    scored.sort(key=lambda item: (item[2], item[0]))
-    return [(cand, score) for _, cand, score in scored]
 
 
 def save_network(params: NetworkParams, path: str | Path) -> None:

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mortlab import lstm
+from mortlab import forecast, lstm
 from mortlab.cli import main
 from mortlab.forecast import forecast_stochastic, load_forecaster
 from mortlab.lilee import FactorPanel, load_params
@@ -163,6 +163,22 @@ class TestDeterminism:
             assert (copy / "run" / name).read_bytes() == (root / "run" / name).read_bytes()
 
 
+    def test_forecast_over_three_blocks_identical_and_recorded(
+        self, pipeline, tmp_path, monkeypatch
+    ):
+        root, _ = pipeline
+        copy = shutil.copytree(root, tmp_path / "copy")
+        (copy / "run" / "ensemble.npy").unlink()
+        monkeypatch.setattr(forecast, "_block_count", lambda n_paths: 3)
+        assert main(["forecast", "--config", str(copy / "config.json"), "--quiet"]) == 0
+        for name in ("ensemble.npy", "forecast_manifest.json", "e0_summary.csv",
+                     "fan_factors.csv"):
+            assert (copy / "run" / name).read_bytes() == (root / "run" / name).read_bytes()
+        for run, blocks in ((root, 1), (copy, 3)):  # 120 paths stay on one block
+            manifest = json.loads((run / "run" / "manifest.json").read_text())
+            assert manifest["stages"]["forecast"]["path_blocks"] == blocks
+
+
 class TestAblate:
     def test_default_stage_trains_four_networks(self, tmp_path, monkeypatch):
         # baseline, the levels variant, and lookbacks 5 and 15; lookback 10
@@ -296,6 +312,19 @@ class TestExitCodes:
     def test_misshapen_ensemble_with_recorded_checksum_is_3(self, pipeline, tmp_path, edit):
         assert self._stress_on_edited_ensemble(
             pipeline, tmp_path, edit, record_checksum=True) == 3
+
+    @pytest.mark.parametrize("stage, name", [
+        (stage, name)
+        for stage in ("forecast", "stress")
+        for name in ("manifest.json", "params.json", "model.json", "network.json")
+    ] + [("stress", "forecast_manifest.json")])
+    def test_cut_json_artifact_is_3(self, pipeline, tmp_path, caplog, stage, name):
+        root, _ = pipeline
+        copy = shutil.copytree(root, tmp_path / "copy")
+        path = copy / "run" / name
+        path.write_text(path.read_text()[:5])
+        assert main([stage, "--config", str(copy / "config.json"), "--quiet"]) == 3
+        assert f"artifact {name} does not parse" in caplog.text
 
     def test_bad_usage_is_1(self):
         with pytest.raises(SystemExit) as exc:

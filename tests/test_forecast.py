@@ -1,9 +1,12 @@
 import dataclasses
+import sys
+import threading
 
 import numpy as np
 import pytest
 
-from mortlab.errors import InsufficientHistoryError
+from mortlab import forecast
+from mortlab.errors import InsufficientHistoryError, NumericError
 from mortlab.forecast import (
     ForecastModel,
     compute_mbc,
@@ -224,6 +227,85 @@ class TestStochastic:
         sd_k = ens.levels[:, 1:, 0].std(axis=0)
         for h in range(sd_k.size - 1):
             assert sd_k[h + 1] >= sd_k[h] * 0.95
+
+
+def forced_blocks(monkeypatch, blocks):
+    monkeypatch.setattr(forecast, "_block_count", lambda n_paths: blocks)
+
+
+class TestBlocks:
+    def test_any_block_count_gives_the_same_bytes(
+        self, trained_model, fitted_panel, monkeypatch
+    ):
+        # uneven blocks, and (on small hosts) more workers than cores
+        model = trained_model[0]
+        _, panel = fitted_panel
+        sigma = historical_diff_sd(panel)
+        runs = {}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # hand the interpreter between workers often
+        try:
+            for blocks in (1, 2, 3, 7):
+                forced_blocks(monkeypatch, blocks)
+                ens = forecast_stochastic(
+                    model, panel, horizon=5, n_paths=301, sigma=sigma, seed=4
+                )
+                assert ens.blocks == blocks
+                runs[blocks] = ens.levels.tobytes()
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(set(runs.values())) == 1
+
+    def test_degenerate_ensemble_over_blocks_equals_deterministic_bitwise(
+        self, trained_model, fitted_panel, monkeypatch
+    ):
+        model = trained_model[0]
+        _, panel = fitted_panel
+        det_net = model.net.copy()
+        det_net.dropout_rate = 0.0
+        det_model = dataclasses.replace(model, net=det_net)
+        det = forecast_deterministic(det_model, panel, horizon=8).values[-8:]
+        forced_blocks(monkeypatch, 3)
+        ens = forecast_stochastic(
+            det_model, panel, horizon=8, n_paths=50, sigma=np.zeros(panel.n_factors), seed=5
+        )
+        assert ens.blocks == 3
+        for p in range(ens.n_paths):
+            assert np.array_equal(ens.levels[p, 1:], det)
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_worker_error_reaches_caller_with_its_type(self, monkeypatch):
+        # the bias overflows the first step to inf; the next forward refuses it
+        model = dataclasses.replace(zero_model(n_features=2, lookback=3), mbc=np.full(2, 1e308))
+        history = make_panel(np.random.default_rng(3).standard_normal((6, 2)))
+        forced_blocks(monkeypatch, 2)
+        with pytest.raises(NumericError):
+            forecast_stochastic(model, history, horizon=3, n_paths=4, sigma=np.ones(2), seed=1)
+        # the caller's numpy error state holds inside the workers
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+            forecast_stochastic(model, history, horizon=3, n_paths=4, sigma=np.ones(2), seed=1)
+
+    def test_small_ensemble_runs_on_the_calling_thread(self, monkeypatch):
+        monkeypatch.setattr(forecast.os, "sched_getaffinity", lambda pid: set(range(64)),
+                            raising=False)
+        n_paths = 2 * forecast.MIN_BLOCK - 1
+        assert forecast._block_count(n_paths) == 1
+        assert forecast._block_count(n_paths + 1) == 2
+        threads = []
+        run_block = forecast._run_block
+
+        def recording(*args):
+            threads.append(threading.get_ident())
+            run_block(*args)
+
+        monkeypatch.setattr(forecast, "_run_block", recording)
+        model = zero_model(n_features=2, lookback=3)
+        history = make_panel(np.random.default_rng(4).standard_normal((6, 2)))
+        ens = forecast_stochastic(
+            model, history, horizon=2, n_paths=n_paths, sigma=np.ones(2), seed=2
+        )
+        assert ens.blocks == 1
+        assert threads == [threading.get_ident()]
 
 
 class TestQuantiles:

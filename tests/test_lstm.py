@@ -5,12 +5,10 @@ import pytest
 
 from mortlab.errors import DimensionError
 from mortlab.lstm import (
-    GridCandidate,
     NetworkParams,
     TrainConfig,
     draw_mask,
     forward,
-    grid_search,
     init_params,
     input_gradient,
     load_network,
@@ -19,7 +17,7 @@ from mortlab.lstm import (
     save_network,
     train,
 )
-from mortlab.lstm import _backward, _forward  # white-box gradient checks
+from mortlab.lstm import _backward, _cell, _forward  # white-box checks
 
 
 def toy_params(seed=0, input_dim=3, hidden=(4, 3), output_dim=2, dropout=0.0):
@@ -272,35 +270,34 @@ class TestTraining:
         assert abs(masked_mean - h_value) / h_value < 0.01
 
 
-class TestGridSearch:
-    def _data(self):
-        rng = np.random.default_rng(14)
-        X = rng.standard_normal((10, 5, 2))
-        Y = rng.standard_normal((10, 2))
-        return X[:7], Y[:7], X[7:], Y[7:]
+def sigmoid_cell(z, c, h):
+    """The LSTM cell as it was written with a separate sigmoid."""
+    def sigmoid(x):
+        return 0.5 * (1.0 + np.tanh(0.5 * x))
 
-    def test_single_candidate(self):
-        Xt, Yt, Xv, Yv = self._data()
-        cand = GridCandidate(hidden=(4, 3))
-        out = grid_search([cand], Xt, Yt, Xv, Yv, TrainConfig(max_epochs=5, seed=7))
-        assert len(out) == 1 and out[0][0] is cand
+    i = sigmoid(z[:, :h])
+    f = sigmoid(z[:, h : 2 * h])
+    g = np.tanh(z[:, 2 * h : 3 * h])
+    o = sigmoid(z[:, 3 * h :])
+    c *= f
+    c += i * g
+    return np.concatenate([i, f, g, o], axis=1), o * np.tanh(c)
 
-    def test_duplicates_stable(self):
-        Xt, Yt, Xv, Yv = self._data()
-        c1 = GridCandidate(hidden=(4, 3))
-        c2 = GridCandidate(hidden=(4, 3))
-        out = grid_search([c1, c2], Xt, Yt, Xv, Yv, TrainConfig(max_epochs=5, seed=7))
-        assert out[0][1] == out[1][1]
-        assert out[0][0] is c1 and out[1][0] is c2
 
-    def test_score_reproduces_champion_val_mse(self):
-        Xt, Yt, Xv, Yv = self._data()
-        cfg = TrainConfig(max_epochs=10, seed=8)
-        _, trace = train(Xt, Yt, Xv, Yv, cfg, hidden=(4, 3), dropout_rate=0.2)
-        out = grid_search(
-            [GridCandidate(hidden=(4, 3))], Xt, Yt, Xv, Yv, cfg, dropout_rate=0.2
-        )
-        assert out[0][1] == trace.best_val_mse
+class TestCell:
+    @pytest.mark.parametrize("scale", [1.0, 10.0, 800.0])
+    def test_in_place_cell_equals_sigmoid_cell_bitwise(self, scale):
+        rng = np.random.default_rng(int(scale))
+        h = 16
+        z = rng.uniform(-scale, scale, (300, 4 * h))
+        z[0] = np.linspace(-800.0, 800.0, 4 * h)
+        c = rng.standard_normal((300, h))
+        z[1], c[1] = -0.0, -0.0  # signed zeros must survive the g gate
+        want_gates, want_h = sigmoid_cell(z.copy(), want_c := c.copy(), h)
+        got_h = _cell(z, c, h)
+        assert z.tobytes() == want_gates.tobytes()
+        assert c.tobytes() == want_c.tobytes()
+        assert got_h.tobytes() == want_h.tobytes()
 
 
 class TestSerialization:
