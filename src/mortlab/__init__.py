@@ -14,6 +14,7 @@ from .data import (
 from .forecast import (
     ForecastEnsemble,
     ForecastModel,
+    HybridConfig,
     compute_mbc,
     ensemble_quantiles,
     fit_forecaster,
@@ -27,7 +28,6 @@ from .lilee import (
     fit_ar1,
     fit_lilee,
     fit_rwd,
-    forecast_lilee,
     leading_singular_pair,
 )
 from .lifetable import e0_at, e0_paths, life_table, monotonicity_check, reconstruct_surface

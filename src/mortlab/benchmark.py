@@ -1,5 +1,10 @@
 """Out-of-sample benchmarking, ablations, and lookback sensitivity.
 
+It holds the linear benchmark (a random walk with drift for the common
+index and a zero-mean AR(1) per specific index, fitted by `lilee`), the
+network's validation forecasts, the benchmark table, the design ablations
+and the lookback sweep.
+
 The comparison protocol: factors are extracted once from the full
 observation period, every forecaster is estimated strictly on the training
 years, and both produce level forecasts over the validation years.  The
@@ -11,27 +16,23 @@ constant adjustment and the comparison isolates structural adaptability.
 
 Forecasts are fully recursive by default (each model feeds its own
 predictions forward); a teacher-forced one-step mode is available for
-diagnostics.  RMSE is reported per country on the specific-factor levels,
-or on the common factor for ablations.
+diagnostics.  Both modes share one step per forecaster, `_linear_step` and
+`forecast._advance`, so their first validation year agrees bit for bit.
+RMSE is reported per country on the specific-factor levels, or on the
+common factor for ablations.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import DegenerateSeriesError, InsufficientHistoryError
-from .forecast import ForecastModel, fit_forecaster, forecast_deterministic
+from .forecast import ForecastModel, HybridConfig, _advance, fit_forecaster, forecast_deterministic
 from .lilee import FactorPanel, fit_ar1, fit_rwd
-from .lstm import TrainConfig, predict, train
-from .windows import (
-    DiffPanel,
-    fit_scaler,
-    make_windows,
-    split_windows,
-    transform,
-)
+from .lstm import predict
+from .windows import inverse_transform, transform
 
 
 @dataclass(frozen=True)
@@ -43,14 +44,6 @@ class BenchmarkRow:
     @property
     def improvement_pct(self) -> float:
         return (self.rmse_lilee - self.rmse_hybrid) / self.rmse_lilee * 100.0
-
-
-@dataclass(frozen=True)
-class HybridConfig:
-    lookback: int = 10
-    hidden: tuple[int, int] = (32, 16)
-    dropout_rate: float = 0.2
-    train: TrainConfig = field(default_factory=TrainConfig)
 
 
 @dataclass(frozen=True)
@@ -115,52 +108,47 @@ def linear_benchmark_forecast(
             phis[i] = 0.0
 
     val_idx = np.flatnonzero(val_rows)
-    horizon = val_idx.size
-    out = np.empty((horizon, n_factors))
     if mode == "recursive":
-        state = values[train_rows][-1].copy()
-        for h in range(horizon):
-            state = state.copy()
-            state[0] += rwd.drift + bias[0]
-            state[1:] = phis * state[1:] + bias[1:]
-            out[h] = state
-    elif mode == "one_step":
-        for row, t in enumerate(val_idx):
-            prev = values[t - 1]
-            out[row, 0] = prev[0] + rwd.drift + bias[0]
-            out[row, 1:] = phis * prev[1:] + bias[1:]
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-    return out
+        out = np.empty((val_idx.size, n_factors))
+        state = train_vals[-1]
+        for h in range(val_idx.size):
+            out[h] = state = _linear_step(state, rwd.drift, phis, bias)
+        return out
+    if mode == "one_step":
+        return _linear_step(values[val_idx - 1], rwd.drift, phis, bias)
+    raise ValueError(f"unknown mode {mode!r}")
+
+
+def _linear_step(prev: np.ndarray, drift: float, phis: np.ndarray, bias: np.ndarray):
+    """One benchmark step from level rows `prev` (..., F): K moves by its
+    drift, each specific index decays by its phi, and every factor takes
+    its shared bias."""
+    nxt = np.empty_like(prev)
+    nxt[..., 0] = prev[..., 0] + (drift + bias[0])
+    nxt[..., 1:] = phis * prev[..., 1:] + bias[1:]
+    return nxt
 
 
 def hybrid_validation_forecast(
     model: ForecastModel, panel: FactorPanel, split_year: int, mode: str = "recursive"
 ) -> np.ndarray:
-    """Network level forecasts over the validation years."""
+    """Network level forecasts over the validation years.  One-step mode
+    advances every validation year's true window in one `_advance` call."""
     train_rows, val_rows = _split_panel(panel, split_year)
-    horizon = int(val_rows.sum())
     if mode == "recursive":
+        horizon = int(val_rows.sum())
         history = FactorPanel(
             years=panel.years[train_rows],
             values=panel.values[train_rows],
             labels=panel.labels,
         )
-        full = forecast_deterministic(model, history, horizon)
-        return full.values[-horizon:]
+        return forecast_deterministic(model, history, horizon).values[-horizon:]
     if mode == "one_step":
-        values = panel.values
-        val_idx = np.flatnonzero(val_rows)
-        out = np.empty((horizon, values.shape[1]))
         need = model.lookback + 1
-        for row, t in enumerate(val_idx):
-            recent = values[t - need : t]
-            diffs = np.diff(recent, axis=0)
-            x = transform(model.scaler, diffs)
-            pred = predict(model.net, x[None])[0] + model.mbc
-            step = pred * model.scaler.sd + model.scaler.mean
-            out[row] = values[t - 1] + step
-        return out
+        # a C-order stack, like forecast_deterministic's windows: the product
+        # bits follow the memory layout, so row 0 is the recursive row 0
+        windows = np.array([panel.values[t - need : t] for t in np.flatnonzero(val_rows)])
+        return _advance(model, windows, mask=None)
     raise ValueError(f"unknown mode {mode!r}")
 
 
@@ -202,24 +190,6 @@ def validate(
     raise ValueError(f"unknown rmse_target {rmse_target!r}")
 
 
-def fit_hybrid(panel: FactorPanel, split_year: int, cfg: HybridConfig):
-    """`fit_forecaster` under `cfg`: (model, trace, windows, (train, val))."""
-    return fit_forecaster(
-        panel,
-        split_year,
-        cfg.lookback,
-        hidden=cfg.hidden,
-        dropout_rate=cfg.dropout_rate,
-        train_config=cfg.train,
-    )
-
-
-def train_hybrid(
-    panel: FactorPanel, split_year: int, cfg: HybridConfig
-) -> ForecastModel:
-    return fit_hybrid(panel, split_year, cfg)[0]
-
-
 def _rmse_kt_recursive(model: ForecastModel, panel: FactorPanel, split_year: int) -> float:
     _, val_rows = _split_panel(panel, split_year)
     actual_k = panel.values[val_rows][:, 0]
@@ -230,35 +200,17 @@ def _rmse_kt_recursive(model: ForecastModel, panel: FactorPanel, split_year: int
 def _levels_variant_rmse(panel: FactorPanel, split_year: int, cfg: HybridConfig) -> float:
     """Retrain on absolute levels instead of differences, identical
     architecture and seeds; bias correction stays on, computed in the
-    scaled level space."""
-    level_panel = DiffPanel(years=panel.years, V=panel.values)
-    scaler = fit_scaler(level_panel, split_year)
-    scaled = DiffPanel(years=panel.years, V=transform(scaler, panel.values))
-    windows = make_windows(scaled, cfg.lookback)
-    train_idx, val_idx = split_windows(windows, split_year)
-    if train_idx.size < 1 or val_idx.size < 1:
-        raise InsufficientHistoryError("split leaves no usable level windows")
-    net, _ = train(
-        windows.X[train_idx],
-        windows.Y[train_idx],
-        windows.X[val_idx],
-        windows.Y[val_idx],
-        cfg.train,
-        hidden=cfg.hidden,
-        dropout_rate=cfg.dropout_rate,
-    )
-    mbc = (windows.Y[val_idx] - predict(net, windows.X[val_idx])).mean(axis=0)
-
-    _, val_rows = _split_panel(panel, split_year)
-    horizon = int(val_rows.sum())
-    window = transform(scaler, panel.values[panel.years <= split_year][-cfg.lookback :])
-    out = np.empty((horizon, panel.n_factors))
-    for h in range(horizon):
-        pred = predict(net, window[None])[0] + mbc
-        out[h] = pred * scaler.sd + scaler.mean
+    scaled level space.  The network forecasts levels, so this loop, not
+    `_advance`, steps it."""
+    model = fit_forecaster(panel, split_year, cfg, differences=False)[0]
+    train_rows, val_rows = _split_panel(panel, split_year)
+    window = transform(model.scaler, panel.values[train_rows][-cfg.lookback :])
+    out = np.empty((int(val_rows.sum()), panel.n_factors))
+    for h in range(out.shape[0]):
+        pred = predict(model.net, window[None])[0] + model.mbc
+        out[h] = inverse_transform(model.scaler, pred)
         window = np.vstack([window[1:], pred])
-    actual_k = panel.values[val_rows][:, 0]
-    return rmse(out[:, 0], actual_k)
+    return rmse(out[:, 0], panel.values[val_rows][:, 0])
 
 
 def ablate(
@@ -271,10 +223,10 @@ def ablate(
 ) -> dict[str, AblationResult]:
     """Common-factor RMSE per design variant, with degradation vs baseline.
 
-    `baseline` is `fit_hybrid(panel, split_year, cfg)` when the caller
+    `baseline` is `fit_forecaster(panel, split_year, cfg)` when the caller
     already has it; None trains it here."""
     if baseline is None:
-        baseline = fit_hybrid(panel, split_year, cfg)
+        baseline = fit_forecaster(panel, split_year, cfg)
     model = baseline[0]
     base = _rmse_kt_recursive(model, panel, split_year)
     out = {"baseline": AblationResult("baseline", base, 0.0)}
@@ -302,7 +254,7 @@ def lookback_sweep(
 ) -> list[SweepResult]:
     """Retrain with identical seed policy per window length.
 
-    `baseline` is `fit_hybrid(panel, split_year, cfg)` when the caller
+    `baseline` is `fit_forecaster(panel, split_year, cfg)` when the caller
     already has it; the sweep then reuses it for `cfg.lookback` instead of
     training the same model again."""
     results = []
@@ -312,7 +264,7 @@ def lookback_sweep(
             if baseline is not None and lb == cfg.lookback:
                 fit = baseline
             else:
-                fit = fit_hybrid(panel, split_year, replace(cfg, lookback=lb))
+                fit = fit_forecaster(panel, split_year, replace(cfg, lookback=lb))
             model, _, _, (train_idx, val_idx) = fit
         except InsufficientHistoryError as exc:
             results.append(

@@ -11,8 +11,9 @@ header, shape and origin row are exactly what forecast wrote.  All
 randomness flows from the single config seed through named substreams, so
 reruns, the ensemble's bytes included, are bit-reproducible.
 
-Exit codes: 0 ok, 1 usage/config, 2 data, 3 missing, mismatched or
-unparseable stage artifacts, 4 degenerate domain, 5 numeric failure.
+Exit codes: 0 ok, 1 usage/config, 2 data, 3 missing, mismatched,
+unparseable or invalid stage artifacts, 4 degenerate domain, 5 numeric
+failure.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ from .errors import (
     DataGapError,
     DegenerateRiskError,
     DegenerateSeriesError,
+    DimensionError,
     DomainError,
     ExposureError,
     InsufficientHistoryError,
@@ -57,15 +59,15 @@ from .forecast import (
     ensemble_quantiles,
     fit_forecaster,
     forecast_stochastic,
+    forecaster_from_doc,
     historical_diff_sd,
-    load_forecaster,
     save_forecaster,
     ForecastEnsemble,
+    HybridConfig,
 )
 from .lilee import FactorPanel, fit_lilee, load_params, save_params
-from .lstm import TrainConfig
-from .windows import difference, make_windows, split_windows, transform
-from .windows import DiffPanel
+from .lstm import TrainConfig, load_network
+from .windows import prepare_windows
 
 log = logging.getLogger("mortlab")
 
@@ -151,7 +153,7 @@ class RunContext:
     def check_manifest(self):
         mpath = self.path("manifest.json")
         if mpath.exists():
-            doc = _parse_artifact("manifest.json", json.loads, mpath.read_text())
+            doc = _parse_artifact("manifest.json", _json_object, mpath.read_text())
             if doc.get("config_hash") != self.hash:
                 raise StageError(
                     f"output directory {self.out_dir} holds artifacts for config "
@@ -192,7 +194,7 @@ class RunContext:
         path = self.path(name)
         if not path.exists():
             raise StageError(f"missing artifact {name}; run the producing stage first")
-        doc = _parse_artifact(name, json.loads, path.read_text())
+        doc = _parse_artifact(name, _json_object, path.read_text())
         if doc.get("config_hash") not in (None, self.hash):
             raise StageError(
                 f"artifact {name} was produced under config {doc.get('config_hash')}, "
@@ -202,11 +204,19 @@ class RunContext:
 
 
 def _parse_artifact(name: str, load, *args):
-    """`load(*args)`; an artifact that does not parse is refused (exit 3)."""
+    """`load(*args)`; an artifact that does not parse, or parses into an
+    incomplete, mistyped, foreign or invalid document, is refused (exit 3)."""
     try:
         return load(*args)
-    except json.JSONDecodeError as exc:
-        raise StageError(f"artifact {name} does not parse: {exc}") from exc
+    except (ValueError, KeyError, TypeError, AttributeError, DimensionError, ScalingError) as exc:
+        raise StageError(f"artifact {name} does not parse: {type(exc).__name__}: {exc}") from exc
+
+
+def _json_object(text: str) -> dict:
+    doc = json.loads(text)
+    if not isinstance(doc, dict):
+        raise TypeError(f"expected a JSON object, not {type(doc).__name__}")
+    return doc
 
 
 def load_context(args) -> RunContext:
@@ -287,11 +297,28 @@ def _focus_country(ctx: RunContext, countries) -> str:
 def _load_model_panel(ctx: RunContext):
     ctx.require_stage("fit")
     ctx.require_stage("train")
-    ctx.read_json("model.json")  # hash check
+    doc = ctx.read_json("model.json")  # parsed once, hash checked
     params = _parse_artifact("params.json", load_params, ctx.path("params.json"))
-    # model.json parsed just above, so only its network file can fail here
-    model = _parse_artifact("network.json", load_forecaster, ctx.path("model.json"))
+    net = _parse_artifact("network.json", load_network, ctx.path("network.json"))
+    model = _parse_artifact("model.json", forecaster_from_doc, doc, net)
     return params, model, FactorPanel.from_params(params)
+
+
+def _hybrid_config(ctx: RunContext, stream: str) -> HybridConfig:
+    """The forecaster settings of the config; `train` and `ablate` differ
+    only in the seed stream their training draws from."""
+    tc = ctx.cfg["train"]
+    return HybridConfig(
+        lookback=int(ctx.cfg["lookback"]),
+        hidden=tuple(ctx.cfg["hidden"]),
+        dropout_rate=float(ctx.cfg["dropout"]),
+        train=TrainConfig(
+            learning_rate=float(tc["learning_rate"]),
+            max_epochs=int(tc["max_epochs"]),
+            patience=int(tc["patience"]),
+            seed=stream_seed(ctx.seed, stream),
+        ),
+    )
 
 
 # -- stages -------------------------------------------------------------------
@@ -371,25 +398,13 @@ def cmd_train(args) -> int:
     ctx.require_stage("fit")
     params = _parse_artifact("params.json", load_params, ctx.path("params.json"))
     panel = FactorPanel.from_params(params)
-    tc = ctx.cfg["train"]
-    config = TrainConfig(
-        learning_rate=float(tc["learning_rate"]),
-        max_epochs=int(tc["max_epochs"]),
-        patience=int(tc["patience"]),
-        seed=stream_seed(ctx.seed, "train"),
-    )
     model, trace, _windows, (train_idx, val_idx) = fit_forecaster(
-        panel,
-        split_year=int(ctx.cfg["split_year"]),
-        lookback=int(ctx.cfg["lookback"]),
-        hidden=tuple(ctx.cfg["hidden"]),
-        dropout_rate=float(ctx.cfg["dropout"]),
-        train_config=config,
+        panel, int(ctx.cfg["split_year"]), _hybrid_config(ctx, "train")
     )
-    save_forecaster(model, ctx.path("model.json"), ctx.path("network.json"))
-    # stamp the bundle with the config hash for mix detection
-    doc = json.loads(ctx.path("model.json").read_text())
-    ctx.path("model.json").write_text(json.dumps({"config_hash": ctx.hash, **doc}))
+    # the config hash leads the bundle, for mix detection
+    save_forecaster(
+        model, ctx.path("model.json"), ctx.path("network.json"), config_hash=ctx.hash
+    )
     files = ["model.json", "network.json"]
     files.append(
         ctx.write_csv(
@@ -599,12 +614,9 @@ def cmd_explain(args) -> int:
     ctx = load_context(args)
     manifest = ctx.check_manifest()
     params, model, panel = _load_model_panel(ctx)
-    split_year = int(ctx.cfg["split_year"])
-
-    diff = difference(panel)
-    scaled = DiffPanel(years=diff.years, V=transform(model.scaler, diff.V))
-    windows = make_windows(scaled, model.lookback)
-    train_idx, val_idx = split_windows(windows, split_year)
+    _, windows, (train_idx, val_idx) = prepare_windows(
+        panel, int(ctx.cfg["split_year"]), model.lookback, model.scaler
+    )
 
     prof = explain.temporal_saliency(model.net, windows.X[val_idx], output_index=0)
     files = [
@@ -709,20 +721,9 @@ def cmd_ablate(args) -> int:
     ctx.require_stage("fit")
     params = _parse_artifact("params.json", load_params, ctx.path("params.json"))
     panel = FactorPanel.from_params(params)
-    tc = ctx.cfg["train"]
-    cfg = benchmark.HybridConfig(
-        lookback=int(ctx.cfg["lookback"]),
-        hidden=tuple(ctx.cfg["hidden"]),
-        dropout_rate=float(ctx.cfg["dropout"]),
-        train=TrainConfig(
-            learning_rate=float(tc["learning_rate"]),
-            max_epochs=int(tc["max_epochs"]),
-            patience=int(tc["patience"]),
-            seed=stream_seed(ctx.seed, "ablate"),
-        ),
-    )
+    cfg = _hybrid_config(ctx, "ablate")
     split_year = int(ctx.cfg["split_year"])
-    baseline = benchmark.fit_hybrid(panel, split_year, cfg)
+    baseline = fit_forecaster(panel, split_year, cfg)
     results = benchmark.ablate(panel, split_year, cfg, baseline=baseline)
     files = [
         ctx.write_csv(

@@ -28,7 +28,7 @@ import functools
 import json
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
@@ -42,20 +42,16 @@ from .lstm import (
     TrainTrace,
     dropout_mask,
     forward,
-    load_network,
     predict,
     save_network,
     train,
 )
 from .risk import sorted_quantiles
 from .windows import (
-    DiffPanel,
     ScalerParams,
     WindowedDataset,
-    difference,
-    fit_scaler,
-    make_windows,
-    split_windows,
+    inverse_transform,
+    prepare_windows,
     transform,
 )
 
@@ -125,48 +121,49 @@ def compute_mbc(net: NetworkParams, X_val: np.ndarray, Y_val: np.ndarray) -> np.
     return (Y_val - predict(net, X_val)).mean(axis=0)
 
 
+@dataclass(frozen=True)
+class HybridConfig:
+    """Window length, architecture and training settings of the forecaster."""
+
+    lookback: int = 10
+    hidden: tuple[int, int] = (32, 16)
+    dropout_rate: float = 0.2
+    train: TrainConfig = field(default_factory=TrainConfig)
+
+
 def fit_forecaster(
-    panel: FactorPanel,
-    split_year: int,
-    lookback: int,
-    *,
-    hidden: tuple[int, int] = (32, 16),
-    dropout_rate: float = 0.2,
-    train_config: TrainConfig = TrainConfig(),
+    panel: FactorPanel, split_year: int, cfg: HybridConfig, *, differences: bool = True
 ) -> tuple[ForecastModel, TrainTrace, WindowedDataset, tuple[np.ndarray, np.ndarray]]:
-    """Difference, scale, window, train, and bias-correct in one call."""
-    diff = difference(panel)
-    scaler = fit_scaler(diff, split_year)
-    scaled = DiffPanel(years=diff.years, V=transform(scaler, diff.V))
-    windows = make_windows(scaled, lookback)
-    train_idx, val_idx = split_windows(windows, split_year)
-    if train_idx.size < 1 or val_idx.size < 1:
-        raise InsufficientHistoryError(
-            "the split leaves no training or no validation windows"
-        )
+    """Difference, scale, window, train, and bias-correct in one call.
+
+    `differences=False` trains on the levels instead, for the levels
+    ablation; such a model predicts levels, which `_advance` does not."""
+    scaler, windows, (train_idx, val_idx) = prepare_windows(
+        panel, split_year, cfg.lookback, differences=differences
+    )
     net, trace = train(
         windows.X[train_idx],
         windows.Y[train_idx],
         windows.X[val_idx],
         windows.Y[val_idx],
-        train_config,
-        hidden=hidden,
-        dropout_rate=dropout_rate,
+        cfg.train,
+        hidden=cfg.hidden,
+        dropout_rate=cfg.dropout_rate,
     )
     mbc = compute_mbc(net, windows.X[val_idx], windows.Y[val_idx])
-    model = ForecastModel(net=net, scaler=scaler, mbc=mbc, lookback=lookback)
+    model = ForecastModel(net=net, scaler=scaler, mbc=mbc, lookback=cfg.lookback)
     return model, trace, windows, (train_idx, val_idx)
 
 
 def _advance(model: ForecastModel, windows: np.ndarray, mask) -> np.ndarray:
     """One recursion step for a stack of level windows (n, L+1, F): scale
     the last L diffs, predict, bias-correct, inverse-scale, integrate.
-    Shared by every forecasting mode so the degenerate stochastic ensemble
-    is bit-identical to the deterministic path.  Returns (n, F)."""
+    The only hybrid step: every forecasting mode and the one-step
+    validation go through it, so the degenerate stochastic ensemble is
+    bit-identical to the deterministic path.  Returns (n, F)."""
     x = transform(model.scaler, np.diff(windows, axis=1))
     pred = forward(model.net, x, mask=mask) + model.mbc
-    step = pred * model.scaler.sd + model.scaler.mean
-    return windows[:, -1] + step
+    return windows[:, -1] + inverse_transform(model.scaler, pred)
 
 
 def forecast_deterministic(
@@ -290,11 +287,15 @@ def ensemble_quantiles(
     return sorted_quantiles(np.sort(ensemble.levels, axis=0), levels)
 
 
-def save_forecaster(model: ForecastModel, path: str | Path, net_path: str | Path) -> None:
+def save_forecaster(
+    model: ForecastModel, path: str | Path, net_path: str | Path, **header
+) -> None:
     """Persist the bundle: scaler, bias vector and a pointer to the network
-    weights file (written alongside)."""
+    weights file (written alongside).  `header` keys (the CLI's
+    config_hash) lead the bundle's JSON."""
     save_network(model.net, net_path)
     doc = {
+        **header,
         "schema": MODEL_SCHEMA,
         "network_file": str(Path(net_path).name),
         "lookback": model.lookback,
@@ -308,14 +309,13 @@ def save_forecaster(model: ForecastModel, path: str | Path, net_path: str | Path
     Path(path).write_text(json.dumps(doc))
 
 
-def load_forecaster(path: str | Path) -> ForecastModel:
-    path = Path(path)
-    doc = json.loads(path.read_text())
+def forecaster_from_doc(doc: dict, net: NetworkParams) -> ForecastModel:
+    """The bundle from its parsed JSON and the network read from its
+    `network_file` (`lstm.load_network`)."""
     if doc.get("schema") != MODEL_SCHEMA:
         raise DimensionError(
             f"unsupported forecaster schema {doc.get('schema')!r}; expected {MODEL_SCHEMA}"
         )
-    net = load_network(path.parent / doc["network_file"])
     scaler = ScalerParams(
         mean=np.asarray(doc["scaler"]["mean"]),
         sd=np.asarray(doc["scaler"]["sd"]),

@@ -7,9 +7,9 @@ common trend shared by the cluster, and a country-specific deviation:
 
 Both factor pairs are extracted as leading singular pairs and renormalized
 to the usual Lee-Carter convention (loadings sum to one, indices sum to
-zero).  The module also carries the linear benchmark forecasters: a random
+zero).  The module also fits the linear benchmark's two models, a random
 walk with drift for the common index and a zero-mean AR(1) for the
-specific indices.
+specific indices; `benchmark.linear_benchmark_forecast` steps them.
 """
 
 from __future__ import annotations
@@ -273,61 +273,6 @@ def fit_ar1(k: np.ndarray) -> Ar1Params:
     resid = y - phi * x
     xi_sd = float(np.sqrt(resid @ resid / (resid.size - 1)))
     return Ar1Params(phi=phi, xi_sd=xi_sd)
-
-
-def forecast_lilee(
-    params: LiLeeParams,
-    horizon: int,
-    *,
-    mode: str = "central",
-    n_sims: int = 1000,
-    seed: int | None = None,
-):
-    """Linear benchmark forecast of the factor panel.
-
-    Central mode extends K by its drift and decays each specific index by
-    its fitted phi from the last observed value; the return value is a
-    FactorPanel holding only the new years.  Stochastic mode additionally
-    draws Gaussian innovations with the fitted sigmas and returns
-    (years, paths) with paths shaped (n_sims, horizon, factors).
-    """
-    if horizon < 0:
-        raise ValueError("horizon must be >= 0")
-    panel = FactorPanel.from_params(params)
-    rwd = fit_rwd(panel.values[:, 0])
-    ar1s = []
-    for i in range(params.n_countries):
-        try:
-            ar1s.append(fit_ar1(panel.values[:, 1 + i]))
-        except DegenerateSeriesError:
-            # an identically-zero index stays at zero
-            ar1s.append(Ar1Params(phi=0.0, xi_sd=0.0))
-    last = panel.values[-1]
-    years = panel.years[-1] + 1 + np.arange(horizon)
-
-    if mode == "central":
-        values = np.empty((horizon, panel.n_factors))
-        for h in range(horizon):
-            values[h, 0] = last[0] + (h + 1) * rwd.drift
-            for i, ar in enumerate(ar1s):
-                values[h, 1 + i] = ar.phi ** (h + 1) * last[1 + i]
-        return FactorPanel(years=years, values=values, labels=panel.labels)
-
-    if mode == "stochastic":
-        rng = np.random.default_rng(seed)
-        paths = np.empty((n_sims, horizon, panel.n_factors))
-        state = np.tile(last, (n_sims, 1))
-        for h in range(horizon):
-            state = state.copy()
-            state[:, 0] += rwd.drift + rng.normal(0.0, rwd.sigma, size=n_sims)
-            for i, ar in enumerate(ar1s):
-                state[:, 1 + i] = ar.phi * state[:, 1 + i] + rng.normal(
-                    0.0, ar.xi_sd, size=n_sims
-                )
-            paths[:, h, :] = state
-        return years, paths
-
-    raise ValueError(f"unknown mode {mode!r}")
 
 
 def save_params(params: LiLeeParams, path: str | Path) -> None:

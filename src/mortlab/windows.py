@@ -81,18 +81,6 @@ def difference(panel: FactorPanel) -> DiffPanel:
     return DiffPanel(years=panel.years[1:], V=np.diff(panel.values, axis=0))
 
 
-def integrate(V: np.ndarray, origin: np.ndarray) -> np.ndarray:
-    """Cumulative sum of difference rows on top of an origin level row;
-    returns (len(V) + 1, features) levels starting at the origin."""
-    V = np.atleast_2d(np.asarray(V, dtype=float))
-    origin = np.asarray(origin, dtype=float)
-    levels = np.empty((V.shape[0] + 1, origin.size))
-    levels[0] = origin
-    np.cumsum(V, axis=0, out=levels[1:])
-    levels[1:] += origin
-    return levels
-
-
 def fit_scaler(diff: DiffPanel, train_end_year: int) -> ScalerParams:
     """Mean/sd (n-1 denominator) over rows with year <= train_end_year."""
     rows = diff.V[diff.years <= train_end_year]
@@ -137,3 +125,28 @@ def split_windows(
     train = np.flatnonzero(windows.sample_years <= train_end_year)
     val = np.flatnonzero(windows.sample_years > train_end_year)
     return train, val
+
+
+def prepare_windows(
+    panel: FactorPanel,
+    split_year: int,
+    lookback: int,
+    scaler: ScalerParams | None = None,
+    *,
+    differences: bool = True,
+) -> tuple[ScalerParams, WindowedDataset, tuple[np.ndarray, np.ndarray]]:
+    """Difference, scale, window and split a factor panel.
+
+    The scaler is fitted on the training rows unless one is given (a
+    trained model's).  `differences=False` windows the levels themselves,
+    for the levels ablation.  Raises InsufficientHistoryError when the
+    split leaves no training or no validation windows.  Returns (scaler,
+    windows, (train indices, validation indices))."""
+    rows = difference(panel) if differences else DiffPanel(years=panel.years, V=panel.values)
+    if scaler is None:
+        scaler = fit_scaler(rows, split_year)
+    windows = make_windows(DiffPanel(years=rows.years, V=transform(scaler, rows.V)), lookback)
+    train_idx, val_idx = split_windows(windows, split_year)
+    if train_idx.size < 1 or val_idx.size < 1:
+        raise InsufficientHistoryError("the split leaves no training or no validation windows")
+    return scaler, windows, (train_idx, val_idx)

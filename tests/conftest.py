@@ -1,7 +1,7 @@
 import pytest
 
 from mortlab.data import synthesize_cluster, synthetic_truth
-from mortlab.forecast import fit_forecaster
+from mortlab.forecast import HybridConfig, fit_forecaster
 from mortlab.lilee import FactorPanel, fit_lilee
 from mortlab.lstm import TrainConfig
 
@@ -49,10 +49,12 @@ def trained_model(fitted_panel):
     _, panel = fitted_panel
     model, trace, windows, split = fit_forecaster(
         panel,
-        split_year=2011,
-        lookback=10,
-        hidden=(16, 8),
-        dropout_rate=0.2,
-        train_config=TrainConfig(max_epochs=150, patience=15, seed=21),
+        2011,
+        HybridConfig(
+            lookback=10,
+            hidden=(16, 8),
+            dropout_rate=0.2,
+            train=TrainConfig(max_epochs=150, patience=15, seed=21),
+        ),
     )
     return model, trace, windows, split

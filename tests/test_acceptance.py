@@ -15,17 +15,16 @@ import numpy as np
 import pytest
 
 from mortlab.benchmark import (
-    HybridConfig,
     ablate,
     hybrid_validation_forecast,
     linear_benchmark_forecast,
     rmse,
-    train_hybrid,
     validate,
 )
 from mortlab.data import synthesize_cluster, synthetic_truth
 from mortlab.explain import kernel_shap
 from mortlab.forecast import (
+    HybridConfig,
     compute_mbc,
     ensemble_quantiles,
     fit_forecaster,
@@ -75,8 +74,10 @@ def fixture_model():
     fixture; shared by the ensemble criteria."""
     _, _, params, panel = build_run(0, UNIT_ROOT)
     model, _, windows, split = fit_forecaster(
-        panel, 2011, 10, hidden=(32, 16), dropout_rate=0.2,
-        train_config=TrainConfig(max_epochs=600, patience=15, seed=2000),
+        panel, 2011, HybridConfig(
+            lookback=10, hidden=(32, 16), dropout_rate=0.2,
+            train=TrainConfig(max_epochs=600, patience=15, seed=2000),
+        ),
     )
     return params, panel, model, windows, split
 
@@ -336,7 +337,7 @@ def _selectivity_run(seed: int, regime: dict):
         lookback=10, hidden=(32, 16), dropout_rate=0.2,
         train=TrainConfig(max_epochs=600, patience=15, seed=seed + 2000),
     )
-    model = train_hybrid(panel, 2011, cfg)
+    model = fit_forecaster(panel, 2011, cfg)[0]
     actual = panel.values[panel.years > 2011]
     bias = model.mbc * model.scaler.sd
     ll = linear_benchmark_forecast(panel, 2011, bias=bias)

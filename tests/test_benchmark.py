@@ -4,9 +4,7 @@ import pytest
 from mortlab.benchmark import (
     AblationResult,
     BenchmarkRow,
-    HybridConfig,
     ablate,
-    fit_hybrid,
     hybrid_validation_forecast,
     linear_benchmark_forecast,
     lookback_sweep,
@@ -14,8 +12,10 @@ from mortlab.benchmark import (
     validate,
 )
 from mortlab.data import synthesize_cluster, synthetic_truth
-from mortlab.lilee import FactorPanel, fit_lilee, fit_rwd
-from mortlab.lstm import TrainConfig
+from mortlab.forecast import ForecastModel, HybridConfig, _advance, fit_forecaster
+from mortlab.lilee import FactorPanel, fit_ar1, fit_lilee, fit_rwd
+from mortlab.lstm import TrainConfig, init_params
+from mortlab.windows import difference, fit_scaler
 
 
 def quick_cfg(seed=0, epochs=60):
@@ -52,6 +52,25 @@ class TestBenchmarkRow:
         assert a.improvement_pct > 0 > b.improvement_pct
 
 
+def noisy_panel():
+    rng = np.random.default_rng(0)
+    values = np.column_stack(
+        [np.cumsum(rng.normal(-1, 0.1, 40)), rng.normal(0, 0.5, 40)]
+    )
+    return FactorPanel(years=1980 + np.arange(40), values=values, labels=("K", "C0"))
+
+
+def phi_zero_panel():
+    # k = [0,4,0,4,...] fits phi = 0 exactly on any even-length training slice
+    t = 20
+    k = np.tile([0.0, 4.0], t // 2)
+    return FactorPanel(
+        years=2000 + np.arange(t),
+        values=np.column_stack([np.linspace(2, -2, t), k]),
+        labels=("K", "C0"),
+    )
+
+
 class TestLinearBenchmark:
     def test_pure_drift_recursion(self):
         t = 30
@@ -71,15 +90,82 @@ class TestLinearBenchmark:
         assert np.allclose(out[:, 0], start + d * np.arange(1, out.shape[0] + 1))
 
     def test_shared_bias_shifts_drift(self):
-        rng = np.random.default_rng(0)
-        values = np.column_stack(
-            [np.cumsum(rng.normal(-1, 0.1, 40)), rng.normal(0, 0.5, 40)]
-        )
-        panel = FactorPanel(years=1980 + np.arange(40), values=values, labels=("K", "C0"))
+        panel = noisy_panel()
         base = linear_benchmark_forecast(panel, 2010)
         shifted = linear_benchmark_forecast(panel, 2010, bias=np.array([0.5, 0.0]))
         steps = np.arange(1, base.shape[0] + 1)
         assert np.allclose(shifted[:, 0] - base[:, 0], 0.5 * steps)
+
+    def test_phi_zero_forecasts_zero(self):
+        # the specific forecast is zero no matter where the series ends
+        panel = phi_zero_panel()
+        assert fit_ar1(panel.values[panel.years <= 2013, 1]).phi == 0.0
+        for mode in ("recursive", "one_step"):
+            out = linear_benchmark_forecast(panel, 2013, mode=mode)
+            assert np.all(out[:, 1] == 0.0)
+
+    @pytest.mark.parametrize("make_panel, split_year, bias", [
+        (noisy_panel, 2010, None),
+        (noisy_panel, 2010, np.array([0.3, -0.1])),
+        (phi_zero_panel, 2013, None),
+        # K's last training value, drift and this bias round differently
+        # when summed in the other order
+        (phi_zero_panel, 2013, np.array([0.1, 0.0])),
+    ], ids=["noisy", "noisy-biased", "phi-zero", "phi-zero-biased"])
+    def test_one_step_row0_equals_recursive_bitwise(self, make_panel, split_year, bias):
+        # both modes step once from the last true training row
+        panel = make_panel()
+        rec = linear_benchmark_forecast(panel, split_year, bias=bias)
+        one = linear_benchmark_forecast(panel, split_year, bias=bias, mode="one_step")
+        assert one.shape == rec.shape
+        assert np.array_equal(one[0], rec[0])
+
+    def test_fitted_panel_row0_equals_recursive_bitwise(self, fitted_panel, trained_model):
+        _, panel = fitted_panel
+        model = trained_model[0]
+        bias = model.mbc * model.scaler.sd
+        rec = linear_benchmark_forecast(panel, 2011, bias=bias)
+        one = linear_benchmark_forecast(panel, 2011, bias=bias, mode="one_step")
+        assert np.array_equal(one[0], rec[0])
+
+
+class TestHybridValidationForecast:
+    def test_one_step_row0_equals_recursive_bitwise(self, fitted_panel, trained_model):
+        # both modes advance the last true training window by one `_advance`
+        _, panel = fitted_panel
+        model = trained_model[0]
+        rec = hybrid_validation_forecast(model, panel, 2011, mode="recursive")
+        one = hybrid_validation_forecast(model, panel, 2011, mode="one_step")
+        assert one.shape == rec.shape
+        assert np.array_equal(one[0], rec[0])
+
+    def test_one_step_row0_equals_recursive_on_fortran_order_panel(self):
+        # FactorPanel.from_params gives Fortran-order values, and the product
+        # bits follow the windows' memory layout; an untrained 7-factor
+        # network at hidden (16, 8) shows the difference
+        rng = np.random.default_rng(3)
+        values = np.asfortranarray(rng.normal(size=(60, 7)).cumsum(axis=0))
+        panel = FactorPanel(
+            years=1961 + np.arange(60), values=values, labels=tuple(f"f{i}" for i in range(7))
+        )
+        model = ForecastModel(
+            net=init_params(7, (16, 8), seed=1),
+            scaler=fit_scaler(difference(panel), 2005),
+            mbc=np.full(7, 0.1),
+            lookback=10,
+        )
+        rec = hybrid_validation_forecast(model, panel, 2005, mode="recursive")
+        one = hybrid_validation_forecast(model, panel, 2005, mode="one_step")
+        assert np.array_equal(one[0], rec[0])
+
+    def test_one_step_rows_are_single_window_steps(self, fitted_panel, trained_model):
+        _, panel = fitted_panel
+        model = trained_model[0]
+        one = hybrid_validation_forecast(model, panel, 2011, mode="one_step")
+        need = model.lookback + 1
+        for row, t in enumerate(np.flatnonzero(panel.years > 2011)):
+            window = np.ascontiguousarray(panel.values[t - need : t])[None]
+            assert np.array_equal(one[row], _advance(model, window, mask=None)[0])
 
 
 class TestValidate:
@@ -117,9 +203,7 @@ class TestValidate:
             lookback=10, hidden=(32, 16), dropout_rate=0.2,
             train=TrainConfig(max_epochs=600, patience=15, seed=2003),
         )
-        from mortlab.benchmark import train_hybrid
-
-        model = train_hybrid(panel, 2011, cfg)
+        model = fit_forecaster(panel, 2011, cfg)[0]
         rows = validate(panel, model, 2011)
         assert np.mean([r.improvement_pct for r in rows]) > 0
 
@@ -133,10 +217,10 @@ class TestAblate:
     def test_no_mbc_on_zero_bias_model_is_noop(self, fitted_panel):
         import dataclasses
 
-        from mortlab.benchmark import _rmse_kt_recursive, train_hybrid
+        from mortlab.benchmark import _rmse_kt_recursive
 
         _, panel = fitted_panel
-        model = train_hybrid(panel, 2011, quick_cfg(seed=5))
+        model = fit_forecaster(panel, 2011, quick_cfg(seed=5))[0]
         zeroed = dataclasses.replace(model, mbc=np.zeros_like(model.mbc))
         base = _rmse_kt_recursive(zeroed, panel, 2011)
         again = _rmse_kt_recursive(
@@ -178,7 +262,7 @@ class TestLookbackSweep:
         cfg = quick_cfg(seed=10)
         fresh = lookback_sweep(panel, 2011, cfg, lookbacks=(5, 10))
         reused = lookback_sweep(
-            panel, 2011, cfg, lookbacks=(5, 10), baseline=fit_hybrid(panel, 2011, cfg)
+            panel, 2011, cfg, lookbacks=(5, 10), baseline=fit_forecaster(panel, 2011, cfg)
         )
         assert reused == fresh
 

@@ -10,7 +10,7 @@ import pytest
 
 from mortlab import forecast, lstm
 from mortlab.cli import main
-from mortlab.forecast import forecast_stochastic, load_forecaster
+from mortlab.forecast import forecast_stochastic, forecaster_from_doc
 from mortlab.lilee import FactorPanel, load_params
 
 
@@ -70,6 +70,12 @@ def write_ensemble(run_dir: Path, data: bytes, record_checksum: bool = False) ->
         path.write_text(json.dumps(doc))
 
 
+def zero_scaler_sd(text: str) -> str:
+    doc = json.loads(text)
+    doc["scaler"]["sd"] = [0.0] * len(doc["scaler"]["sd"])
+    return json.dumps(doc)
+
+
 class TestPipeline:
     def test_all_artifacts_exist(self, pipeline):
         root, _ = pipeline
@@ -94,8 +100,11 @@ class TestPipeline:
         out = root / "run"
         fdoc = json.loads((out / "forecast_manifest.json").read_text())
         panel = FactorPanel.from_params(load_params(out / "params.json"))
+        model = forecaster_from_doc(
+            json.loads((out / "model.json").read_text()), lstm.load_network(out / "network.json")
+        )
         ens = forecast_stochastic(
-            load_forecaster(out / "model.json"), panel, fdoc["horizon"],
+            model, panel, fdoc["horizon"],
             n_paths=fdoc["n_paths"], sigma=np.asarray(fdoc["sigma"]), seed=fdoc["seed"],
         )
         data = (out / "ensemble.npy").read_bytes()
@@ -313,16 +322,31 @@ class TestExitCodes:
         assert self._stress_on_edited_ensemble(
             pipeline, tmp_path, edit, record_checksum=True) == 3
 
-    @pytest.mark.parametrize("stage, name", [
-        (stage, name)
+    @pytest.mark.parametrize("stage, name, edit", [
+        pytest.param(stage, name, lambda t: t[:5], id=f"{stage}-{name}")
         for stage in ("forecast", "stress")
         for name in ("manifest.json", "params.json", "model.json", "network.json")
-    ] + [("stress", "forecast_manifest.json")])
-    def test_cut_json_artifact_is_3(self, pipeline, tmp_path, caplog, stage, name):
+    ] + [
+        pytest.param("stress", "forecast_manifest.json", lambda t: t[:5],
+                     id="stress-forecast_manifest.json"),
+        pytest.param("forecast", "network.json", lambda t: '{"schema": "mortlab/network-v1"}',
+                     id="forecast-network.json-schema-only"),
+        pytest.param("forecast", "params.json", lambda t: "{}", id="forecast-params.json-empty"),
+        pytest.param("forecast", "model.json", lambda t: '{"schema": "mortlab/forecaster-v1"}',
+                     id="forecast-model.json-schema-only"),
+        pytest.param("forecast", "model.json", lambda t: "[1, 2]",
+                     id="forecast-model.json-not-an-object"),
+        pytest.param("stress", "params.json", lambda t: "[]",
+                     id="stress-params.json-not-an-object"),
+        pytest.param("forecast", "model.json", zero_scaler_sd, id="forecast-model.json-zero-sd"),
+    ])
+    def test_cut_json_artifact_is_3(self, pipeline, tmp_path, caplog, stage, name, edit):
+        """The artifact cut to 5 bytes, or replaced by a document that
+        parses as JSON but is incomplete, of the wrong schema or invalid."""
         root, _ = pipeline
         copy = shutil.copytree(root, tmp_path / "copy")
         path = copy / "run" / name
-        path.write_text(path.read_text()[:5])
+        path.write_text(edit(path.read_text()))
         assert main([stage, "--config", str(copy / "config.json"), "--quiet"]) == 3
         assert f"artifact {name} does not parse" in caplog.text
 

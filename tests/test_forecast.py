@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import sys
 import threading
 
@@ -14,11 +15,11 @@ from mortlab.forecast import (
     forecast_deterministic,
     forecast_stochastic,
     historical_diff_sd,
-    load_forecaster,
+    forecaster_from_doc,
     save_forecaster,
 )
 from mortlab.lilee import FactorPanel
-from mortlab.lstm import draw_mask, forward, init_params, predict
+from mortlab.lstm import draw_mask, forward, init_params, load_network, predict
 from mortlab.risk import quantile
 from mortlab.windows import ScalerParams
 from tests.test_lstm import zero_params
@@ -362,7 +363,7 @@ class TestModelIO:
         bundle = tmp_path / "model.json"
         net = tmp_path / "network.json"
         save_forecaster(model, bundle, net)
-        back = load_forecaster(bundle)
+        back = forecaster_from_doc(json.loads(bundle.read_text()), load_network(net))
         assert np.array_equal(back.mbc, model.mbc)
         assert np.array_equal(back.scaler.mean, model.scaler.mean)
         assert back.lookback == model.lookback

@@ -9,7 +9,6 @@ from mortlab.lilee import (
     fit_ar1,
     fit_lilee,
     fit_rwd,
-    forecast_lilee,
     leading_singular_pair,
     load_params,
     save_params,
@@ -17,42 +16,59 @@ from mortlab.lilee import (
 
 
 def jacobi_svd(M, sweeps=100, tol=1e-14):
-    """Independent full SVD oracle: one-sided Jacobi rotations on columns.
+    """Independent SVD oracle: one-sided Jacobi rotations on columns.
 
-    Returns (U, s, V) with M = U @ diag(s) @ V.T, singular values sorted
-    descending.  Used only as a test oracle; shares no code with the
-    power-iteration implementation under test.
+    Columns are paired in round-robin (parallel) order (Brent & Luk 1985,
+    SIAM J. Sci. Stat. Comput. 6(1)): each step rotates n/2 disjoint pairs
+    at once, and the n - 1 steps of a sweep meet every pair once.  A zero
+    column pads an odd n; it is orthogonal to everything, so it never
+    rotates.  A wide matrix is solved through its transpose: its surplus
+    columns would only rotate rounding noise until the sweep limit.
+    Returns the thin SVD (U, s, V), M = U @ diag(s) @ V.T with min(m, n)
+    singular values sorted descending.  Used only as a test oracle; shares
+    no code with the power-iteration implementation under test and calls no
+    LAPACK routine.
     """
     A = np.array(M, dtype=float)
     m, n = A.shape
-    V = np.eye(n)
+    if m < n:
+        V, sigmas, U = jacobi_svd(A.T, sweeps, tol)
+        return U, sigmas, V
+    k = n + n % 2
+    # row j holds column j of A, then column j of V (which starts as I)
+    W = np.zeros((k, m + k))
+    W[:n, :m] = A.T
+    W[:, m:] = np.eye(k)
+    rounds = []
+    order = np.arange(k)
+    for _ in range(k - 1):
+        rounds.append((order[: k // 2], order[::-1][: k // 2]))
+        # the circle method: the first column stays, the others move on
+        order = np.concatenate([order[:1], np.roll(order[1:], 1)])
     for _ in range(sweeps):
-        off = 0.0
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = A[:, p] @ A[:, q]
-                app = A[:, p] @ A[:, p]
-                aqq = A[:, q] @ A[:, q]
-                if abs(apq) <= tol * np.sqrt(app * aqq) + 1e-300:
-                    continue
-                off = max(off, abs(apq))
-                tau = (aqq - app) / (2.0 * apq)
-                if tau == 0.0:
-                    t = 1.0
-                elif abs(tau) > 1e12:
-                    t = 1.0 / (2.0 * tau)  # asymptotic form avoids tau^2 overflow
-                else:
-                    t = np.sign(tau) / (abs(tau) + np.sqrt(1.0 + tau * tau))
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = c * t
-                Ap = c * A[:, p] - s * A[:, q]
-                Aq = s * A[:, p] + c * A[:, q]
-                A[:, p], A[:, q] = Ap, Aq
-                Vp = c * V[:, p] - s * V[:, q]
-                Vq = s * V[:, p] + c * V[:, q]
-                V[:, p], V[:, q] = Vp, Vq
-        if off == 0.0:
+        rotated = False
+        for p, q in rounds:
+            Wp, Wq = W[p], W[q]
+            app = np.einsum("ij,ij->i", Wp[:, :m], Wp[:, :m])
+            aqq = np.einsum("ij,ij->i", Wq[:, :m], Wq[:, :m])
+            apq = np.einsum("ij,ij->i", Wp[:, :m], Wq[:, :m])
+            live = np.abs(apq) > tol * np.sqrt(app * aqq) + 1e-300
+            if not live.any():
+                continue
+            rotated = True
+            tau = (aqq[live] - app[live]) / (2.0 * apq[live])
+            t = np.ones_like(tau)
+            big = np.abs(tau) > 1e12  # asymptotic form avoids tau^2 overflow
+            mid = (tau != 0.0) & ~big
+            t[big] = 1.0 / (2.0 * tau[big])
+            t[mid] = np.sign(tau[mid]) / (np.abs(tau[mid]) + np.sqrt(1.0 + tau[mid] ** 2))
+            c = (1.0 / np.sqrt(1.0 + t * t))[:, None]
+            s = c * t[:, None]
+            Wp, Wq = Wp[live], Wq[live]
+            W[p[live]], W[q[live]] = c * Wp - s * Wq, s * Wp + c * Wq
+        if not rotated:
             break
+    A, V = W[:n, :m].T, W[:n, m : m + n].T
     sigmas = np.linalg.norm(A, axis=0)
     order = np.argsort(sigmas)[::-1]
     sigmas = sigmas[order]
@@ -225,60 +241,6 @@ class TestLinearForecasters:
             if 0.95 <= a.phi <= 1.05:
                 hits += 1
         assert hits >= 950
-
-    def test_central_forecast_drift(self, rank1_cluster):
-        params, _ = fit_lilee(rank1_cluster)
-        # overwrite with a clean drift so arithmetic is exact
-        t = params.years.size
-        clean = LiLeeParams(
-            countries=params.countries,
-            ages=params.ages,
-            years=params.years,
-            alpha=params.alpha,
-            B=params.B,
-            K=-1.0 * np.arange(t, dtype=float) + (t - 1) / 2.0,
-            b=params.b,
-            k=np.zeros_like(params.k),
-        )
-        ext = forecast_lilee(clean, horizon=3, mode="central")
-        last = clean.K[-1]
-        assert np.allclose(ext.values[:, 0], [last - 1, last - 2, last - 3], atol=1e-10)
-        # phi = 0 target: zero specific history forecasts zero
-        assert np.allclose(ext.values[:, 1:], 0.0, atol=1e-12)
-
-    def test_phi_zero_forecasts_zero(self):
-        # k = [0,4,0,4,...] fits phi = 0 exactly: the forecast is zero no
-        # matter where the series ends
-        t = 20
-        k = np.tile([0.0, 4.0], t // 2)
-        a = fit_ar1(k)
-        assert a.phi == 0.0
-        ages = np.arange(0, 5)
-        truth = LiLeeParams(
-            countries=("AAA", "BBB"),
-            ages=ages,
-            years=2000 + np.arange(t),
-            alpha=np.tile(-5.0 + 0.1 * ages, (2, 1)),
-            B=np.full(5, 0.2),
-            K=np.linspace(2, -2, t) - np.linspace(2, -2, t).mean(),
-            b=np.full((2, 5), 0.2),
-            k=np.vstack([k, k * 0.0]),  # raw series: centering would change phi
-        )
-        ext = forecast_lilee(truth, horizon=4, mode="central")
-        assert np.allclose(ext.values[:, 1], 0.0, atol=1e-12)
-
-    def test_stochastic_mean_matches_central(self, small_cluster):
-        params, _ = fit_lilee(small_cluster)
-        central = forecast_lilee(params, horizon=5, mode="central")
-        years, paths = forecast_lilee(
-            params, horizon=5, mode="stochastic", n_sims=10_000, seed=77
-        )
-        rwd = fit_rwd(params.K)
-        tol = 3.0 * max(rwd.sigma, 1e-12) / np.sqrt(10_000)
-        for h in range(5):
-            got = paths[:, h, 0].mean()
-            want = central.values[h, 0]
-            assert abs(got - want) <= tol * np.sqrt(h + 1) * 1.5 + 1e-9
 
 
 class TestParamsIO:

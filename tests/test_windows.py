@@ -1,8 +1,5 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
-from hypothesis.extra.numpy import arrays
 
 from mortlab.errors import InsufficientHistoryError, ScalingError
 from mortlab.lilee import FactorPanel
@@ -10,9 +7,9 @@ from mortlab.windows import (
     DiffPanel,
     difference,
     fit_scaler,
-    integrate,
     inverse_transform,
     make_windows,
+    prepare_windows,
     split_windows,
     transform,
 )
@@ -34,20 +31,6 @@ class TestDifference:
     def test_constant_panel(self):
         d = difference(panel_from(np.ones((6, 3))))
         assert np.all(d.V == 0.0)
-
-    @given(
-        arrays(
-            np.float64,
-            st.tuples(st.integers(2, 30), st.integers(1, 5)),
-            elements=st.floats(-1e6, 1e6),
-        )
-    )
-    @settings(max_examples=100)
-    def test_round_trip(self, values):
-        p = panel_from(values)
-        d = difference(p)
-        back = integrate(d.V, p.values[0])
-        assert np.max(np.abs(back - p.values)) <= 1e-12 * max(1.0, np.abs(values).max())
 
     def test_single_row_rejected(self):
         with pytest.raises(InsufficientHistoryError):
@@ -134,3 +117,29 @@ class TestWindows:
         assert train.size + val.size == w.X.shape[0]
         # chronological: no shuffling
         assert np.all(np.diff(w.sample_years) == 1)
+
+
+class TestPrepareWindows:
+    def test_equals_the_steps_one_by_one(self):
+        p = panel_from(np.random.default_rng(4).normal(size=(30, 3)).cumsum(axis=0))
+        diff = difference(p)
+        scaler = fit_scaler(diff, 2020)
+        want = make_windows(DiffPanel(years=diff.years, V=transform(scaler, diff.V)), 4)
+        got_scaler, got, (tr, va) = prepare_windows(p, 2020, 4)
+        assert np.array_equal(got_scaler.mean, scaler.mean)
+        assert np.array_equal(got_scaler.sd, scaler.sd)
+        assert np.array_equal(got.X, want.X) and np.array_equal(got.Y, want.Y)
+        assert [a.tolist() for a in (tr, va)] == [a.tolist() for a in split_windows(want, 2020)]
+        # a given scaler is used as is, not refitted
+        assert prepare_windows(p, 2015, 4, scaler)[0] is scaler
+
+    def test_levels_are_windowed_without_differencing(self):
+        p = panel_from(np.random.default_rng(5).normal(size=(30, 2)))
+        scaler, w, _ = prepare_windows(p, 2020, 3, differences=False)
+        assert np.array_equal(w.Y[-1], transform(scaler, p.values[-1]))
+        assert w.sample_years[-1] == p.years[-1]
+
+    def test_empty_side_raises(self):
+        p = panel_from(np.random.default_rng(6).normal(size=(20, 2)).cumsum(axis=0))
+        with pytest.raises(InsufficientHistoryError):
+            prepare_windows(p, 2019, 4)  # no validation targets after 2019
