@@ -170,10 +170,10 @@ class RunContext:
         }
         self.path("manifest.json").write_text(json.dumps(manifest, indent=2))
 
-    def require_stage(self, stage: str):
-        manifest = self.check_manifest()
-        if stage not in manifest["stages"]:
-            raise StageError(f"stage '{stage}' has not been run for this config; run it first")
+    def require_stage(self, manifest: dict, *stages: str):
+        for stage in stages:
+            if stage not in manifest["stages"]:
+                raise StageError(f"stage '{stage}' has not been run for this config; run it first")
 
     # -- artifact io ---------------------------------------------------------
     def write_csv(self, name: str, header: list[str], rows):
@@ -191,16 +191,28 @@ class RunContext:
         return name
 
     def read_json(self, name: str) -> dict:
+        doc = _parse_artifact(name, _json_object, self._read_text(name))
+        self._check_origin(name, doc.get("config_hash"))
+        return doc
+
+    def read_csv(self, name: str) -> list[dict]:
+        """The rows of a CSV artifact whose `# config_hash=` line is this run's."""
+        stamp, _, body = self._read_text(name).partition("\n")
+        self._check_origin(name, stamp.removeprefix("# config_hash="))
+        return list(csv.DictReader(io.StringIO(body)))
+
+    def _read_text(self, name: str) -> str:
         path = self.path(name)
         if not path.exists():
             raise StageError(f"missing artifact {name}; run the producing stage first")
-        doc = _parse_artifact(name, _json_object, path.read_text())
-        if doc.get("config_hash") not in (None, self.hash):
+        return path.read_text()
+
+    def _check_origin(self, name: str, found) -> None:
+        if found != self.hash:
             raise StageError(
-                f"artifact {name} was produced under config {doc.get('config_hash')}, "
+                f"artifact {name} was produced under config {found}, "
                 f"current is {self.hash}; refusing to mix"
             )
-        return doc
 
 
 def _parse_artifact(name: str, load, *args):
@@ -217,6 +229,11 @@ def _json_object(text: str) -> dict:
     if not isinstance(doc, dict):
         raise TypeError(f"expected a JSON object, not {type(doc).__name__}")
     return doc
+
+
+def _observed_e0(rows: list[dict], countries) -> dict[str, float]:
+    observed = {row["country"]: float(row["e0_observed"]) for row in rows}
+    return {code: observed[code] for code in countries}
 
 
 def load_context(args) -> RunContext:
@@ -294,9 +311,8 @@ def _focus_country(ctx: RunContext, countries) -> str:
     return focus
 
 
-def _load_model_panel(ctx: RunContext):
-    ctx.require_stage("fit")
-    ctx.require_stage("train")
+def _load_model_panel(ctx: RunContext, manifest: dict):
+    ctx.require_stage(manifest, "fit", "train")
     doc = ctx.read_json("model.json")  # parsed once, hash checked
     params = _parse_artifact("params.json", load_params, ctx.path("params.json"))
     net = _parse_artifact("network.json", load_network, ctx.path("network.json"))
@@ -395,7 +411,7 @@ def cmd_fit(args) -> int:
 def cmd_train(args) -> int:
     ctx = load_context(args)
     manifest = ctx.check_manifest()
-    ctx.require_stage("fit")
+    ctx.require_stage(manifest, "fit")
     params = _parse_artifact("params.json", load_params, ctx.path("params.json"))
     panel = FactorPanel.from_params(params)
     model, trace, _windows, (train_idx, val_idx) = fit_forecaster(
@@ -489,7 +505,7 @@ def _read_ensemble(ctx: RunContext, panel: FactorPanel, fdoc: dict) -> ForecastE
 def cmd_forecast(args) -> int:
     ctx = load_context(args)
     manifest = ctx.check_manifest()
-    params, model, panel = _load_model_panel(ctx)
+    params, model, panel = _load_model_panel(ctx, manifest)
     fc = ctx.cfg["forecast"]
     horizon = int(fc["horizon"])
     n_paths = int(fc["n_paths"])
@@ -525,14 +541,9 @@ def cmd_forecast(args) -> int:
                 fan_rows.append([lab, int(ens.years[h]), q, repr(float(bands[qi, h, j]))])
     files.append(ctx.write_csv("fan_factors.csv", ["factor", "year", "quantile", "value"], fan_rows))
 
-    observed = {}
-    obs_path = ctx.path("observed_e0.csv")
-    if obs_path.exists():
-        with obs_path.open() as fh:
-            rows = (line for line in fh if not line.startswith("#"))
-            reader = csv.DictReader(rows)
-            for row in reader:
-                observed[row["country"]] = float(row["e0_observed"])
+    observed = _parse_artifact(
+        "observed_e0.csv", _observed_e0, ctx.read_csv("observed_e0.csv"), params.countries
+    )
 
     # only the focus country's fan chart needs every horizon
     focus = _focus_country(ctx, params.countries)
@@ -551,7 +562,7 @@ def cmd_forecast(args) -> int:
             [
                 code,
                 f"{origin_model:.4f}",
-                f"{observed.get(code, float('nan')):.4f}",
+                f"{observed[code]:.4f}",
                 f"{mean_term:.4f}",
                 f"{ci_low:.4f}",
                 f"{ci_high:.4f}",
@@ -583,7 +594,7 @@ def cmd_forecast(args) -> int:
 def cmd_validate(args) -> int:
     ctx = load_context(args)
     manifest = ctx.check_manifest()
-    params, model, panel = _load_model_panel(ctx)
+    params, model, panel = _load_model_panel(ctx, manifest)
     vc = ctx.cfg["validate"]
     rows = benchmark.validate(
         panel,
@@ -613,7 +624,7 @@ def cmd_validate(args) -> int:
 def cmd_explain(args) -> int:
     ctx = load_context(args)
     manifest = ctx.check_manifest()
-    params, model, panel = _load_model_panel(ctx)
+    params, model, panel = _load_model_panel(ctx, manifest)
     _, windows, (train_idx, val_idx) = prepare_windows(
         panel, int(ctx.cfg["split_year"]), model.lookback, model.scaler
     )
@@ -660,8 +671,8 @@ def cmd_explain(args) -> int:
 def cmd_stress(args) -> int:
     ctx = load_context(args)
     manifest = ctx.check_manifest()
-    params, model, panel = _load_model_panel(ctx)
-    ctx.require_stage("forecast")
+    params, model, panel = _load_model_panel(ctx, manifest)
+    ctx.require_stage(manifest, "forecast")
     fdoc = ctx.read_json("forecast_manifest.json")
     ens = _read_ensemble(ctx, panel, fdoc)
 
@@ -718,7 +729,7 @@ def cmd_stress(args) -> int:
 def cmd_ablate(args) -> int:
     ctx = load_context(args)
     manifest = ctx.check_manifest()
-    ctx.require_stage("fit")
+    ctx.require_stage(manifest, "fit")
     params = _parse_artifact("params.json", load_params, ctx.path("params.json"))
     panel = FactorPanel.from_params(params)
     cfg = _hybrid_config(ctx, "ablate")

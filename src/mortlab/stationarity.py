@@ -58,19 +58,15 @@ def default_adf_max_lag(n: int) -> int:
     return int(math.floor(12.0 * (n / 100.0) ** 0.25))
 
 
-def adf_test(
-    series: np.ndarray,
-    max_lag: int | None = None,
-    regression: str = "c",
-) -> tuple[float, float]:
+def adf_test(series: np.ndarray, max_lag: int | None = None) -> tuple[float, float]:
     """Augmented Dickey-Fuller test, constant-only regression.
 
     Regresses the first difference on the lagged level, `p` lagged
     differences and a constant, selecting p in 0..max_lag by AIC on a
     common sample.  Returns (t statistic on the lagged level, p-value).
+    The p-values are MacKinnon's for the constant-only regression, the
+    only one supported.
     """
-    if regression != "c":
-        raise ValueError("only the constant-only regression is supported")
     y = np.asarray(series, dtype=float)
     n = y.size
     if max_lag is None:

@@ -52,6 +52,16 @@ def pipeline(tmp_path_factory):
     return root, cfg
 
 
+@pytest.fixture(scope="module")
+def foreign_run(tmp_path_factory):
+    """Another seed's run through forecast: a source of foreign artifacts."""
+    root = tmp_path_factory.mktemp("foreign")
+    cfg = write_config(root, seed=778)
+    for stage in ("synth", "fit", "train", "forecast"):
+        assert main([stage, "--config", str(cfg), "--quiet"]) == 0, stage
+    return root / "run"
+
+
 def npy_bytes(array, **kwargs) -> bytes:
     """The .npy file np.save would write; kwargs go to write_array."""
     buf = io.BytesIO()
@@ -275,14 +285,9 @@ class TestExitCodes:
         assert self._stress_on_edited_ensemble(pipeline, tmp_path, flip) == 3
         assert "checksum" in caplog.text
 
-    def test_foreign_hash_ensemble_is_3(self, pipeline, tmp_path, caplog):
+    def test_foreign_hash_ensemble_is_3(self, pipeline, foreign_run, tmp_path, caplog):
         # a complete, well-formed ensemble.npy from another seed's run
-        other = tmp_path / "other"
-        other.mkdir()
-        cfg = write_config(other, seed=778)
-        for stage in ("synth", "fit", "train", "forecast"):
-            assert main([stage, "--config", str(cfg), "--quiet"]) == 0
-        foreign = (other / "run" / "ensemble.npy").read_bytes()
+        foreign = (foreign_run / "ensemble.npy").read_bytes()
         assert self._stress_on_edited_ensemble(pipeline, tmp_path, lambda d: foreign) == 3
         assert "checksum" in caplog.text
 
@@ -332,7 +337,9 @@ class TestExitCodes:
         pytest.param("forecast", "network.json", lambda t: '{"schema": "mortlab/network-v1"}',
                      id="forecast-network.json-schema-only"),
         pytest.param("forecast", "params.json", lambda t: "{}", id="forecast-params.json-empty"),
-        pytest.param("forecast", "model.json", lambda t: '{"schema": "mortlab/forecaster-v1"}',
+        pytest.param("forecast", "model.json", lambda t: json.dumps(
+                         {"config_hash": json.loads(t)["config_hash"],
+                          "schema": "mortlab/forecaster-v1"}),
                      id="forecast-model.json-schema-only"),
         pytest.param("forecast", "model.json", lambda t: "[1, 2]",
                      id="forecast-model.json-not-an-object"),
@@ -349,6 +356,33 @@ class TestExitCodes:
         path.write_text(edit(path.read_text()))
         assert main([stage, "--config", str(copy / "config.json"), "--quiet"]) == 3
         assert f"artifact {name} does not parse" in caplog.text
+
+    @pytest.mark.parametrize("stage, name", [
+        ("forecast", "model.json"), ("stress", "forecast_manifest.json"),
+    ])
+    def test_json_artifact_without_hash_is_3(self, pipeline, tmp_path, caplog, stage, name):
+        root, _ = pipeline
+        copy = shutil.copytree(root, tmp_path / "copy")
+        path = copy / "run" / name
+        doc = json.loads(path.read_text())
+        del doc["config_hash"]
+        path.write_text(json.dumps(doc))
+        assert main([stage, "--config", str(copy / "config.json"), "--quiet"]) == 3
+        assert f"artifact {name} was produced under config None" in caplog.text
+
+    @pytest.mark.parametrize("edit", ["foreign", "deleted", "last-row-cut"])
+    def test_bad_observed_e0_is_3(self, pipeline, foreign_run, tmp_path, caplog, edit):
+        root, _ = pipeline
+        copy = shutil.copytree(root, tmp_path / "copy")
+        path = copy / "run" / "observed_e0.csv"
+        if edit == "foreign":
+            shutil.copy(foreign_run / "observed_e0.csv", path)
+        elif edit == "deleted":
+            path.unlink()
+        else:
+            path.write_text("".join(path.read_text().splitlines(keepends=True)[:-1]))
+        assert main(["forecast", "--config", str(copy / "config.json"), "--quiet"]) == 3
+        assert "observed_e0.csv" in caplog.text
 
     def test_bad_usage_is_1(self):
         with pytest.raises(SystemExit) as exc:
