@@ -37,7 +37,6 @@ from .data import read_cluster_csv, synthesize_cluster, synthetic_truth, write_c
 from .data import ClusterDataset, build_surface, parse_hmd_file
 from .errors import (
     ConfigError,
-    ConvergenceError,
     DataGapError,
     DegenerateRiskError,
     DegenerateSeriesError,
@@ -807,7 +806,7 @@ _EXIT_CODES = (
     (3, (StageError,)),
     (4, (DegenerateRiskError, DegenerateSeriesError, RankError, ScalingError,
          InsufficientHistoryError, RegressionError)),
-    (5, (TrainingError, ConvergenceError, NumericError, FloatingPointError)),
+    (5, (TrainingError, NumericError, FloatingPointError, np.linalg.LinAlgError)),
 )
 
 

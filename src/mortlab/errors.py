@@ -35,16 +35,6 @@ class RankError(MortlabError):
     """A matrix is too degenerate for the requested factorization."""
 
 
-class ConvergenceError(MortlabError):
-    """An iterative solver hit its iteration cap; carries the last delta."""
-
-    def __init__(self, message: str, last_delta: float | None = None):
-        if last_delta is not None:
-            message = f"{message} (last delta {last_delta:.3e})"
-        super().__init__(message)
-        self.last_delta = last_delta
-
-
 class DegenerateSeriesError(MortlabError):
     """A series has no usable variation (constant, zero variance)."""
 

@@ -5,11 +5,12 @@ common trend shared by the cluster, and a country-specific deviation:
 
     log_m[x, t, i] = alpha[i, x] + B[x] * K[t] + b[i, x] * k[i, t] + resid
 
-Both factor pairs are extracted as leading singular pairs and renormalized
-to the usual Lee-Carter convention (loadings sum to one, indices sum to
-zero).  The module also fits the linear benchmark's two models, a random
-walk with drift for the common index and a zero-mean AR(1) for the
-specific indices; `benchmark.linear_benchmark_forecast` steps them.
+Both factor pairs are extracted as leading singular pairs, taken from
+LAPACK's SVD (`np.linalg.svd`), and renormalized to the usual Lee-Carter
+convention (loadings sum to one, indices sum to zero).  The module also
+fits the linear benchmark's two models, a random walk with drift for the
+common index and a zero-mean AR(1) for the specific indices;
+`benchmark.linear_benchmark_forecast` steps them.
 """
 
 from __future__ import annotations
@@ -21,21 +22,12 @@ from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
-from .errors import (
-    ConvergenceError,
-    DegenerateSeriesError,
-    DimensionError,
-    RankError,
-)
+from .errors import DegenerateSeriesError, DimensionError, RankError
 
 if TYPE_CHECKING:  # pragma: no cover
     from .data import ClusterDataset
 
 PARAMS_SCHEMA = "mortlab/lilee-params-v1"
-
-# Power iteration settings for the leading singular pair.
-SVD_TOL = 1e-12
-SVD_MAX_ITER = 10_000
 
 
 @dataclass(frozen=True)
@@ -115,57 +107,23 @@ class FactorPanel:
 
 
 def leading_singular_pair(M: np.ndarray) -> tuple[np.ndarray, float, np.ndarray]:
-    """Leading singular triple (u, s, v) of M via power iteration on M'M.
+    """Leading singular triple (u, s, v) of M from LAPACK's thin SVD.
 
     u and v are unit vectors, s > 0, and s * outer(u, v) is the best
     rank-1 approximation of M in Frobenius norm.  Sign convention:
-    sum(u) >= 0.  Raises RankError on a zero matrix and ConvergenceError
-    if the iteration does not settle within SVD_MAX_ITER steps.
+    sum(u) >= 0.  Raises RankError on a zero matrix; LAPACK's own failure
+    surfaces as np.linalg.LinAlgError.
     """
     M = np.asarray(M, dtype=float)
     if M.ndim != 2:
         raise DimensionError("expected a 2-d matrix")
     if not np.any(M):
         raise RankError("matrix is identically zero")
-
-    A = M.T @ M
-    # Deterministic pseudo-random start: a fixed vector (e.g. all ones) can be
-    # exactly orthogonal to the dominant eigenvector for centered matrices.
-    rng = np.random.default_rng(0x5EED)
-    n = A.shape[0]
-    v = None
-    for _ in range(8):
-        cand = rng.standard_normal(n)
-        w = A @ cand
-        nw = np.linalg.norm(w)
-        if nw > 0:
-            v = w / nw
-            break
-    if v is None:
-        raise RankError("matrix has rank too low for a leading pair")
-
-    delta = np.inf
-    for _ in range(SVD_MAX_ITER):
-        w = A @ v
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            raise RankError("power iteration collapsed to the null space")
-        v_new = w / nw
-        delta = float(np.linalg.norm(v_new - v))
-        v = v_new
-        if delta <= SVD_TOL:
-            break
-    else:
-        raise ConvergenceError("power iteration did not converge", last_delta=delta)
-
-    u = M @ v
-    s = float(np.linalg.norm(u))
-    if s == 0.0:
-        raise RankError("leading singular value is zero")
-    u = u / s
+    U, sig, Vt = np.linalg.svd(M, full_matrices=False)
+    u, v = U[:, 0], Vt[0]
     if u.sum() < 0:
         u, v = -u, -v
-    return u, s, v
+    return u, float(sig[0]), v
 
 
 def _normalized_pair(M: np.ndarray, zero_tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -384,6 +384,16 @@ class TestExitCodes:
         assert main(["forecast", "--config", str(copy / "config.json"), "--quiet"]) == 3
         assert "observed_e0.csv" in caplog.text
 
+    def test_lapack_failure_is_5(self, tmp_path, monkeypatch):
+        cfg = write_config(tmp_path)
+        assert main(["synth", "--config", str(cfg), "--quiet"]) == 0
+
+        def failing_svd(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", failing_svd)
+        assert main(["fit", "--config", str(cfg), "--quiet"]) == 5
+
     def test_bad_usage_is_1(self):
         with pytest.raises(SystemExit) as exc:
             main(["fit"])  # --config missing

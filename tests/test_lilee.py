@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from mortlab.data import synthesize_cluster, synthetic_truth
-from mortlab.errors import DegenerateSeriesError, RankError
+from mortlab.errors import DegenerateSeriesError, DimensionError, RankError
 from mortlab.lilee import (
     FactorPanel,
     LiLeeParams,
@@ -25,9 +25,8 @@ def jacobi_svd(M, sweeps=100, tol=1e-14):
     rotates.  A wide matrix is solved through its transpose: its surplus
     columns would only rotate rounding noise until the sweep limit.
     Returns the thin SVD (U, s, V), M = U @ diag(s) @ V.T with min(m, n)
-    singular values sorted descending.  Used only as a test oracle; shares
-    no code with the power-iteration implementation under test and calls no
-    LAPACK routine.
+    singular values sorted descending.  Used only as a test oracle for the
+    LAPACK-backed implementation under test; it calls no LAPACK routine.
     """
     A = np.array(M, dtype=float)
     m, n = A.shape
@@ -122,6 +121,24 @@ class TestLeadingSingularPair:
     def test_zero_matrix_raises(self):
         with pytest.raises(RankError):
             leading_singular_pair(np.zeros((3, 3)))
+
+    def test_non_matrix_raises(self):
+        with pytest.raises(DimensionError):
+            leading_singular_pair(np.ones(4))
+
+    def test_leading_values_1e9_apart(self):
+        # diag(2, 2(1 - 1e-9), 1, 0.5, ...) in rotated bases: a gap that
+        # power iteration cannot resolve within any practical step count
+        rng = np.random.default_rng(9)
+        Q1, _ = np.linalg.qr(rng.standard_normal((8, 6)))
+        Q2, _ = np.linalg.qr(rng.standard_normal((6, 6)))
+        sig = np.array([2.0, 2.0 * (1 - 1e-9), 1.0, 0.5, 0.25, 0.125])
+        M = Q1 @ np.diag(sig) @ Q2.T
+        u, s, v = leading_singular_pair(M)
+        assert s == pytest.approx(np.linalg.svd(M, compute_uv=False)[0], rel=1e-12)
+        assert np.linalg.norm(M @ v - s * u) <= 1e-12
+        assert np.linalg.norm(u) == pytest.approx(1.0, abs=1e-12)
+        assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestFitLiLee:
