@@ -446,13 +446,19 @@ ENSEMBLE_DTYPE = np.dtype("<f8")
 
 
 def _write_ensemble(ctx: RunContext, ens: ForecastEnsemble) -> str:
-    """Save the levels, origin row included, and return the SHA-256 of the
-    file's bytes.  np.save stamps no time, so reruns give the same bytes."""
-    buf = io.BytesIO()
-    np.save(buf, np.ascontiguousarray(ens.levels, dtype=ENSEMBLE_DTYPE), allow_pickle=False)
-    data = buf.getvalue()
-    ctx.path(ENSEMBLE).write_bytes(data)
-    return hashlib.sha256(data).hexdigest()
+    """Save the levels, origin row included, as a version 1.0 .npy file
+    (np.save's bytes) and return the SHA-256 of the bytes written.  The
+    payload goes to the file and the hash straight from the array's
+    buffer; nothing stamps a time, so reruns give the same bytes."""
+    levels = np.ascontiguousarray(ens.levels, dtype=ENSEMBLE_DTYPE)
+    header = io.BytesIO()
+    np.lib.format.write_array_header_1_0(header, np.lib.format.header_data_from_array_1_0(levels))
+    digest = hashlib.sha256()
+    with ctx.path(ENSEMBLE).open("wb") as fh:
+        for chunk in (header.getbuffer(), memoryview(levels).cast("B")):
+            fh.write(chunk)
+            digest.update(chunk)
+    return digest.hexdigest()
 
 
 def _read_ensemble(ctx: RunContext, panel: FactorPanel, fdoc: dict) -> ForecastEnsemble:
@@ -481,10 +487,11 @@ def _read_ensemble(ctx: RunContext, panel: FactorPanel, fdoc: dict) -> ForecastE
                 f"header (shape, fortran_order, dtype) = {header}, "
                 f"expected {(shape, False, ENSEMBLE_DTYPE)}"
             )
-        if len(data) - buf.tell() != math.prod(shape) * ENSEMBLE_DTYPE.itemsize:
-            raise ValueError(f"payload is {len(data) - buf.tell()} bytes, not {shape} doubles")
-        buf.seek(0)
-        levels = np.load(buf, allow_pickle=False)
+        payload = len(data) - buf.tell()
+        if payload != math.prod(shape) * ENSEMBLE_DTYPE.itemsize:
+            raise ValueError(f"payload is {payload} bytes, not {shape} doubles")
+        # a read-only view of the bytes already read, not a second copy
+        levels = np.frombuffer(data, ENSEMBLE_DTYPE, offset=buf.tell()).reshape(shape)
     except (ValueError, EOFError) as exc:
         raise StageError(f"{ENSEMBLE} is unreadable or misshapen: {exc}") from exc
     origin_year = int(fdoc["origin_year"])
@@ -585,7 +592,8 @@ def cmd_forecast(args) -> int:
     ]
     files.append(ctx.write_csv(f"fan_e0_{focus}.csv", ["year", "quantile", "e0"], fan_e0_rows))
 
-    ctx.record_stage(manifest, "forecast", files, path_blocks=ens.blocks)
+    ctx.record_stage(manifest, "forecast", files, path_blocks=ens.blocks,
+                     path_workers=ens.workers)
     log.info("forecast: %d paths x %d years, %d factors", n_paths, horizon, panel.n_factors)
     return 0
 

@@ -14,11 +14,13 @@ to parallelize.
 
 Contract: path p depends only on (seed, p), bit for bit, whatever
 `n_paths` is, and the ensemble with zero dropout and zero sigma equals the
-deterministic path bit for bit.  Paths run in contiguous blocks on worker
-threads; a block's paths advance together through one batched network
-forward per step.  The LSTM kernel multiplies row by row (`lstm._rows`) and
-all else is elementwise, so a row gets exactly the arithmetic of a single
-window and any split into blocks gives the same bits.
+deterministic path bit for bit.  Paths run in contiguous blocks of at most
+`BLOCK` paths on min(usable cores, blocks) worker threads; a block's paths
+advance together through one batched network forward per step, so the
+transient memory is bounded by workers x `BLOCK` paths whatever `n_paths`
+is.  The LSTM kernel multiplies row by row (`lstm._rows`) and all else is
+elementwise, so a row gets exactly the arithmetic of a single window and
+any split into blocks gives the same bits.
 """
 
 from __future__ import annotations
@@ -59,8 +61,9 @@ MODEL_SCHEMA = "mortlab/forecaster-v1"
 
 DEFAULT_QUANTILES = (0.025, 0.10, 0.50, 0.90, 0.975)
 
-# smallest path block worth a thread: hand-offs cost more below ~400 paths
-MIN_BLOCK = 256
+# paths per block, the unit of work and of transient memory; on 2 cores
+# 256 made the forecast stage 5-15% slower and 128 about 40% slower
+BLOCK = 512
 
 
 @dataclass(frozen=True)
@@ -83,8 +86,9 @@ class ForecastModel:
 @dataclass(frozen=True)
 class ForecastEnsemble:
     """Stochastic factor paths; levels is (paths, horizon + 1, factors) with
-    the shared origin level at horizon index 0.  `blocks` is the number of
-    path blocks that ran it, which does not change a bit of `levels`."""
+    the shared origin level at horizon index 0.  `blocks` and `workers` are
+    the number of path blocks and of threads that ran it, which do not
+    change a bit of `levels`."""
 
     levels: np.ndarray
     years: np.ndarray
@@ -92,6 +96,7 @@ class ForecastEnsemble:
     seed: int
     sigma: np.ndarray
     blocks: int = 1
+    workers: int = 1
 
     def __post_init__(self):
         object.__setattr__(self, "levels", np.asarray(self.levels, dtype=float))
@@ -209,9 +214,11 @@ def forecast_stochastic(
     increment, then a Normal(0, diag(sigma^2)) level innovation is added.
     A path with zero dropout and zero sigma reproduces the deterministic
     forecast exactly.  Per step, each path's own stream draws its mask and
-    then its noise, as if the paths ran one after another.  With at least
-    2 * MIN_BLOCK paths, contiguous blocks of paths run on worker threads,
-    one per usable core; the bits do not depend on the split.
+    then its noise, as if the paths ran one after another.  The paths are
+    cut into `_block_count(n_paths)` contiguous, near-equal blocks of at
+    most BLOCK paths, run by min(usable cores, blocks) worker threads (a
+    single block on the calling thread), so the memory beyond `levels` is
+    bounded by workers x BLOCK paths; the bits do not depend on the split.
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
@@ -224,38 +231,45 @@ def forecast_stochastic(
     if history.values.shape[0] < need:
         raise InsufficientHistoryError(f"need at least {need} level rows")
 
-    children = np.random.SeedSequence(seed).spawn(n_paths)
     out = np.empty((n_paths, horizon + 1, history.values.shape[1]))
     out[:, 0, :] = history.values[-1]
     blocks = _block_count(n_paths)
+    workers = min(_cores(), blocks)
     bounds = [n_paths * k // blocks for k in range(blocks + 1)]
-    run = functools.partial(_run_block, model, history, sigma, children, out)
+    run = functools.partial(_run_block, model, history, sigma, seed, out)
     if blocks == 1:
         run(0, n_paths)
     else:
         # copies of the caller's context carry numpy's errstate into the workers
         ctxs = [contextvars.copy_context() for _ in range(blocks)]
-        with ThreadPoolExecutor(blocks) as pool:
+        with ThreadPoolExecutor(workers) as pool:
             list(pool.map(contextvars.Context.run, ctxs, [run] * blocks, bounds[:-1], bounds[1:]))
     years = history.years[-1] + np.arange(horizon + 1)
     return ForecastEnsemble(levels=out, years=years, origin_year=int(history.years[-1]),
-                            seed=seed, sigma=sigma, blocks=blocks)
+                            seed=seed, sigma=sigma, blocks=blocks, workers=workers)
 
 
 def _block_count(n_paths: int) -> int:
-    """Path blocks for `n_paths`: one per usable core, each at least
-    MIN_BLOCK paths, so small ensembles stay on the calling thread."""
+    """Path blocks for `n_paths`: the fewest of at most BLOCK paths each."""
+    return max(1, -(-n_paths // BLOCK))
+
+
+def _cores() -> int:
+    """CPUs this process may run on."""
     affinity = getattr(os, "sched_getaffinity", None)  # Linux only
-    cores = len(affinity(0)) if affinity else os.cpu_count() or 1
-    return max(1, min(cores, n_paths // MIN_BLOCK))
+    return len(affinity(0)) if affinity else os.cpu_count() or 1
 
 
-def _run_block(model, history, sigma, children, out, lo: int, hi: int) -> None:
+def _run_block(model, history, sigma, seed, out, lo: int, hi: int) -> None:
     """Run paths [lo, hi) over the whole horizon into out[lo:hi], each on
-    the stream spawned for its index."""
+    its own stream: SeedSequence(seed, spawn_key=(p,)) is exactly
+    SeedSequence(seed).spawn(n_paths)[p], built here for the block alone."""
     use_noise = bool(np.any(sigma > 0))
     use_mask = model.net.dropout_rate > 0.0
-    streams = [np.random.default_rng(s) for s in children[lo:hi]]
+    streams = [
+        np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(p,)))
+        for p in range(lo, hi)
+    ]
     n = hi - lo
     windows = np.repeat(history.values[None, -(model.lookback + 1) :], n, axis=0)
     uniforms = np.empty((n, model.lookback, model.net.hidden[0]))

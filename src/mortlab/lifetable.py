@@ -17,8 +17,11 @@ import numpy as np
 from .errors import DimensionError, DomainError
 from .lilee import LiLeeParams
 
-# rate curves per block in e0_paths: a (block, ages) matrix of ~1.5 MB
-E0_BLOCK = 2048
+# rate curves per block in e0_paths: a (block, ages) matrix under 128 KiB,
+# glibc's initial mmap threshold, so its temporaries reuse heap memory.  At
+# 2048 every block faulted in fresh pages (e0_paths 50-90% slower) unless
+# an earlier, larger free had raised the threshold.
+E0_BLOCK = 128
 
 
 @dataclass(frozen=True)

@@ -297,9 +297,9 @@ def _infer(params: NetworkParams, X: np.ndarray, mask: np.ndarray | None, produc
 
 
 def dropout_mask(params: NetworkParams, u: np.ndarray) -> np.ndarray:
-    """Inverted-dropout mask from uniform draws u in [0, 1)."""
+    """Inverted-dropout mask from uniform draws u in [0, 1), written over u."""
     keep = 1.0 - params.dropout_rate
-    return (u < keep) / keep
+    return np.divide(u < keep, keep, out=u)
 
 
 def draw_mask(
@@ -325,9 +325,10 @@ def forward(
     Deterministic without `rng`/`mask`; passing an rng draws a seeded
     dropout mask, so a fixed seed reproduces the same prediction.  Each row
     of a stack gives the same bits as that window run alone, because every
-    product is taken row by row; the stochastic ensemble relies on this.
+    product is taken row by row on a C-order copy (a strided row may take
+    another BLAS path); the stochastic ensemble relies on this.
     """
-    x = np.asarray(x, dtype=float)
+    x = np.ascontiguousarray(x, dtype=float)
     single = x.ndim == 2
     X = x[None] if single else x
     if X.ndim != 3 or X.shape[2] != params.input_dim:

@@ -189,13 +189,16 @@ class TestDeterminism:
         copy = shutil.copytree(root, tmp_path / "copy")
         (copy / "run" / "ensemble.npy").unlink()
         monkeypatch.setattr(forecast, "_block_count", lambda n_paths: 3)
+        monkeypatch.setattr(forecast.os, "sched_getaffinity", lambda pid: {0, 1},
+                            raising=False)
         assert main(["forecast", "--config", str(copy / "config.json"), "--quiet"]) == 0
         for name in ("ensemble.npy", "forecast_manifest.json", "e0_summary.csv",
                      "fan_factors.csv"):
             assert (copy / "run" / name).read_bytes() == (root / "run" / name).read_bytes()
-        for run, blocks in ((root, 1), (copy, 3)):  # 120 paths stay on one block
-            manifest = json.loads((run / "run" / "manifest.json").read_text())
-            assert manifest["stages"]["forecast"]["path_blocks"] == blocks
+        # 120 paths stay on one block; 3 blocks on 2 cores get 2 workers
+        for run, blocks, workers in ((root, 1, 1), (copy, 3, 2)):
+            stage = json.loads((run / "run" / "manifest.json").read_text())["stages"]["forecast"]
+            assert (stage["path_blocks"], stage["path_workers"]) == (blocks, workers)
 
 
 class TestAblate:

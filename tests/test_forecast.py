@@ -2,6 +2,7 @@ import dataclasses
 import json
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -111,6 +112,34 @@ class TestDeterministic:
         history = make_panel(np.random.default_rng(6).standard_normal((5, 3)))
         with pytest.raises(InsufficientHistoryError):
             forecast_deterministic(model, history, horizon=2)
+
+
+class TestLayout:
+    def test_row_bits_do_not_depend_on_the_callers_memory_layout(self):
+        # a Fortran-order stack, or F-strided single windows, must give the
+        # bits of the C-order stack through forward and through _advance
+        # (with 7 inputs a strided row can take another product path)
+        rng = np.random.default_rng(0)
+        n_features, need = 7, 11
+        net = init_params(n_features, hidden=(32, 16), output_dim=n_features,
+                          dropout_rate=0.2, seed=1)
+        scaler = ScalerParams(mean=0.1 * rng.standard_normal(n_features),
+                              sd=rng.uniform(0.5, 2.0, n_features), train_end_year=2005)
+        model = ForecastModel(net=net, scaler=scaler, mbc=0.01 * rng.standard_normal(n_features),
+                              lookback=need - 1)
+        values = np.cumsum(rng.standard_normal((60, n_features)), axis=0)
+        ends = range(need, values.shape[0] + 1)
+        stack = np.stack([values[t - need : t] for t in ends])
+        want = forecast._advance(model, stack, mask=None)
+        got = forecast._advance(model, np.asfortranarray(stack), mask=None)
+        assert got.tobytes() == want.tobytes()
+        f_values = np.asfortranarray(values)
+        single = [forecast._advance(model, f_values[t - need : t][None], mask=None) for t in ends]
+        assert np.concatenate(single).tobytes() == want.tobytes()
+        x = (np.diff(stack, axis=1) - scaler.mean) / scaler.sd
+        want_fwd = forward(net, x)
+        assert forward(net, np.asfortranarray(x)).tobytes() == want_fwd.tobytes()
+        assert forward(net, np.asfortranarray(x[3])).tobytes() == want_fwd[3].tobytes()
 
 
 def per_path_oracle(model, history, horizon, n_paths, sigma, seed):
@@ -289,7 +318,7 @@ class TestBlocks:
     def test_small_ensemble_runs_on_the_calling_thread(self, monkeypatch):
         monkeypatch.setattr(forecast.os, "sched_getaffinity", lambda pid: set(range(64)),
                             raising=False)
-        n_paths = 2 * forecast.MIN_BLOCK - 1
+        n_paths = forecast.BLOCK
         assert forecast._block_count(n_paths) == 1
         assert forecast._block_count(n_paths + 1) == 2
         threads = []
@@ -307,6 +336,29 @@ class TestBlocks:
         )
         assert ens.blocks == 1
         assert threads == [threading.get_ident()]
+
+    def test_transient_memory_does_not_grow_with_n_paths(self, monkeypatch):
+        # with 2 workers at most 2 blocks are alive at once, whatever n_paths
+        monkeypatch.setattr(forecast.os, "sched_getaffinity", lambda pid: {0, 1},
+                            raising=False)
+        model = zero_model(n_features=2, lookback=3, dropout=0.2)
+        history = make_panel(np.random.default_rng(5).standard_normal((6, 2)))
+
+        def transient(n_paths):
+            tracemalloc.start()
+            try:
+                ens = forecast_stochastic(
+                    model, history, horizon=2, n_paths=n_paths, sigma=np.ones(2), seed=3
+                )
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert ens.workers == 2
+            return peak - ens.levels.nbytes
+
+        small = transient(4 * forecast.BLOCK)
+        large = transient(16 * forecast.BLOCK)
+        assert large <= 1.25 * small, (small, large)
 
 
 class TestQuantiles:
