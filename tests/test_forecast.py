@@ -267,7 +267,10 @@ class TestBlocks:
     def test_any_block_count_gives_the_same_bytes(
         self, trained_model, fitted_panel, monkeypatch
     ):
-        # uneven blocks, and (on small hosts) more workers than cores
+        # uneven blocks, more blocks than workers (7 on 4) and, on hosts with
+        # fewer than 4 cores, more workers than cores
+        monkeypatch.setattr(forecast.os, "sched_getaffinity", lambda pid: set(range(4)),
+                            raising=False)
         model = trained_model[0]
         _, panel = fitted_panel
         sigma = historical_diff_sd(panel)
@@ -280,7 +283,7 @@ class TestBlocks:
                 ens = forecast_stochastic(
                     model, panel, horizon=5, n_paths=301, sigma=sigma, seed=4
                 )
-                assert ens.blocks == blocks
+                assert (ens.blocks, ens.workers) == (blocks, min(4, blocks))
                 runs[blocks] = ens.levels.tobytes()
         finally:
             sys.setswitchinterval(interval)
