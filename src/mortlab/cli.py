@@ -1,12 +1,16 @@
 """Command-line pipeline: synth, fit, train, forecast, validate, explain,
 stress, ablate.
 
-Every run is driven by one JSON config.  The config's SHA-256 hash (minus
-the output directory) is stamped into every CSV and JSON artifact; stages
-refuse to mix artifacts from different hashes.  The binary ensemble
-(`ensemble.npy`, little-endian float64, paths x (horizon + 1) x factors,
-origin row included) is bound to the run by the SHA-256 of its bytes in
-the hash-stamped forecast_manifest.json; stress refuses it unless bytes,
+Every run is driven by one JSON config.  Its hash (SHA-256, minus the
+output directory) is stamped into every CSV artifact, the stage JSON
+documents and manifest.json; a stage refuses an output directory whose
+manifest carries another hash.  One rule binds every artifact to the run:
+`RunContext.write` is the only writer and records the SHA-256 of each file
+in manifest.json under the stage that wrote it, and `RunContext.load` is
+the only reader and refuses a file that is missing, whose bytes differ
+from that checksum, or that does not parse into a complete, valid object.
+The binary ensemble (`ensemble.npy`, little-endian float64, paths x
+(horizon + 1) x factors, origin row included) is also refused unless its
 header, shape and origin row are exactly what forecast wrote.  All
 randomness flows from the single config seed through named substreams, so
 reruns, the ensemble's bytes included, are bit-reproducible.
@@ -33,8 +37,8 @@ from pathlib import Path
 import numpy as np
 
 from . import benchmark, explain, lifetable, risk, stationarity
-from .data import read_cluster_csv, synthesize_cluster, synthetic_truth, write_cluster_csv
-from .data import ClusterDataset, build_surface, parse_hmd_file
+from .data import CLUSTER_COLUMNS, cluster_rows, read_cluster_csv, synthesize_cluster
+from .data import ClusterDataset, build_surface, parse_hmd_file, synthetic_truth
 from .errors import (
     ConfigError,
     DataGapError,
@@ -55,17 +59,17 @@ from .errors import (
     TrainingError,
 )
 from .forecast import (
+    dump_forecaster,
     ensemble_quantiles,
     fit_forecaster,
     forecast_stochastic,
-    forecaster_from_doc,
     historical_diff_sd,
-    save_forecaster,
+    parse_forecaster,
     ForecastEnsemble,
     HybridConfig,
 )
-from .lilee import FactorPanel, fit_lilee, load_params, save_params
-from .lstm import TrainConfig, load_network
+from .lilee import FactorPanel, dump_params, fit_lilee, parse_params
+from .lstm import TrainConfig, dump_network, parse_network
 from .windows import prepare_windows
 
 log = logging.getLogger("mortlab")
@@ -120,8 +124,14 @@ _DEFAULTS = {
 }
 
 
+MANIFEST = "manifest.json"
+
+
 class RunContext:
-    """Resolved configuration plus artifact bookkeeping for one run."""
+    """Resolved configuration plus the run directory's one writer and one
+    reader: every file a stage writes goes through `write`, which records
+    its SHA-256 for `manifest.json`, and every file a stage reads goes
+    through `load`, which refuses bytes other than the recorded ones."""
 
     def __init__(self, cfg: dict, config_dir: Path):
         if "seed" not in cfg or not isinstance(cfg["seed"], int):
@@ -136,6 +146,16 @@ class RunContext:
         out_path = Path(out)
         self.out_dir = out_path if out_path.is_absolute() else config_dir / out_path
         self.out_dir.mkdir(parents=True, exist_ok=True)
+        self.manifest = {"config_hash": self.hash, "stages": {}}
+        if self.path(MANIFEST).exists():
+            doc = self.load(MANIFEST, _json_object)
+            if doc.get("config_hash") != self.hash:
+                raise StageError(
+                    f"output directory {self.out_dir} holds artifacts for config "
+                    f"{doc.get('config_hash')}, current config is {self.hash}; refusing to mix"
+                )
+            self.manifest = doc
+        self.written: dict[str, str] = {}  # name -> SHA-256 of this stage's files
 
     @property
     def seed(self) -> int:
@@ -148,89 +168,93 @@ class RunContext:
         p = Path(rel)
         return p if p.is_absolute() else self.config_dir / p
 
-    # -- manifest -----------------------------------------------------------
-    def check_manifest(self):
-        mpath = self.path("manifest.json")
-        if mpath.exists():
-            doc = _parse_artifact("manifest.json", _json_object, mpath.read_text())
-            if doc.get("config_hash") != self.hash:
-                raise StageError(
-                    f"output directory {self.out_dir} holds artifacts for config "
-                    f"{doc.get('config_hash')}, current config is {self.hash}; refusing to mix"
-                )
-            return doc
-        return {"config_hash": self.hash, "stages": {}}
-
-    def record_stage(self, manifest: dict, stage: str, files: list[str], **facts):
-        manifest["stages"][stage] = {
+    def record_stage(self, stage: str, **facts):
+        """Record the stage in manifest.json with the checksums of the files
+        it wrote."""
+        self.manifest["stages"][stage] = {
             "completed": datetime.now(timezone.utc).isoformat(timespec="seconds"),
-            "files": files,
+            "files": self.written,
             **facts,
         }
-        self.path("manifest.json").write_text(json.dumps(manifest, indent=2))
-
-    def require_stage(self, manifest: dict, *stages: str):
-        for stage in stages:
-            if stage not in manifest["stages"]:
-                raise StageError(f"stage '{stage}' has not been run for this config; run it first")
+        self.path(MANIFEST).write_text(json.dumps(self.manifest, indent=2))
 
     # -- artifact io ---------------------------------------------------------
-    def write_csv(self, name: str, header: list[str], rows):
-        path = self.path(name)
-        with path.open("w", newline="") as fh:
-            fh.write(f"# config_hash={self.hash}\n")
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            writer.writerows(rows)
-        return name
+    def write(self, name: str, *chunks) -> str:
+        """Write the chunks (text is UTF-8 encoded) as file `name` and return
+        the SHA-256 of the bytes written, which record_stage will record."""
+        digest = hashlib.sha256()
+        with self.path(name).open("wb") as fh:
+            for chunk in chunks:
+                if isinstance(chunk, str):
+                    chunk = chunk.encode()
+                fh.write(chunk)
+                digest.update(chunk)
+        self.written[name] = digest.hexdigest()
+        return self.written[name]
+
+    def write_csv(self, name: str, header, rows):
+        buf = io.StringIO()
+        buf.write(f"# config_hash={self.hash}\n")
+        writer = csv.writer(buf)
+        writer.writerow(header)
+        writer.writerows(rows)
+        self.write(name, buf.getvalue())
 
     def write_json(self, name: str, doc: dict):
-        doc = {"config_hash": self.hash, **doc}
-        self.path(name).write_text(json.dumps(doc, indent=2))
-        return name
+        self.write(name, json.dumps({"config_hash": self.hash, **doc}, indent=2))
 
-    def read_json(self, name: str) -> dict:
-        doc = _parse_artifact(name, _json_object, self._read_text(name))
-        self._check_origin(name, doc.get("config_hash"))
-        return doc
-
-    def read_csv(self, name: str) -> list[dict]:
-        """The rows of a CSV artifact whose `# config_hash=` line is this run's."""
-        stamp, _, body = self._read_text(name).partition("\n")
-        self._check_origin(name, stamp.removeprefix("# config_hash="))
-        return list(csv.DictReader(io.StringIO(body)))
-
-    def _read_text(self, name: str) -> str:
+    def load(self, name: str, parse):
+        """`parse(data)` of the bytes of file `name`, read once.  Missing
+        bytes, or bytes whose SHA-256 is not the one manifest.json records
+        for them, and bytes that do not parse into a complete, valid object
+        are refused (exit 3).  manifest.json itself is bound to the run by
+        its config_hash instead."""
         path = self.path(name)
-        if not path.exists():
-            raise StageError(f"missing artifact {name}; run the producing stage first")
-        return path.read_text()
-
-    def _check_origin(self, name: str, found) -> None:
-        if found != self.hash:
+        if name == MANIFEST:
+            data = path.read_bytes()
+        else:
+            stage, want = self._recorded(name)
+            data = path.read_bytes() if path.is_file() else None
+            if data is None or hashlib.sha256(data).hexdigest() != want:
+                raise StageError(
+                    f"artifact {name} is missing or does not match its checksum in "
+                    f"{MANIFEST}; rerun {stage}"
+                )
+        try:
+            return parse(data)
+        except (ValueError, KeyError, TypeError, AttributeError, EOFError,
+                DimensionError, ScalingError) as exc:
             raise StageError(
-                f"artifact {name} was produced under config {found}, "
-                f"current is {self.hash}; refusing to mix"
-            )
+                f"artifact {name} does not parse: {type(exc).__name__}: {exc}"
+            ) from exc
+
+    def _recorded(self, name: str) -> tuple[str, str]:
+        """The stage that wrote `name` and the SHA-256 it recorded."""
+        for stage, record in self.manifest["stages"].items():
+            files = record.get("files", {})
+            if name not in files:
+                continue
+            if not isinstance(files, dict):
+                raise StageError(
+                    f"{MANIFEST} lists artifact {name} without its checksum, in the "
+                    f"format of an older version; rerun {stage}"
+                )
+            return stage, files[name]
+        raise StageError(f"artifact {name} is not recorded in {MANIFEST}; run the stage "
+                         "that writes it first")
 
 
-def _parse_artifact(name: str, load, *args):
-    """`load(*args)`; an artifact that does not parse, or parses into an
-    incomplete, mistyped, foreign or invalid document, is refused (exit 3)."""
-    try:
-        return load(*args)
-    except (ValueError, KeyError, TypeError, AttributeError, DimensionError, ScalingError) as exc:
-        raise StageError(f"artifact {name} does not parse: {type(exc).__name__}: {exc}") from exc
-
-
-def _json_object(text: str) -> dict:
-    doc = json.loads(text)
+def _json_object(data: bytes) -> dict:
+    doc = json.loads(data)
     if not isinstance(doc, dict):
         raise TypeError(f"expected a JSON object, not {type(doc).__name__}")
     return doc
 
 
-def _observed_e0(rows: list[dict], countries) -> dict[str, float]:
+def _observed_e0(data: bytes, countries) -> dict[str, float]:
+    """observed_e0.csv's e0 for each of `countries`."""
+    body = data.decode().partition("\n")[2]  # after the config_hash line
+    rows = csv.DictReader(io.StringIO(body))
     observed = {row["country"]: float(row["e0_observed"]) for row in rows}
     return {code: observed[code] for code in countries}
 
@@ -310,12 +334,10 @@ def _focus_country(ctx: RunContext, countries) -> str:
     return focus
 
 
-def _load_model_panel(ctx: RunContext, manifest: dict):
-    ctx.require_stage(manifest, "fit", "train")
-    doc = ctx.read_json("model.json")  # parsed once, hash checked
-    params = _parse_artifact("params.json", load_params, ctx.path("params.json"))
-    net = _parse_artifact("network.json", load_network, ctx.path("network.json"))
-    model = _parse_artifact("model.json", forecaster_from_doc, doc, net)
+def _load_model_panel(ctx: RunContext):
+    params = ctx.load("params.json", parse_params)
+    net = ctx.load("network.json", parse_network)
+    model = ctx.load("model.json", lambda data: parse_forecaster(data, net))
     return params, model, FactorPanel.from_params(params)
 
 
@@ -341,7 +363,6 @@ def _hybrid_config(ctx: RunContext, stream: str) -> HybridConfig:
 
 def cmd_synth(args) -> int:
     ctx = load_context(args)
-    manifest = ctx.check_manifest()
     synth = ctx.cfg["synth"]
     regime = synth.get("regime", "unit_root")
     if regime not in SYNTH_REGIMES:
@@ -356,29 +377,25 @@ def cmd_synth(args) -> int:
     cluster = synthesize_cluster(truth, noise_sd=float(synth.get("noise_sd", 0.01)), seed=seed + 1)
     target = ctx.data_path(ctx.cfg.get("data", {}).get("cluster_csv", "data/cluster.csv"))
     target.parent.mkdir(parents=True, exist_ok=True)
-    write_cluster_csv(cluster, target, header_lines=(f"config_hash={ctx.hash}",))
-    save_params(truth, ctx.path("truth_params.json"))
-    ctx.record_stage(manifest, "synth", [str(target), "truth_params.json"])
+    # outside the run directory, the data CSV is recorded by its absolute path
+    ctx.write_csv(str(target), CLUSTER_COLUMNS, cluster_rows(cluster))
+    ctx.write("truth_params.json", dump_params(truth))
+    ctx.record_stage("synth")
     log.info("synth: wrote %s (%d countries, regime %s)", target, len(cluster.surfaces), regime)
     return 0
 
 
 def cmd_fit(args) -> int:
     ctx = load_context(args)
-    manifest = ctx.check_manifest()
     dataset = load_dataset(ctx)
     params, _resid = fit_lilee(dataset)
-    save_params(params, ctx.path("params.json"))
-    # params.json has no hash field of its own; bind it through the manifest
-    files = ["params.json"]
+    ctx.write("params.json", dump_params(params))
 
     panel = FactorPanel.from_params(params)
-    files.append(
-        ctx.write_csv(
-            "factors.csv",
-            ["year", *panel.labels],
-            [[int(y), *map(float, row)] for y, row in zip(panel.years, panel.values)],
-        )
+    ctx.write_csv(
+        "factors.csv",
+        ["year", *panel.labels],
+        [[int(y), *map(float, row)] for y, row in zip(panel.years, panel.values)],
     )
 
     rows = []
@@ -388,20 +405,18 @@ def cmd_fit(args) -> int:
             [code, f"{rep.adf_stat:.4f}", f"{rep.adf_p:.4f}",
              f"{rep.kpss_stat:.4f}", f"{rep.kpss_p:.4f}", rep.verdict]
         )
-    files.append(
-        ctx.write_csv(
-            "stationarity.csv",
-            ["country", "adf_stat", "adf_p", "kpss_stat", "kpss_p", "verdict"],
-            rows,
-        )
+    ctx.write_csv(
+        "stationarity.csv",
+        ["country", "adf_stat", "adf_p", "kpss_stat", "kpss_p", "verdict"],
+        rows,
     )
 
     obs_rows = [
         [s.country, int(s.years[-1]), f"{lifetable.life_table(s.m[:, -1]).e0:.4f}"]
         for s in dataset.surfaces
     ]
-    files.append(ctx.write_csv("observed_e0.csv", ["country", "year", "e0_observed"], obs_rows))
-    ctx.record_stage(manifest, "fit", files)
+    ctx.write_csv("observed_e0.csv", ["country", "year", "e0_observed"], obs_rows)
+    ctx.record_stage("fit")
     log.info("fit: %d countries, years %s..%s", len(params.countries),
              params.years[0], params.years[-1])
     return 0
@@ -409,29 +424,23 @@ def cmd_fit(args) -> int:
 
 def cmd_train(args) -> int:
     ctx = load_context(args)
-    manifest = ctx.check_manifest()
-    ctx.require_stage(manifest, "fit")
-    params = _parse_artifact("params.json", load_params, ctx.path("params.json"))
+    params = ctx.load("params.json", parse_params)
     panel = FactorPanel.from_params(params)
     model, trace, _windows, (train_idx, val_idx) = fit_forecaster(
         panel, int(ctx.cfg["split_year"]), _hybrid_config(ctx, "train")
     )
-    # the config hash leads the bundle, for mix detection
-    save_forecaster(
-        model, ctx.path("model.json"), ctx.path("network.json"), config_hash=ctx.hash
+    # the config hash leads the bundle
+    ctx.write("model.json", dump_forecaster(model, "network.json", config_hash=ctx.hash))
+    ctx.write("network.json", dump_network(model.net))
+    ctx.write_csv(
+        "training_trace.csv",
+        ["epoch", "train_mse", "val_mse"],
+        [
+            [e + 1, f"{tr:.8f}", f"{va:.8f}"]
+            for e, (tr, va) in enumerate(zip(trace.train_mse, trace.val_mse))
+        ],
     )
-    files = ["model.json", "network.json"]
-    files.append(
-        ctx.write_csv(
-            "training_trace.csv",
-            ["epoch", "train_mse", "val_mse"],
-            [
-                [e + 1, f"{tr:.8f}", f"{va:.8f}"]
-                for e, (tr, va) in enumerate(zip(trace.train_mse, trace.val_mse))
-            ],
-        )
-    )
-    ctx.record_stage(manifest, "train", files)
+    ctx.record_stage("train")
     log.info(
         "train: %d epochs (best %d, val MSE %.5f), %d train / %d val windows",
         trace.epochs_run, trace.best_epoch, trace.best_val_mse,
@@ -447,58 +456,38 @@ ENSEMBLE_DTYPE = np.dtype("<f8")
 
 def _write_ensemble(ctx: RunContext, ens: ForecastEnsemble) -> str:
     """Save the levels, origin row included, as a version 1.0 .npy file
-    (np.save's bytes) and return the SHA-256 of the bytes written.  The
-    payload goes to the file and the hash straight from the array's
-    buffer; nothing stamps a time, so reruns give the same bytes."""
+    (np.save's bytes) and return their SHA-256.  The payload is written
+    and hashed straight from the array's buffer; nothing stamps a time, so
+    reruns give the same bytes."""
     levels = np.ascontiguousarray(ens.levels, dtype=ENSEMBLE_DTYPE)
     header = io.BytesIO()
     np.lib.format.write_array_header_1_0(header, np.lib.format.header_data_from_array_1_0(levels))
-    digest = hashlib.sha256()
-    with ctx.path(ENSEMBLE).open("wb") as fh:
-        for chunk in (header.getbuffer(), memoryview(levels).cast("B")):
-            fh.write(chunk)
-            digest.update(chunk)
-    return digest.hexdigest()
+    return ctx.write(ENSEMBLE, header.getbuffer(), memoryview(levels).cast("B"))
 
 
-def _read_ensemble(ctx: RunContext, panel: FactorPanel, fdoc: dict) -> ForecastEnsemble:
-    """Load the ensemble written by forecast.  The file is read once and
-    refused (StageError) unless its SHA-256 is the one forecast_manifest.json
-    records, its header is exactly the one forecast writes with the
-    manifest's shape, its payload is complete and its row 0 is the panel's
-    last year on every path."""
-    path = ctx.path(ENSEMBLE)
-    if not path.is_file():
-        raise StageError(f"missing artifact {ENSEMBLE}; run forecast first")
-    data = path.read_bytes()
-    if hashlib.sha256(data).hexdigest() != fdoc.get("ensemble_sha256"):
-        raise StageError(
-            f"{ENSEMBLE} does not match the checksum in forecast_manifest.json; "
-            "refusing a corrupted or foreign ensemble"
-        )
+def _parse_ensemble(data: bytes, panel: FactorPanel, fdoc: dict) -> ForecastEnsemble:
+    """The ensemble in the .npy bytes forecast wrote, refused unless their
+    header is exactly the one forecast writes with forecast_manifest.json's
+    shape, their payload is complete and their row 0 is the panel's last
+    year on every path."""
     shape = (int(fdoc["n_paths"]), int(fdoc["horizon"]) + 1, panel.n_factors)
     buf = io.BytesIO(data)
-    try:
-        if np.lib.format.read_magic(buf) != (1, 0):
-            raise ValueError("not a version 1.0 .npy file")
-        header = np.lib.format.read_array_header_1_0(buf)
-        if header != (shape, False, ENSEMBLE_DTYPE):
-            raise ValueError(
-                f"header (shape, fortran_order, dtype) = {header}, "
-                f"expected {(shape, False, ENSEMBLE_DTYPE)}"
-            )
-        payload = len(data) - buf.tell()
-        if payload != math.prod(shape) * ENSEMBLE_DTYPE.itemsize:
-            raise ValueError(f"payload is {payload} bytes, not {shape} doubles")
-        # a read-only view of the bytes already read, not a second copy
-        levels = np.frombuffer(data, ENSEMBLE_DTYPE, offset=buf.tell()).reshape(shape)
-    except (ValueError, EOFError) as exc:
-        raise StageError(f"{ENSEMBLE} is unreadable or misshapen: {exc}") from exc
+    if np.lib.format.read_magic(buf) != (1, 0):
+        raise ValueError("not a version 1.0 .npy file")
+    header = np.lib.format.read_array_header_1_0(buf)
+    if header != (shape, False, ENSEMBLE_DTYPE):
+        raise ValueError(
+            f"header (shape, fortran_order, dtype) = {header}, "
+            f"expected {(shape, False, ENSEMBLE_DTYPE)}"
+        )
+    payload = len(data) - buf.tell()
+    if payload != math.prod(shape) * ENSEMBLE_DTYPE.itemsize:
+        raise ValueError(f"payload is {payload} bytes, not {shape} doubles")
+    # a read-only view of the bytes already read, not a second copy
+    levels = np.frombuffer(data, ENSEMBLE_DTYPE, offset=buf.tell()).reshape(shape)
     origin_year = int(fdoc["origin_year"])
     if origin_year != int(panel.years[-1]) or np.any(levels[:, 0, :] != panel.values[-1]):
-        raise StageError(
-            f"{ENSEMBLE} does not start from the panel's last year {int(panel.years[-1])}"
-        )
+        raise ValueError(f"it does not start from the panel's last year {int(panel.years[-1])}")
     return ForecastEnsemble(
         levels=levels,
         years=origin_year + np.arange(shape[1]),
@@ -510,8 +499,7 @@ def _read_ensemble(ctx: RunContext, panel: FactorPanel, fdoc: dict) -> ForecastE
 
 def cmd_forecast(args) -> int:
     ctx = load_context(args)
-    manifest = ctx.check_manifest()
-    params, model, panel = _load_model_panel(ctx, manifest)
+    params, model, panel = _load_model_panel(ctx)
     fc = ctx.cfg["forecast"]
     horizon = int(fc["horizon"])
     n_paths = int(fc["n_paths"])
@@ -523,20 +511,17 @@ def cmd_forecast(args) -> int:
         model, panel, horizon, n_paths=n_paths, sigma=sigma, seed=seed
     )
     checksum = _write_ensemble(ctx, ens)
-    files = [ENSEMBLE]
-    files.append(
-        ctx.write_json(
-            "forecast_manifest.json",
-            {
-                "seed": seed,
-                "n_paths": n_paths,
-                "horizon": horizon,
-                "origin_year": int(panel.years[-1]),
-                "sigma": sigma.tolist(),
-                "quantiles": list(quantiles),
-                "ensemble_sha256": checksum,
-            },
-        )
+    ctx.write_json(
+        "forecast_manifest.json",
+        {
+            "seed": seed,
+            "n_paths": n_paths,
+            "horizon": horizon,
+            "origin_year": int(panel.years[-1]),
+            "sigma": sigma.tolist(),
+            "quantiles": list(quantiles),
+            "ensemble_sha256": checksum,
+        },
     )
 
     bands = ensemble_quantiles(ens, quantiles)
@@ -545,11 +530,9 @@ def cmd_forecast(args) -> int:
         for qi, q in enumerate(quantiles):
             for h in range(ens.levels.shape[1]):
                 fan_rows.append([lab, int(ens.years[h]), q, repr(float(bands[qi, h, j]))])
-    files.append(ctx.write_csv("fan_factors.csv", ["factor", "year", "quantile", "value"], fan_rows))
+    ctx.write_csv("fan_factors.csv", ["factor", "year", "quantile", "value"], fan_rows)
 
-    observed = _parse_artifact(
-        "observed_e0.csv", _observed_e0, ctx.read_csv("observed_e0.csv"), params.countries
-    )
+    observed = ctx.load("observed_e0.csv", lambda data: _observed_e0(data, params.countries))
 
     # only the focus country's fan chart needs every horizon
     focus = _focus_country(ctx, params.countries)
@@ -575,13 +558,11 @@ def cmd_forecast(args) -> int:
                 f"{mean_term - origin_model:.4f}",
             ]
         )
-    files.append(
-        ctx.write_csv(
-            "e0_summary.csv",
-            ["country", "e0_origin_model", "e0_origin_observed",
-             "e0_terminal_mean", "ci_2.5", "ci_97.5", "net_gain"],
-            summary_rows,
-        )
+    ctx.write_csv(
+        "e0_summary.csv",
+        ["country", "e0_origin_model", "e0_origin_observed",
+         "e0_terminal_mean", "ci_2.5", "ci_97.5", "net_gain"],
+        summary_rows,
     )
 
     bands_e0 = risk.sorted_quantiles(np.sort(focus_paths, axis=0), quantiles)
@@ -590,18 +571,16 @@ def cmd_forecast(args) -> int:
         for qi, q in enumerate(quantiles)
         for h in range(focus_paths.shape[1])
     ]
-    files.append(ctx.write_csv(f"fan_e0_{focus}.csv", ["year", "quantile", "e0"], fan_e0_rows))
+    ctx.write_csv(f"fan_e0_{focus}.csv", ["year", "quantile", "e0"], fan_e0_rows)
 
-    ctx.record_stage(manifest, "forecast", files, path_blocks=ens.blocks,
-                     path_workers=ens.workers)
+    ctx.record_stage("forecast", path_blocks=ens.blocks, path_workers=ens.workers)
     log.info("forecast: %d paths x %d years, %d factors", n_paths, horizon, panel.n_factors)
     return 0
 
 
 def cmd_validate(args) -> int:
     ctx = load_context(args)
-    manifest = ctx.check_manifest()
-    params, model, panel = _load_model_panel(ctx, manifest)
+    params, model, panel = _load_model_panel(ctx)
     vc = ctx.cfg["validate"]
     rows = benchmark.validate(
         panel,
@@ -610,18 +589,16 @@ def cmd_validate(args) -> int:
         rmse_target=vc["rmse_target"],
         mode=vc["mode"],
     )
-    files = [
-        ctx.write_csv(
-            "benchmark.csv",
-            ["country", "rmse_lilee", "rmse_hybrid", "improvement_pct"],
-            [
-                [r.country, f"{r.rmse_lilee:.6f}", f"{r.rmse_hybrid:.6f}",
-                 f"{r.improvement_pct:.3f}"]
-                for r in rows
-            ],
-        )
-    ]
-    ctx.record_stage(manifest, "validate", files)
+    ctx.write_csv(
+        "benchmark.csv",
+        ["country", "rmse_lilee", "rmse_hybrid", "improvement_pct"],
+        [
+            [r.country, f"{r.rmse_lilee:.6f}", f"{r.rmse_hybrid:.6f}",
+             f"{r.improvement_pct:.3f}"]
+            for r in rows
+        ],
+    )
+    ctx.record_stage("validate")
     for r in rows:
         log.info("validate: %-6s lilee %.4f hybrid %.4f (%+.2f%%)",
                  r.country, r.rmse_lilee, r.rmse_hybrid, r.improvement_pct)
@@ -630,20 +607,17 @@ def cmd_validate(args) -> int:
 
 def cmd_explain(args) -> int:
     ctx = load_context(args)
-    manifest = ctx.check_manifest()
-    params, model, panel = _load_model_panel(ctx, manifest)
+    params, model, panel = _load_model_panel(ctx)
     _, windows, (train_idx, val_idx) = prepare_windows(
         panel, int(ctx.cfg["split_year"]), model.lookback, model.scaler
     )
 
     prof = explain.temporal_saliency(model.net, windows.X[val_idx], output_index=0)
-    files = [
-        ctx.write_csv(
-            "saliency.csv",
-            ["lag", "importance_pct"],
-            [[f"t-{model.lookback - i}", f"{v:.4f}"] for i, v in enumerate(prof)],
-        )
-    ]
+    ctx.write_csv(
+        "saliency.csv",
+        ["lag", "importance_pct"],
+        [[f"t-{model.lookback - i}", f"{v:.4f}"] for i, v in enumerate(prof)],
+    )
 
     focus = _focus_country(ctx, params.countries)
     out_index = 1 + params.country_index(focus)
@@ -661,14 +635,12 @@ def cmd_explain(args) -> int:
         mode="sampled",
     )
     scores = explain.aggregate_country_influence(rep)
-    files.append(
-        ctx.write_csv(
-            "influence.csv",
-            ["factor", "score"],
-            [[lab, f"{s:.6f}"] for lab, s in zip(panel.labels, scores)],
-        )
+    ctx.write_csv(
+        "influence.csv",
+        ["factor", "score"],
+        [[lab, f"{s:.6f}"] for lab, s in zip(panel.labels, scores)],
     )
-    ctx.record_stage(manifest, "explain", files)
+    ctx.record_stage("explain")
     log.info("explain: saliency peak at %s, top influence %s",
              f"t-{model.lookback - int(np.argmax(prof))}",
              panel.labels[int(np.argmax(scores))])
@@ -677,11 +649,9 @@ def cmd_explain(args) -> int:
 
 def cmd_stress(args) -> int:
     ctx = load_context(args)
-    manifest = ctx.check_manifest()
-    params, model, panel = _load_model_panel(ctx, manifest)
-    ctx.require_stage(manifest, "forecast")
-    fdoc = ctx.read_json("forecast_manifest.json")
-    ens = _read_ensemble(ctx, panel, fdoc)
+    params, model, panel = _load_model_panel(ctx)
+    fdoc = ctx.load("forecast_manifest.json", _json_object)
+    ens = ctx.load(ENSEMBLE, lambda data: _parse_ensemble(data, panel, fdoc))
 
     risk_rows = []
     reports = {}
@@ -693,13 +663,11 @@ def cmd_stress(args) -> int:
             [code, f"{rep.mean_e0:.4f}", f"{rep.var_99_5:.4f}",
              f"{rep.es_99_0:.4f}", f"{rep.scr_es:.4f}"]
         )
-    files = [
-        ctx.write_csv(
-            "risk.csv",
-            ["country", "mean_e0", "var_99_5", "es_99_0", "scr_es"],
-            risk_rows,
-        )
-    ]
+    ctx.write_csv(
+        "risk.csv",
+        ["country", "mean_e0", "var_99_5", "es_99_0", "scr_es"],
+        risk_rows,
+    )
 
     focus = _focus_country(ctx, params.countries)
     rep = reports[focus]
@@ -711,23 +679,21 @@ def cmd_stress(args) -> int:
         rep.scr_es,
         shock_grid=tuple(ctx.cfg["stress"]["shock_grid"]),
     )
-    files.append(
-        ctx.write_json(
-            "stress.json",
-            {
-                "country": focus,
-                "mean_e0": rep.mean_e0,
-                "es_99_0": rep.es_99_0,
-                "scr_es": rep.scr_es,
-                "delta_star": stress_res.delta_star,
-                "sensitivity_years_per_unit": stress_res.sensitivity,
-                "sensitivity_cv": stress_res.sensitivity_cv,
-                "shock_grid": list(stress_res.shock_grid),
-                "e0_gains": list(stress_res.e0_gains),
-            },
-        )
+    ctx.write_json(
+        "stress.json",
+        {
+            "country": focus,
+            "mean_e0": rep.mean_e0,
+            "es_99_0": rep.es_99_0,
+            "scr_es": rep.scr_es,
+            "delta_star": stress_res.delta_star,
+            "sensitivity_years_per_unit": stress_res.sensitivity,
+            "sensitivity_cv": stress_res.sensitivity_cv,
+            "shock_grid": list(stress_res.shock_grid),
+            "e0_gains": list(stress_res.e0_gains),
+        },
     )
-    ctx.record_stage(manifest, "stress", files)
+    ctx.record_stage("stress")
     log.info("stress: %s SCR_ES %+.3f yrs, delta* %.1f%%",
              focus, rep.scr_es, 100 * stress_res.delta_star)
     return 0
@@ -735,40 +701,34 @@ def cmd_stress(args) -> int:
 
 def cmd_ablate(args) -> int:
     ctx = load_context(args)
-    manifest = ctx.check_manifest()
-    ctx.require_stage(manifest, "fit")
-    params = _parse_artifact("params.json", load_params, ctx.path("params.json"))
+    params = ctx.load("params.json", parse_params)
     panel = FactorPanel.from_params(params)
     cfg = _hybrid_config(ctx, "ablate")
     split_year = int(ctx.cfg["split_year"])
     baseline = fit_forecaster(panel, split_year, cfg)
     results = benchmark.ablate(panel, split_year, cfg, baseline=baseline)
-    files = [
-        ctx.write_csv(
-            "ablation.csv",
-            ["variant", "rmse_kt", "degradation_pct"],
-            [
-                [name, f"{res.rmse_kt:.6f}", f"{res.degradation_pct:.3f}"]
-                for name, res in results.items()
-            ],
-        )
-    ]
+    ctx.write_csv(
+        "ablation.csv",
+        ["variant", "rmse_kt", "degradation_pct"],
+        [
+            [name, f"{res.rmse_kt:.6f}", f"{res.degradation_pct:.3f}"]
+            for name, res in results.items()
+        ],
+    )
     sweep = benchmark.lookback_sweep(
         panel, split_year, cfg, lookbacks=tuple(ctx.cfg["ablate"]["lookbacks"]),
         baseline=baseline,
     )
-    files.append(
-        ctx.write_csv(
-            "lookback.csv",
-            ["lookback", "rmse_kt", "n_train", "n_val", "skipped", "note"],
-            [
-                [r.lookback, "" if r.rmse_kt is None else f"{r.rmse_kt:.6f}",
-                 r.n_train, r.n_val, int(r.skipped), r.note]
-                for r in sweep
-            ],
-        )
+    ctx.write_csv(
+        "lookback.csv",
+        ["lookback", "rmse_kt", "n_train", "n_val", "skipped", "note"],
+        [
+            [r.lookback, "" if r.rmse_kt is None else f"{r.rmse_kt:.6f}",
+             r.n_train, r.n_val, int(r.skipped), r.note]
+            for r in sweep
+        ],
     )
-    ctx.record_stage(manifest, "ablate", files)
+    ctx.record_stage("ablate")
     for name, res in results.items():
         log.info("ablate: %-15s rmse %.4f (%+.1f%%)", name, res.rmse_kt, res.degradation_pct)
     return 0

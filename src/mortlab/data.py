@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -28,6 +28,9 @@ from .lilee import LiLeeParams
 
 # Floor added inside the log transform so cells with zero deaths stay finite.
 EPS = 1e-10
+
+# Columns of the cluster CSV (`write_cluster_csv`, `read_cluster_csv`).
+CLUSTER_COLUMNS = ("country", "year", "age", "m")
 
 # Open age group token in the source files; parsed, then dropped by truncation.
 OPEN_AGE = 110
@@ -296,27 +299,18 @@ def synthetic_truth(
     age_max: int = 90,
     common_drift: float = -1.2,
     common_sigma: float = 0.35,
-    diff_momentum: float = 0.0,
-    drift_cycle: tuple[float, float] | None = None,
-    drift_break: tuple[int, float] | None = None,
     specific: str = "stationary",
     specific_phi: float = 0.6,
     specific_sigma: float = 0.25,
     specific_drift: float = 0.0,
-    specific_cycle: tuple[float, float] | None = None,
 ) -> LiLeeParams:
     """Build a plausible ground-truth parameter set for synthetic clusters.
 
-    The common index is a random walk with drift whose increments may carry
-    AR(1) momentum (`diff_momentum`), a slow (amplitude, period) improvement
-    cycle (`drift_cycle`, the "waves of progress" pattern: the drift itself
-    wanders, so levels hold a unit root with predictable local curvature),
-    and an optional mid-sample drift break.  Specific indices are "none"
-    (all zero, rank-1 data), "stationary" (zero-mean AR(1) with
+    The common index is a random walk with drift.  Specific indices are
+    "none" (all zero, rank-1 data), "stationary" (zero-mean AR(1) with
     `specific_phi`) or "unit_root" (random walks with alternating
-    per-country drifts, optionally carrying their own cycles).  All indices
-    are centered and loadings normalized to sum to one, matching the
-    fitting convention.
+    per-country drifts).  All indices are centered and loadings normalized
+    to sum to one, matching the fitting convention.
     """
     if specific not in ("none", "stationary", "unit_root"):
         raise ValueError(f"unknown specific regime {specific!r}")
@@ -336,18 +330,7 @@ def synthetic_truth(
     B = 1.25 - 0.5 * (ages / max(a - 1, 1))
     B = B / B.sum()
 
-    K = _cumulative_index(
-        t,
-        rng,
-        drift=common_drift,
-        sigma=common_sigma,
-        momentum=diff_momentum,
-        cycle=drift_cycle,
-        phase=rng.uniform(0.0, 2.0 * np.pi),
-        drift_break=(drift_break[0] - year_range[0], drift_break[1])
-        if drift_break
-        else None,
-    )
+    K = _cumulative_index(t, rng, drift=common_drift, sigma=common_sigma)
     K = K - K.mean()
 
     b = np.empty((n_countries, a))
@@ -367,15 +350,7 @@ def synthetic_truth(
         elif specific == "unit_root":
             sign = 1.0 if i % 2 == 0 else -1.0
             drift_i = sign * specific_drift * (1.0 + i / max(n_countries, 1))
-            series = _cumulative_index(
-                t,
-                rng,
-                drift=drift_i,
-                sigma=specific_sigma,
-                momentum=diff_momentum,
-                cycle=specific_cycle,
-                phase=rng.uniform(0.0, 2.0 * np.pi),
-            )
+            series = _cumulative_index(t, rng, drift=drift_i, sigma=specific_sigma)
             k[i] = series - series.mean()
 
     return LiLeeParams(
@@ -384,48 +359,34 @@ def synthetic_truth(
 
 
 def _cumulative_index(
-    t: int,
-    rng: np.random.Generator,
-    *,
-    drift: float,
-    sigma: float,
-    momentum: float = 0.0,
-    cycle: tuple[float, float] | None = None,
-    phase: float = 0.0,
-    drift_break: tuple[int, float] | None = None,
+    t: int, rng: np.random.Generator, *, drift: float, sigma: float
 ) -> np.ndarray:
-    """Integrated series whose increments are drift + (optional) slow cycle
-    + AR(1)-correlated noise."""
-    if not -1.0 < momentum < 1.0:
-        raise ValueError("momentum must lie in (-1, 1)")
-    innov_scale = sigma * np.sqrt(1.0 - momentum**2)
-    u = 0.0
-    levels = np.empty(t)
-    levels[0] = 0.0
+    """Random walk from 0 with drift and N(0, sigma^2) increments."""
+    # the phase of a drift cycle this generator no longer offers; drawing it
+    # still keeps every later draw, and so every synthetic cluster, bit-identical
+    rng.uniform(0.0, 2.0 * np.pi)
+    levels = np.zeros(t)
     for j in range(1, t):
-        d = drift
-        if drift_break is not None and j >= drift_break[0]:
-            d = drift_break[1]
-        if cycle is not None:
-            amp, period = cycle
-            d = d + amp * np.sin(2.0 * np.pi * j / period + phase)
-        u = momentum * u + rng.normal(0.0, innov_scale)
-        levels[j] = levels[j - 1] + d + u
+        levels[j] = levels[j - 1] + drift + rng.normal(0.0, sigma)
     return levels
 
 
 def write_cluster_csv(dataset: ClusterDataset, path: str | Path, header_lines: Sequence[str] = ()) -> None:
     """Serialize a cluster as CSV with columns country,year,age,m."""
-    path = Path(path)
-    with path.open("w", newline="") as fh:
+    with Path(path).open("w", newline="") as fh:
         for line in header_lines:
             fh.write(f"# {line}\n")
         writer = csv.writer(fh)
-        writer.writerow(["country", "year", "age", "m"])
-        for s in dataset.surfaces:
-            for ai, age in enumerate(s.ages):
-                for yi, year in enumerate(s.years):
-                    writer.writerow([s.country, int(year), int(age), repr(float(s.m[ai, yi]))])
+        writer.writerow(CLUSTER_COLUMNS)
+        writer.writerows(cluster_rows(dataset))
+
+
+def cluster_rows(dataset: ClusterDataset) -> Iterator[list]:
+    """The data rows of the cluster CSV, in `CLUSTER_COLUMNS` order."""
+    for s in dataset.surfaces:
+        for ai, age in enumerate(s.ages):
+            for yi, year in enumerate(s.years):
+                yield [s.country, int(year), int(age), repr(float(s.m[ai, yi]))]
 
 
 def read_cluster_csv(
@@ -447,7 +408,7 @@ def read_cluster_csv(
         rows = (line for line in fh if not line.startswith("#"))
         reader = csv.reader(rows)
         header = next(reader, None)
-        if header is None or [h.strip() for h in header] != ["country", "year", "age", "m"]:
+        if header is None or [h.strip() for h in header] != list(CLUSTER_COLUMNS):
             raise ParseError(f"{path}: expected header country,year,age,m")
         for line_no, row in enumerate(reader, start=2):
             if not row:

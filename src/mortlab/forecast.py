@@ -31,7 +31,6 @@ import json
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -45,7 +44,6 @@ from .lstm import (
     dropout_mask,
     forward,
     predict,
-    save_network,
     train,
 )
 from .risk import sorted_quantiles
@@ -301,17 +299,14 @@ def ensemble_quantiles(
     return sorted_quantiles(np.sort(ensemble.levels, axis=0), levels)
 
 
-def save_forecaster(
-    model: ForecastModel, path: str | Path, net_path: str | Path, **header
-) -> None:
-    """Persist the bundle: scaler, bias vector and a pointer to the network
-    weights file (written alongside).  `header` keys (the CLI's
-    config_hash) lead the bundle's JSON."""
-    save_network(model.net, net_path)
+def dump_forecaster(model: ForecastModel, network_file: str, **header) -> str:
+    """The model.json text of the bundle: scaler, bias vector and the name
+    of the network weights file (`lstm.dump_network`, written alongside).
+    `header` keys (the CLI's config_hash) lead the bundle's JSON."""
     doc = {
         **header,
         "schema": MODEL_SCHEMA,
-        "network_file": str(Path(net_path).name),
+        "network_file": network_file,
         "lookback": model.lookback,
         "mbc": model.mbc.tolist(),
         "scaler": {
@@ -320,12 +315,13 @@ def save_forecaster(
             "train_end_year": model.scaler.train_end_year,
         },
     }
-    Path(path).write_text(json.dumps(doc))
+    return json.dumps(doc)
 
 
-def forecaster_from_doc(doc: dict, net: NetworkParams) -> ForecastModel:
-    """The bundle from its parsed JSON and the network read from its
-    `network_file` (`lstm.load_network`)."""
+def parse_forecaster(text: str | bytes, net: NetworkParams) -> ForecastModel:
+    """The bundle of a model.json text (`dump_forecaster`) with the network
+    read from its `network_file` (`lstm.parse_network`)."""
+    doc = json.loads(text)
     if doc.get("schema") != MODEL_SCHEMA:
         raise DimensionError(
             f"unsupported forecaster schema {doc.get('schema')!r}; expected {MODEL_SCHEMA}"

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from pathlib import Path
 from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
@@ -233,7 +232,8 @@ def fit_ar1(k: np.ndarray) -> Ar1Params:
     return Ar1Params(phi=phi, xi_sd=xi_sd)
 
 
-def save_params(params: LiLeeParams, path: str | Path) -> None:
+def dump_params(params: LiLeeParams) -> str:
+    """The params.json text of `params`."""
     doc = {
         "schema": PARAMS_SCHEMA,
         "countries": list(params.countries),
@@ -245,11 +245,12 @@ def save_params(params: LiLeeParams, path: str | Path) -> None:
         "b": params.b.tolist(),
         "k": params.k.tolist(),
     }
-    Path(path).write_text(json.dumps(doc))
+    return json.dumps(doc)
 
 
-def load_params(path: str | Path) -> LiLeeParams:
-    doc = json.loads(Path(path).read_text())
+def parse_params(text: str | bytes) -> LiLeeParams:
+    """The parameters of a params.json text (`dump_params`)."""
+    doc = json.loads(text)
     if doc.get("schema") != PARAMS_SCHEMA:
         raise DimensionError(
             f"unsupported params schema {doc.get('schema')!r}; expected {PARAMS_SCHEMA}"

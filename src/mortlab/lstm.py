@@ -29,7 +29,6 @@ from __future__ import annotations
 import functools
 import json
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -518,18 +517,20 @@ def train(
     return best_params, trace
 
 
-def save_network(params: NetworkParams, path: str | Path) -> None:
+def dump_network(params: NetworkParams) -> str:
+    """The network.json text of `params`."""
     doc = {
         "schema": WEIGHTS_SCHEMA,
         "dropout_rate": params.dropout_rate,
         "shapes": {k: list(getattr(params, k).shape) for k in _WEIGHT_KEYS},
         "weights": {k: getattr(params, k).tolist() for k in _WEIGHT_KEYS},
     }
-    Path(path).write_text(json.dumps(doc))
+    return json.dumps(doc)
 
 
-def load_network(path: str | Path) -> NetworkParams:
-    doc = json.loads(Path(path).read_text())
+def parse_network(text: str | bytes) -> NetworkParams:
+    """The weights of a network.json text (`dump_network`), shape-checked."""
+    doc = json.loads(text)
     if doc.get("schema") != WEIGHTS_SCHEMA:
         raise DimensionError(
             f"unsupported network schema {doc.get('schema')!r}; expected {WEIGHTS_SCHEMA}"

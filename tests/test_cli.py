@@ -1,6 +1,7 @@
 import hashlib
 import io
 import json
+import os
 import shutil
 import sys
 from pathlib import Path
@@ -9,9 +10,11 @@ import numpy as np
 import pytest
 
 from mortlab import forecast, lstm
-from mortlab.cli import main
-from mortlab.forecast import forecast_stochastic, forecaster_from_doc
-from mortlab.lilee import FactorPanel, load_params
+from mortlab.cli import RunContext, main
+from mortlab.forecast import forecast_stochastic, parse_forecaster
+from mortlab.lilee import FactorPanel, parse_params
+
+STAGES = ("synth", "fit", "train", "forecast", "validate", "explain", "stress", "ablate")
 
 
 def write_config(path: Path, **overrides) -> Path:
@@ -47,7 +50,7 @@ def pipeline(tmp_path_factory):
     """Run the full pipeline once on a small fixture."""
     root = tmp_path_factory.mktemp("cli")
     cfg = write_config(root)
-    for stage in ("synth", "fit", "train", "forecast", "validate", "explain", "stress", "ablate"):
+    for stage in STAGES:
         assert main([stage, "--config", str(cfg), "--quiet"]) == 0, stage
     return root, cfg
 
@@ -69,15 +72,23 @@ def npy_bytes(array, **kwargs) -> bytes:
     return buf.getvalue()
 
 
+def rehash(run_dir: Path, name: str) -> None:
+    """Record the SHA-256 of the file `name` as it is now in manifest.json,
+    so only the checks behind the checksum stand in the way."""
+    path = run_dir / "manifest.json"
+    manifest = json.loads(path.read_text())
+    for stage in manifest["stages"].values():
+        if name in stage["files"]:
+            stage["files"][name] = hashlib.sha256((run_dir / name).read_bytes()).hexdigest()
+    path.write_text(json.dumps(manifest))
+
+
 def write_ensemble(run_dir: Path, data: bytes, record_checksum: bool = False) -> None:
     """Replace ensemble.npy; optionally record the new bytes' SHA-256 in
-    forecast_manifest.json, so only the structural checks stand in the way."""
+    manifest.json, so only the structural checks stand in the way."""
     (run_dir / "ensemble.npy").write_bytes(data)
     if record_checksum:
-        path = run_dir / "forecast_manifest.json"
-        doc = json.loads(path.read_text())
-        doc["ensemble_sha256"] = hashlib.sha256(data).hexdigest()
-        path.write_text(json.dumps(doc))
+        rehash(run_dir, "ensemble.npy")
 
 
 def zero_scaler_sd(text: str) -> str:
@@ -109,9 +120,9 @@ class TestPipeline:
         root, _ = pipeline
         out = root / "run"
         fdoc = json.loads((out / "forecast_manifest.json").read_text())
-        panel = FactorPanel.from_params(load_params(out / "params.json"))
-        model = forecaster_from_doc(
-            json.loads((out / "model.json").read_text()), lstm.load_network(out / "network.json")
+        panel = FactorPanel.from_params(parse_params((out / "params.json").read_text()))
+        model = parse_forecaster(
+            (out / "model.json").read_text(), lstm.parse_network((out / "network.json").read_text())
         )
         ens = forecast_stochastic(
             model, panel, fdoc["horizon"],
@@ -134,7 +145,7 @@ class TestPipeline:
 
     def test_params_reload_losslessly(self, pipeline):
         root, _ = pipeline
-        params = load_params(root / "run" / "params.json")
+        params = parse_params((root / "run" / "params.json").read_text())
         assert params.n_countries == 3
         assert params.B.sum() == pytest.approx(1.0, abs=1e-10)
 
@@ -224,6 +235,109 @@ class TestAblate:
         assert all(line.split(",")[4] == "0" for line in lines[2:])
 
 
+# every (stage, run-directory artifact it reads)
+READS = [
+    ("train", "params.json"),
+    *(("forecast", name) for name in ("params.json", "model.json", "network.json",
+                                      "observed_e0.csv")),
+    *((stage, name) for stage in ("validate", "explain")
+      for name in ("params.json", "model.json", "network.json")),
+    *(("stress", name) for name in ("params.json", "model.json", "network.json",
+                                    "forecast_manifest.json", "ensemble.npy")),
+    ("ablate", "params.json"),
+]
+
+
+def flip_middle_byte(data: bytes) -> bytes:
+    edited = bytearray(data)
+    edited[len(data) // 2] ^= 0x01
+    return bytes(edited)
+
+
+class TestArtifactRule:
+    def test_manifest_binds_every_file(self, pipeline):
+        root, _ = pipeline
+        out = root / "run"
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert list(manifest["stages"]) == list(STAGES)
+        for stage, record in manifest["stages"].items():
+            assert record["files"], stage
+            for name, digest in record["files"].items():
+                assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
+        fdoc = json.loads((out / "forecast_manifest.json").read_text())
+        assert fdoc["ensemble_sha256"] == manifest["stages"]["forecast"]["files"]["ensemble.npy"]
+
+    @pytest.mark.parametrize("damage", ["foreign", "cut-in-half", "flipped-byte", "deleted"])
+    @pytest.mark.parametrize("stage, name", READS, ids=[f"{s}-{n}" for s, n in READS])
+    def test_damaged_artifact_is_3(
+        self, pipeline, foreign_run, tmp_path, caplog, stage, name, damage
+    ):
+        root, _ = pipeline
+        copy = shutil.copytree(root, tmp_path / "copy")
+        path = copy / "run" / name
+        data = path.read_bytes()
+        if damage == "foreign":
+            shutil.copy(foreign_run / name, path)
+        elif damage == "cut-in-half":
+            path.write_bytes(data[: len(data) // 2])
+        elif damage == "flipped-byte":
+            path.write_bytes(flip_middle_byte(data))
+        else:
+            path.unlink()
+        assert main([stage, "--config", str(copy / "config.json"), "--quiet"]) == 3
+        assert f"artifact {name} is missing or does not match its checksum" in caplog.text
+
+    def test_stages_read_only_through_load(self, tmp_path, monkeypatch):
+        """Each stage opens no run-directory file for reading but
+        manifest.json and the ones it reads through RunContext.load."""
+        cfg = write_config(tmp_path)
+        run_dir = (tmp_path / "run").resolve()
+        opened, loaded = set(), set()
+        real_open, real_load = io.open, getattr(RunContext, "load", None)
+
+        def recording_open(file, mode="r", *args, **kwargs):
+            if isinstance(file, (str, os.PathLike)) and not set(mode) & set("wax+"):
+                path = Path(file).resolve()
+                if path.parent == run_dir:
+                    opened.add(path.name)
+            return real_open(file, mode, *args, **kwargs)
+
+        def recording_load(self, name, parse):
+            loaded.add(name)
+            return real_load(self, name, parse)
+
+        monkeypatch.setattr(io, "open", recording_open)
+        monkeypatch.setattr(RunContext, "load", recording_load, raising=False)
+        for stage in STAGES:
+            opened.clear()
+            loaded.clear()
+            assert main([stage, "--config", str(cfg), "--quiet"]) == 0, stage
+            assert opened - {"manifest.json"} <= loaded, stage
+            assert "manifest.json" in opened or stage == "synth", stage
+
+    @pytest.mark.parametrize("stage, writer, name", [
+        ("train", "fit", "params.json"),
+        ("validate", "train", "network.json"),
+        ("stress", "forecast", "forecast_manifest.json"),
+    ])
+    def test_manifest_without_checksums_is_3(
+        self, pipeline, tmp_path, caplog, stage, writer, name
+    ):
+        """Manifests written before files were bound by checksum list them
+        by name only.  With the writer's entry in that form (the stages
+        after it rerun since), the reader names the file and the stage."""
+        root, _ = pipeline
+        copy = shutil.copytree(root, tmp_path / "copy")
+        path = copy / "run" / "manifest.json"
+        manifest = json.loads(path.read_text())
+        record = manifest["stages"][writer]
+        record["files"] = list(record["files"])
+        path.write_text(json.dumps(manifest))
+        assert main([stage, "--config", str(copy / "config.json"), "--quiet"]) == 3
+        assert f"artifact {name} without its checksum" in caplog.text
+        assert f"rerun {writer}" in caplog.text
+
+
 class TestExitCodes:
     def test_missing_data_file_is_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path)  # no synth run: data file absent
@@ -310,6 +424,7 @@ class TestExitCodes:
         doc = json.loads(path.read_text())
         doc[key] = value
         path.write_text(json.dumps(doc))
+        rehash(copy / "run", "forecast_manifest.json")
         assert main(["stress", "--config", str(copy / "config.json"), "--quiet"]) == 3
 
     @pytest.mark.parametrize("edit", [
@@ -329,6 +444,20 @@ class TestExitCodes:
     def test_misshapen_ensemble_with_recorded_checksum_is_3(self, pipeline, tmp_path, edit):
         assert self._stress_on_edited_ensemble(
             pipeline, tmp_path, edit, record_checksum=True) == 3
+
+    @pytest.mark.parametrize("edit, refusal", [
+        (lambda d: npy_bytes(np.load(io.BytesIO(d)).reshape(-1, 4)),
+         "header (shape, fortran_order, dtype)"),
+        (lambda d: d + bytes(8), "payload is"),
+        (lambda d: npy_bytes(np.load(io.BytesIO(d)) * np.r_[0.0, np.ones(6)][:, None]),
+         "does not start from the panel's last year"),
+    ], ids=["header-only-reshaped", "trailing-bytes", "origin-row-zeroed"])
+    def test_ensemble_refusal_names_its_check(self, pipeline, tmp_path, caplog, edit, refusal):
+        """Each structural check refuses on its own: the reshaped file keeps
+        the payload bytes and only its header disagrees."""
+        assert self._stress_on_edited_ensemble(
+            pipeline, tmp_path, edit, record_checksum=True) == 3
+        assert refusal in caplog.text
 
     @pytest.mark.parametrize("stage, name, edit", [
         pytest.param(stage, name, lambda t: t[:5], id=f"{stage}-{name}")
@@ -357,6 +486,8 @@ class TestExitCodes:
         copy = shutil.copytree(root, tmp_path / "copy")
         path = copy / "run" / name
         path.write_text(edit(path.read_text()))
+        if name != "manifest.json":  # bound by its config_hash, not a checksum
+            rehash(copy / "run", name)
         assert main([stage, "--config", str(copy / "config.json"), "--quiet"]) == 3
         assert f"artifact {name} does not parse" in caplog.text
 
@@ -371,7 +502,7 @@ class TestExitCodes:
         del doc["config_hash"]
         path.write_text(json.dumps(doc))
         assert main([stage, "--config", str(copy / "config.json"), "--quiet"]) == 3
-        assert f"artifact {name} was produced under config None" in caplog.text
+        assert f"artifact {name} is missing or does not match its checksum" in caplog.text
 
     @pytest.mark.parametrize("edit", ["foreign", "deleted", "last-row-cut"])
     def test_bad_observed_e0_is_3(self, pipeline, foreign_run, tmp_path, caplog, edit):

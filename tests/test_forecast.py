@@ -12,15 +12,15 @@ from mortlab.errors import InsufficientHistoryError, NumericError
 from mortlab.forecast import (
     ForecastModel,
     compute_mbc,
+    dump_forecaster,
     ensemble_quantiles,
     forecast_deterministic,
     forecast_stochastic,
     historical_diff_sd,
-    forecaster_from_doc,
-    save_forecaster,
+    parse_forecaster,
 )
 from mortlab.lilee import FactorPanel
-from mortlab.lstm import draw_mask, forward, init_params, load_network, predict
+from mortlab.lstm import draw_mask, dump_network, forward, init_params, parse_network, predict
 from mortlab.risk import quantile
 from mortlab.windows import ScalerParams
 from tests.test_lstm import zero_params
@@ -413,12 +413,11 @@ class TestHistoricalSd:
 
 
 class TestModelIO:
-    def test_round_trip(self, tmp_path, trained_model):
+    def test_round_trip(self, trained_model):
         model = trained_model[0]
-        bundle = tmp_path / "model.json"
-        net = tmp_path / "network.json"
-        save_forecaster(model, bundle, net)
-        back = forecaster_from_doc(json.loads(bundle.read_text()), load_network(net))
+        text = dump_forecaster(model, "network.json")
+        assert json.loads(text)["network_file"] == "network.json"
+        back = parse_forecaster(text, parse_network(dump_network(model.net)))
         assert np.array_equal(back.mbc, model.mbc)
         assert np.array_equal(back.scaler.mean, model.scaler.mean)
         assert back.lookback == model.lookback

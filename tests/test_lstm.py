@@ -8,13 +8,13 @@ from mortlab.lstm import (
     NetworkParams,
     TrainConfig,
     draw_mask,
+    dump_network,
     forward,
     init_params,
     input_gradient,
-    load_network,
     mse,
+    parse_network,
     predict,
-    save_network,
     train,
 )
 from mortlab.lstm import _backward, _cell, _forward  # white-box checks
@@ -301,23 +301,17 @@ class TestCell:
 
 
 class TestSerialization:
-    def test_round_trip(self, tmp_path):
+    def test_round_trip(self):
         params = toy_params(seed=15, dropout=0.2)
-        path = tmp_path / "net.json"
-        save_network(params, path)
-        back = load_network(path)
+        back = parse_network(dump_network(params))
         for (k, a), (_, b) in zip(params.weight_items(), back.weight_items()):
             assert np.array_equal(a, b), k
         assert back.dropout_rate == params.dropout_rate
 
-    def test_shape_validation(self, tmp_path):
+    def test_shape_validation(self):
         import json
 
-        params = toy_params(seed=16)
-        path = tmp_path / "net.json"
-        save_network(params, path)
-        doc = json.loads(path.read_text())
+        doc = json.loads(dump_network(toy_params(seed=16)))
         doc["shapes"]["W1"] = [99, 99]
-        path.write_text(json.dumps(doc))
         with pytest.raises(DimensionError):
-            load_network(path)
+            parse_network(json.dumps(doc))
