@@ -267,23 +267,9 @@ def lookback_sweep(
                 fit = fit_forecaster(panel, split_year, replace(cfg, lookback=lb))
             model, _, _, (train_idx, val_idx) = fit
         except InsufficientHistoryError as exc:
-            results.append(
-                SweepResult(
-                    lookback=lb,
-                    rmse_kt=None,
-                    n_train=0,
-                    n_val=0,
-                    skipped=True,
-                    note=f"skipped: {exc} ({n_diffs} difference rows)",
-                )
-            )
+            note = f"skipped: {exc} ({n_diffs} difference rows)"
+            results.append(SweepResult(lb, None, 0, 0, skipped=True, note=note))
             continue
-        results.append(
-            SweepResult(
-                lookback=lb,
-                rmse_kt=_rmse_kt_recursive(model, panel, split_year),
-                n_train=int(train_idx.size),
-                n_val=int(val_idx.size),
-            )
-        )
+        rmse_kt = _rmse_kt_recursive(model, panel, split_year)
+        results.append(SweepResult(lb, rmse_kt, int(train_idx.size), int(val_idx.size)))
     return results

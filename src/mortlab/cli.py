@@ -125,6 +125,7 @@ _DEFAULTS = {
 
 
 MANIFEST = "manifest.json"
+HEX = set("0123456789abcdef")
 
 
 class RunContext:
@@ -148,13 +149,7 @@ class RunContext:
         self.out_dir.mkdir(parents=True, exist_ok=True)
         self.manifest = {"config_hash": self.hash, "stages": {}}
         if self.path(MANIFEST).exists():
-            doc = self.load(MANIFEST, _json_object)
-            if doc.get("config_hash") != self.hash:
-                raise StageError(
-                    f"output directory {self.out_dir} holds artifacts for config "
-                    f"{doc.get('config_hash')}, current config is {self.hash}; refusing to mix"
-                )
-            self.manifest = doc
+            self.manifest = self.load(MANIFEST, self._parse_manifest)
         self.written: dict[str, str] = {}  # name -> SHA-256 of this stage's files
 
     @property
@@ -228,13 +223,35 @@ class RunContext:
                 f"artifact {name} does not parse: {type(exc).__name__}: {exc}"
             ) from exc
 
+    def _parse_manifest(self, data: bytes) -> dict:
+        """manifest.json's document, refused unless it carries this run's
+        config_hash and `stages` maps each stage to a record whose `files`
+        map file names to SHA-256 hex digests."""
+        doc = _json_object(data)
+        if doc.get("config_hash") != self.hash:
+            raise StageError(
+                f"{MANIFEST} in {self.out_dir} holds artifacts for config "
+                f"{doc.get('config_hash')}, current config is {self.hash}; refusing to mix"
+            )
+        if not isinstance(doc["stages"], dict):
+            raise TypeError("'stages' is not an object")
+        for stage, record in doc["stages"].items():
+            files = record["files"]
+            if isinstance(files, list) and all(isinstance(n, str) for n in files):
+                continue  # an older version's, refused by _recorded when one is read
+            if not isinstance(files, dict) or not all(
+                isinstance(v, str) and len(v) == 64 and set(v) <= HEX for v in files.values()
+            ):
+                raise TypeError(f"stage {stage!r} does not map its files to SHA-256 digests")
+        return doc
+
     def _recorded(self, name: str) -> tuple[str, str]:
         """The stage that wrote `name` and the SHA-256 it recorded."""
         for stage, record in self.manifest["stages"].items():
-            files = record.get("files", {})
+            files = record["files"]
             if name not in files:
                 continue
-            if not isinstance(files, dict):
+            if isinstance(files, list):
                 raise StageError(
                     f"{MANIFEST} lists artifact {name} without its checksum, in the "
                     f"format of an older version; rerun {stage}"
@@ -283,47 +300,35 @@ def load_dataset(ctx: RunContext) -> ClusterDataset:
         raise ConfigError("config is missing the 'data' section")
     year_range = tuple(data["year_range"]) if "year_range" in data else None
     age_max = int(data.get("age_max", 90))
-    if "cluster_csv" in data:
-        path = ctx.data_path(data["cluster_csv"])
+    impute = bool(data.get("impute_gaps", False))
+
+    def existing(rel: str) -> Path:
+        path = ctx.data_path(rel)
         if not path.exists():
             raise FileNotFoundError(f"data file not found: {path}")
+        return path
+
+    if "cluster_csv" in data:
         return read_cluster_csv(
-            path,
+            existing(data["cluster_csv"]),
             country_order=data.get("country_order"),
             year_range=year_range,
             age_max=age_max,
         )
     if "countries" not in data:
         raise ConfigError("data section needs 'cluster_csv' or 'countries'")
+
     surfaces = []
     for entry in data["countries"]:
-        code = entry["code"]
-        impute = bool(data.get("impute_gaps", False))
-        if "rates" in entry:
-            path = ctx.data_path(entry["rates"])
-            if not path.exists():
-                raise FileNotFoundError(f"data file not found: {path}")
-            rows = parse_hmd_file(path.read_text(), kind="rates")
-            surfaces.append(
-                build_surface(rows, country=code, year_range=year_range,
-                              age_max=age_max, impute_gaps=impute)
-            )
-        elif "deaths" in entry and "exposures" in entry:
-            dpath = ctx.data_path(entry["deaths"])
-            epath = ctx.data_path(entry["exposures"])
-            for p in (dpath, epath):
-                if not p.exists():
-                    raise FileNotFoundError(f"data file not found: {p}")
-            deaths = parse_hmd_file(dpath.read_text(), kind="deaths")
-            expos = parse_hmd_file(epath.read_text(), kind="exposures")
-            surfaces.append(
-                build_surface(deaths, expos, country=code, year_range=year_range,
-                              age_max=age_max, impute_gaps=impute)
-            )
-        else:
+        kinds = ("rates",) if "rates" in entry else ("deaths", "exposures")
+        if not all(kind in entry for kind in kinds):
             raise ConfigError(
-                f"country {code!r} needs 'rates' or both 'deaths' and 'exposures'"
+                f"country {entry['code']!r} needs 'rates' or both 'deaths' and 'exposures'"
             )
+        # rates alone, or deaths then exposures
+        rows = [parse_hmd_file(existing(entry[kind]).read_text(), kind=kind) for kind in kinds]
+        surfaces.append(build_surface(*rows, country=entry["code"], year_range=year_range,
+                                      age_max=age_max, impute_gaps=impute))
     return ClusterDataset(surfaces=tuple(surfaces))
 
 
@@ -525,11 +530,12 @@ def cmd_forecast(args) -> int:
     )
 
     bands = ensemble_quantiles(ens, quantiles)
-    fan_rows = []
-    for j, lab in enumerate(panel.labels):
-        for qi, q in enumerate(quantiles):
-            for h in range(ens.levels.shape[1]):
-                fan_rows.append([lab, int(ens.years[h]), q, repr(float(bands[qi, h, j]))])
+    fan_rows = [
+        [lab, int(ens.years[h]), q, repr(float(bands[qi, h, j]))]
+        for j, lab in enumerate(panel.labels)
+        for qi, q in enumerate(quantiles)
+        for h in range(ens.levels.shape[1])
+    ]
     ctx.write_csv("fan_factors.csv", ["factor", "year", "quantile", "value"], fan_rows)
 
     observed = ctx.load("observed_e0.csv", lambda data: _observed_e0(data, params.countries))

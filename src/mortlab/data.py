@@ -31,6 +31,10 @@ EPS = 1e-10
 
 # Columns of the cluster CSV (`write_cluster_csv`, `read_cluster_csv`).
 CLUSTER_COLUMNS = ("country", "year", "age", "m")
+# Its rows as `read_cluster_csv` parses them.  The country field's width is
+# paid on every row, and codes must be shorter than it: np.loadtxt cuts them.
+CODE_WIDTH = 8
+CLUSTER_ROW = np.dtype([("country", f"U{CODE_WIDTH}"), ("year", "i8"), ("age", "i8"), ("m", "f8")])
 
 # Open age group token in the source files; parsed, then dropped by truncation.
 OPEN_AGE = 110
@@ -137,20 +141,19 @@ def parse_hmd_file(
             )
         try:
             year = int(tokens[0])
+            age = OPEN_AGE if tokens[1] == f"{OPEN_AGE}+" else int(tokens[1])
+            value = None if tokens[4] == "." else float(tokens[4])
         except ValueError:
-            raise ParseError(f"bad year token {tokens[0]!r}", line_no) from None
-        age = _parse_age(tokens[1], line_no)
-        value = _parse_value(tokens[4], line_no)
+            raise ParseError(f"bad Year, Age or Total token in {raw.strip()!r}", line_no) from None
 
         if prev_year is not None:
             if year < prev_year:
                 raise StructureError(f"line {line_no}: year {year} after {prev_year}")
-            if year == prev_year and prev_age is not None and age <= prev_age:
+            if year == prev_year and age <= prev_age:
                 raise StructureError(
                     f"line {line_no}: age {age} not increasing within year {year}"
                 )
-        prev_age = age
-        prev_year = year
+        prev_year, prev_age = year, age
         records.append((year, age, value))
 
     if not in_body:
@@ -158,76 +161,48 @@ def parse_hmd_file(
     return records
 
 
-def _parse_age(token: str, line_no: int) -> int:
-    if token == f"{OPEN_AGE}+":
-        return OPEN_AGE
-    try:
-        return int(token)
-    except ValueError:
-        raise ParseError(f"bad age token {token!r}", line_no) from None
-
-
-def _parse_value(token: str, line_no: int) -> float | None:
-    if token == ".":
-        return None
-    try:
-        return float(token)
-    except ValueError:
-        raise ParseError(f"bad value token {token!r}", line_no) from None
-
-
 def build_surface(
-    values: Sequence[tuple[int, int, float | None]],
-    exposures: Sequence[tuple[int, int, float | None]] | None = None,
+    values,
+    exposures=None,
     *,
     country: str = "",
     year_range: tuple[int, int] | None = None,
     age_max: int = 90,
     impute_gaps: bool = False,
 ) -> MortalitySurface:
-    """Assemble a validated surface from parsed records.
+    """Assemble a validated surface from (year, age, value) records.
 
-    With `exposures` given, `values` are death counts and m = D / E per
-    cell; without, `values` are rates taken as-is.  Ages above `age_max`
-    are dropped.  Missing cells raise DataGapError unless `impute_gaps`
-    enables linear interpolation along years (imputed cells are recorded
-    in the surface metadata).  Deaths against zero exposure raise
-    ExposureError.
+    Records are an (n, 3) array or a sequence of triples, where a None or
+    NaN value is a missing cell; they are scattered into the (ages x years)
+    grid.  With `exposures` given, `values` are death counts and m = D / E
+    per cell; without, `values` are rates taken as-is.  Ages above
+    `age_max` and years outside `year_range` are dropped, and a cell given
+    twice raises ParseError.  Missing cells raise DataGapError unless
+    `impute_gaps` enables linear interpolation along years (imputed cells
+    are recorded in the surface metadata).  Deaths against zero exposure
+    raise ExposureError.
     """
-    table = {(y, a): v for (y, a, v) in values if a <= age_max}
+    name = country or "surface"
+    values = _records(values, age_max)
     if year_range is None:
-        if not table:
+        if not values.size:
             raise DataGapError("no usable records")
-        all_years = sorted({y for (y, _a) in table})
-        year_range = (all_years[0], all_years[-1])
+        year_range = (int(values[:, 0].min()), int(values[:, 0].max()))
     years = np.arange(year_range[0], year_range[1] + 1)
     ages = np.arange(0, age_max + 1)
 
-    exp_table = None
+    m = _grid(values, years, ages.size, name)
     if exposures is not None:
-        exp_table = {(y, a): v for (y, a, v) in exposures if a <= age_max}
-
-    m = np.full((ages.size, years.size), np.nan)
-    for ai, age in enumerate(ages):
-        for yi, year in enumerate(years):
-            key = (int(year), int(age))
-            v = table.get(key)
-            if exp_table is None:
-                if v is not None:
-                    m[ai, yi] = v
-                continue
-            e = exp_table.get(key)
-            if v is None or e is None:
-                continue
-            if e == 0.0:
-                if v > 0.0:
-                    raise ExposureError(
-                        f"{country or 'surface'}: deaths {v} with zero exposure "
-                        f"at age {age}, year {year}"
-                    )
-                m[ai, yi] = 0.0
-            else:
-                m[ai, yi] = v / e
+        e = _grid(_records(exposures, age_max), years, ages.size, name)
+        bad = (e == 0.0) & (m > 0.0)
+        if bad.any():
+            ai, yi = np.argwhere(bad)[0]
+            raise ExposureError(
+                f"{name}: deaths {m[ai, yi]} with zero exposure "
+                f"at age {ages[ai]}, year {years[yi]}"
+            )
+        # no deaths against zero exposure is a zero rate; a missing count stays missing
+        m = np.divide(m, e, out=np.where(np.isnan(m), np.nan, 0.0), where=e != 0.0)
 
     imputed: list[tuple[int, int]] = []
     missing = np.isnan(m)
@@ -235,7 +210,7 @@ def build_surface(
         if not impute_gaps:
             ai, yi = np.argwhere(missing)[0]
             raise DataGapError(
-                f"{country or 'surface'}: missing cell at age {ages[ai]}, "
+                f"{name}: missing cell at age {ages[ai]}, "
                 f"year {years[yi]} (enable imputation or fix the data)"
             )
         for ai in range(ages.size):
@@ -243,9 +218,7 @@ def build_surface(
             if not row_missing.any():
                 continue
             if row_missing.all():
-                raise DataGapError(
-                    f"{country or 'surface'}: age {ages[ai]} has no data at all"
-                )
+                raise DataGapError(f"{name}: age {ages[ai]} has no data at all")
             known = ~row_missing
             m[ai, row_missing] = np.interp(
                 years[row_missing], years[known], m[ai, known]
@@ -253,7 +226,7 @@ def build_surface(
             imputed.extend((int(ages[ai]), int(y)) for y in years[row_missing])
 
     if np.any(m < 0):
-        raise DomainError(f"{country or 'surface'}: negative rate encountered")
+        raise DomainError(f"{name}: negative rate encountered")
     return MortalitySurface(
         country=country,
         ages=ages,
@@ -262,6 +235,26 @@ def build_surface(
         log_m=np.log(m + EPS),
         imputed=tuple(imputed),
     )
+
+
+def _records(records, age_max: int) -> np.ndarray:
+    """The (year, age, value) records of ages 0..age_max, None as NaN."""
+    records = np.asarray(records, dtype=float).reshape(-1, 3)
+    return records[(records[:, 1] >= 0) & (records[:, 1] <= age_max)]
+
+
+def _grid(records: np.ndarray, years: np.ndarray, n_ages: int, name: str) -> np.ndarray:
+    """The records' values on the (ages x years) grid, NaN where none."""
+    yi = records[:, 0].astype(np.int64) - years[0]
+    inside = (yi >= 0) & (yi < years.size)
+    cell = records[inside, 1].astype(np.int64) * years.size + yi[inside]
+    twice = np.bincount(cell, minlength=n_ages * years.size) > 1
+    if twice.any():
+        ai, yi = divmod(int(np.argmax(twice)), years.size)
+        raise ParseError(f"{name}: more than one record for age {ai}, year {years[yi]}")
+    grid = np.full(n_ages * years.size, np.nan)
+    grid[cell] = records[inside, 2]
+    return grid.reshape(n_ages, years.size)
 
 
 def synthesize_cluster(
@@ -400,36 +393,43 @@ def read_cluster_csv(
 
     `country_order` fixes the index order (configuration order); by default
     countries appear in file order.  Lines starting with '#' are ignored.
+    np.loadtxt parses the rows into `CLUSTER_ROW` records.  A malformed row
+    raises ParseError with its line number, and so do a country code longer
+    than CODE_WIDTH - 1 characters and a (country, year, age) given twice.
     """
     path = Path(path)
-    by_country: dict[str, list[tuple[int, int, float]]] = {}
-    order: list[str] = []
-    with path.open() as fh:
-        rows = (line for line in fh if not line.startswith("#"))
-        reader = csv.reader(rows)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != list(CLUSTER_COLUMNS):
-            raise ParseError(f"{path}: expected header country,year,age,m")
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            try:
-                code, year, age, rate = row[0], int(row[1]), int(row[2]), float(row[3])
-            except (ValueError, IndexError):
-                raise ParseError(f"{path}: bad row {row!r}", line_no) from None
-            if code not in by_country:
-                by_country[code] = []
-                order.append(code)
-            by_country[code].append((year, age, rate))
+    line_no = 0
 
-    codes = list(country_order) if country_order is not None else order
+    def body():
+        nonlocal line_no
+        for line_no, line in enumerate(fh, 1):
+            if not line.startswith("#"):
+                yield line
+
+    with path.open() as fh:
+        lines = body()
+        if [h.strip() for h in next(lines, "").split(",")] != list(CLUSTER_COLUMNS):
+            raise ParseError(f"{path}: expected header country,year,age,m")
+        try:
+            rows = np.loadtxt(lines, dtype=CLUSTER_ROW, delimiter=",", comments=None,
+                              quotechar='"', ndmin=1)
+        except ValueError as exc:
+            # np.loadtxt takes one line at a time, so the last one taken is the bad one
+            raise ParseError(f"{path}: bad row: {exc}", line_no) from None
+    codes = rows["country"]
+    long = np.char.str_len(codes) >= CODE_WIDTH
+    if long.any():
+        raise ParseError(f"{path}: country code {str(codes[long][0])!r}... is longer than "
+                         f"{CODE_WIDTH - 1} characters")
+    found, first = np.unique(codes, return_index=True)
+
     surfaces = []
-    for code in codes:
-        if code not in by_country:
+    for code in found[np.argsort(first)].tolist() if country_order is None else country_order:
+        own = rows[codes == code]
+        if not own.size:
             raise DataGapError(f"{path}: no rows for country {code!r}")
+        records = np.column_stack((own["year"], own["age"], own["m"]))
         surfaces.append(
-            build_surface(
-                by_country[code], country=code, year_range=year_range, age_max=age_max
-            )
+            build_surface(records, country=code, year_range=year_range, age_max=age_max)
         )
     return ClusterDataset(surfaces=tuple(surfaces))

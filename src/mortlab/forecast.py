@@ -293,10 +293,13 @@ def ensemble_quantiles(
 ) -> np.ndarray:
     """Per-horizon, per-factor quantile bands, shaped (len(levels), H+1, F).
 
-    Uses the same linear-interpolation rule as the risk measures."""
+    Uses the risk measures' rule, sorting one horizon's (paths, F) at a time."""
     if ensemble.n_paths < 2:
         raise ValueError("need at least 2 paths")
-    return sorted_quantiles(np.sort(ensemble.levels, axis=0), levels)
+    bands = np.empty((len(levels), *ensemble.levels.shape[1:]))
+    for h in range(bands.shape[1]):
+        bands[:, h] = sorted_quantiles(np.sort(ensemble.levels[:, h], axis=0), levels)
+    return bands
 
 
 def dump_forecaster(model: ForecastModel, network_file: str, **header) -> str:

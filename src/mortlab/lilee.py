@@ -27,6 +27,8 @@ if TYPE_CHECKING:  # pragma: no cover
     from .data import ClusterDataset
 
 PARAMS_SCHEMA = "mortlab/lilee-params-v1"
+# the array fields of LiLeeParams, in params.json's order
+_ARRAYS = ("ages", "years", "alpha", "B", "K", "b", "k")
 
 
 @dataclass(frozen=True)
@@ -48,7 +50,7 @@ class LiLeeParams:
     k: np.ndarray
 
     def __post_init__(self):
-        for name in ("ages", "years", "alpha", "B", "K", "b", "k"):
+        for name in _ARRAYS:
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
         object.__setattr__(self, "ages", np.asarray(self.ages, dtype=int))
         object.__setattr__(self, "years", np.asarray(self.years, dtype=int))
@@ -234,18 +236,8 @@ def fit_ar1(k: np.ndarray) -> Ar1Params:
 
 def dump_params(params: LiLeeParams) -> str:
     """The params.json text of `params`."""
-    doc = {
-        "schema": PARAMS_SCHEMA,
-        "countries": list(params.countries),
-        "ages": params.ages.tolist(),
-        "years": params.years.tolist(),
-        "alpha": params.alpha.tolist(),
-        "B": params.B.tolist(),
-        "K": params.K.tolist(),
-        "b": params.b.tolist(),
-        "k": params.k.tolist(),
-    }
-    return json.dumps(doc)
+    doc = {"schema": PARAMS_SCHEMA, "countries": list(params.countries)}
+    return json.dumps({**doc, **{name: getattr(params, name).tolist() for name in _ARRAYS}})
 
 
 def parse_params(text: str | bytes) -> LiLeeParams:
@@ -255,13 +247,5 @@ def parse_params(text: str | bytes) -> LiLeeParams:
         raise DimensionError(
             f"unsupported params schema {doc.get('schema')!r}; expected {PARAMS_SCHEMA}"
         )
-    return LiLeeParams(
-        countries=tuple(doc["countries"]),
-        ages=np.asarray(doc["ages"]),
-        years=np.asarray(doc["years"]),
-        alpha=np.asarray(doc["alpha"]),
-        B=np.asarray(doc["B"]),
-        K=np.asarray(doc["K"]),
-        b=np.asarray(doc["b"]),
-        k=np.asarray(doc["k"]),
-    )
+    return LiLeeParams(countries=tuple(doc["countries"]),
+                       **{name: np.asarray(doc[name]) for name in _ARRAYS})

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateRiskError
-from .lifetable import _e0_batch
+from .lifetable import _e0_batch, reconstruct_surface
 from .lilee import LiLeeParams
 
 DEFAULT_SHOCK_GRID = (0.05, 0.10, 0.15, 0.20)
@@ -74,22 +74,27 @@ def var(sample: np.ndarray, level: float = 0.995) -> float:
 
 def es(sample: np.ndarray, level: float = 0.99) -> float:
     """Expected shortfall: mean of the ceil(n * (1 - level)) largest values."""
-    a = np.asarray(sample, dtype=float).ravel()
-    n = a.size
+    return _tail_mean(np.sort(np.asarray(sample, dtype=float).ravel()), level)
+
+
+def _tail_mean(a: np.ndarray, level: float) -> float:
+    """Expected shortfall of a sample already sorted ascending."""
     # tolerance absorbs float fuzz in n * (1 - level) near integers
-    x = n * (1.0 - level)
+    x = a.size * (1.0 - level)
     tail = int(np.ceil(x - 1e-9))
     if x < 1.0 - 1e-9 or tail < 1:
         raise ValueError(f"tail is empty: n * (1 - level) = {x:.3f} < 1")
-    return float(np.sort(a)[-tail:].mean())
+    return float(a[-tail:].mean())
 
 
 def scr(e0_terminal: np.ndarray) -> RiskReport:
-    """Capital requirement: excess of the tail measures beyond the mean."""
+    """Capital requirement: excess of the tail measures beyond the mean.
+    The sample is sorted once, for both the VaR and the ES."""
     a = np.asarray(e0_terminal, dtype=float).ravel()
     mean = float(a.mean())
-    v = var(a, 0.995)
-    e = es(a, 0.99)
+    a = np.sort(a)
+    v = float(sorted_quantiles(a, (0.995,))[0])
+    e = _tail_mean(a, 0.99)
     return RiskReport(
         mean_e0=mean, var_99_5=v, es_99_0=e, scr_var=v - mean, scr_es=e - mean
     )
@@ -145,8 +150,6 @@ def reverse_stress(
     """
     if scr_es <= 0:
         raise DegenerateRiskError(f"SCR must be positive, got {scr_es:.6f}")
-    from .lifetable import reconstruct_surface
-
     m = reconstruct_surface(params, country, mean_k_terminal)
     gains, sens = shock_sensitivities(m, shock_grid)
     delta_star, mean_sens, cv = delta_star_from(scr_es, sens)

@@ -338,6 +338,43 @@ class TestArtifactRule:
         assert f"rerun {writer}" in caplog.text
 
 
+    @pytest.mark.parametrize("edit", [
+        lambda doc: doc.pop("stages"),
+        lambda doc: doc.update(stages=list(doc["stages"])),
+        lambda doc: doc["stages"].update(fit="done"),
+        lambda doc: doc["stages"]["fit"].pop("files"),
+        lambda doc: doc["stages"]["fit"].update(files="params.json"),
+        lambda doc: doc["stages"]["fit"].update(files=[1, 2]),
+        lambda doc: doc["stages"]["fit"]["files"].update({"params.json": "not-hex"}),
+        lambda doc: doc["stages"]["fit"]["files"].update({"params.json": "ab" * 31}),
+        lambda doc: doc["stages"]["fit"]["files"].update({"params.json": "AB" * 32}),
+        lambda doc: doc["stages"]["synth"]["files"].update({"extra.csv": None}),
+    ], ids=["no-stages", "stages-a-list", "record-not-an-object", "no-files",
+            "files-a-string", "files-not-names", "digest-not-hex", "digest-short",
+            "digest-upper-case", "digest-null"])
+    def test_misshapen_manifest_is_3(self, pipeline, tmp_path, caplog, edit):
+        """A manifest that parses, with the run's config_hash, but whose
+        `stages` is not a dict of stage records mapping file names to
+        SHA-256 digests is refused by name, never with a traceback."""
+        assert self._train_on_edited_manifest(pipeline, tmp_path, edit) == 3
+        assert "artifact manifest.json does not parse" in caplog.text
+
+    def test_manifest_without_config_hash_is_3(self, pipeline, tmp_path, caplog):
+        assert self._train_on_edited_manifest(
+            pipeline, tmp_path, lambda doc: doc.pop("config_hash")) == 3
+        assert "manifest.json in" in caplog.text and "refusing to mix" in caplog.text
+
+    @staticmethod
+    def _train_on_edited_manifest(pipeline, tmp_path, edit) -> int:
+        root, _ = pipeline
+        copy = shutil.copytree(root, tmp_path / "copy")
+        path = copy / "run" / "manifest.json"
+        manifest = json.loads(path.read_text())
+        edit(manifest)
+        path.write_text(json.dumps(manifest))
+        return main(["train", "--config", str(copy / "config.json"), "--quiet"])
+
+
 class TestExitCodes:
     def test_missing_data_file_is_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path)  # no synth run: data file absent

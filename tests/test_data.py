@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -99,6 +101,25 @@ class TestBuildSurface:
         with pytest.raises(DataGapError, match="age 50"):
             build_surface(rates, country="TST")
 
+    def test_duplicate_cell_refused(self):
+        rates = [(2000, a, 0.01) for a in range(0, 91)] + [(2000, 7, 0.02)]
+        with pytest.raises(ParseError, match="age 7, year 2000"):
+            build_surface(rates, country="TST")
+
+    def test_array_records_with_nan_as_missing(self):
+        rates = np.array([(2000.0, a, 0.01) for a in range(0, 91)])
+        surf = build_surface(rates, country="TST")
+        assert np.array_equal(surf.m, np.full((91, 1), 0.01))
+        rates[50, 2] = np.nan
+        with pytest.raises(DataGapError, match="age 50"):
+            build_surface(rates, country="TST")
+
+    def test_missing_deaths_against_zero_exposure_stay_missing(self):
+        deaths = [(2000, 0, None)]
+        expo = [(2000, 0, 0.0)]
+        with pytest.raises(DataGapError, match="age 0"):
+            build_surface(deaths, expo, year_range=(2000, 2000), age_max=0)
+
     def test_missing_cell_interpolated_when_enabled(self):
         rates = [
             (y, a, 0.01 * (1 + yi))
@@ -167,12 +188,90 @@ class TestCsvRoundTrip:
         assert back.countries == small_cluster.countries
         for sa, sb in zip(back.surfaces, small_cluster.surfaces):
             assert np.max(np.abs(sa.log_m - sb.log_m)) <= 1e-12
+            assert np.array_equal(sa.m, sb.m)
+            assert np.array_equal(sa.years, sb.years) and np.array_equal(sa.ages, sb.ages)
+
+    def test_file_order_without_country_order(self, tmp_path, small_cluster):
+        path = tmp_path / "cluster.csv"
+        write_cluster_csv(small_cluster, path)
+        assert read_cluster_csv(path).countries == small_cluster.countries
 
     def test_missing_country_in_order(self, tmp_path, small_cluster):
         path = tmp_path / "cluster.csv"
         write_cluster_csv(small_cluster, path)
         with pytest.raises(DataGapError):
             read_cluster_csv(path, country_order=("NOPE", "ALSO"))
+
+    def test_unknown_code_among_known_ones(self, tmp_path, small_cluster):
+        path = tmp_path / "cluster.csv"
+        write_cluster_csv(small_cluster, path)
+        with pytest.raises(DataGapError, match="'NOPE'"):
+            read_cluster_csv(path, country_order=(*small_cluster.countries, "NOPE"))
+
+    @staticmethod
+    def edited(tmp_path, cluster, edit) -> Path:
+        """The cluster's CSV (a comment line, the header, then data rows
+        from line 3) with its list of lines passed through `edit`."""
+        path = tmp_path / "cluster.csv"
+        write_cluster_csv(cluster, path, header_lines=("config_hash=abc",))
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text("".join(edit(lines)))
+        return path
+
+    @pytest.mark.parametrize("row", [
+        "SYA,1956,x,0.01\n",
+        "SYA,1956.0,0,0.01\n",
+        "SYA,1956,0,\n",
+        "SYA,1956,0\n",
+        "SYA,1956,0,0.01,7\n",
+        "SYA,1956,0,0.01 # a note\n",
+        "  # indented, so not a comment\n",
+    ], ids=["age-not-int", "year-not-int", "empty-rate", "three-cells", "five-cells",
+            "trailing-hash", "indented-hash"])
+    def test_malformed_row_names_its_line(self, tmp_path, small_cluster, row):
+        path = self.edited(tmp_path, small_cluster, lambda ls: ls[:9] + [row] + ls[9:])
+        with pytest.raises(ParseError) as exc:
+            read_cluster_csv(path, country_order=small_cluster.countries)
+        assert exc.value.line_no == 10
+
+    def test_code_too_long(self, tmp_path, small_cluster):
+        path = self.edited(tmp_path, small_cluster, lambda ls: ls + ["LONGCODE,1956,0,0.01\n"])
+        with pytest.raises(ParseError, match="'LONGCODE'... is longer than 7 characters"):
+            read_cluster_csv(path)
+
+    @pytest.mark.parametrize("edit", [
+        lambda ls: ls[:1] + ls[2:],
+        lambda ls: ls[:1] + ["country,year,age,rate\n"] + ls[2:],
+        lambda ls: ls[:1] + ["year,country,age,m\n"] + ls[2:],
+        lambda ls: ls[:1],
+        lambda ls: [],
+    ], ids=["no-header", "wrong-column", "reordered", "header-only-comment", "empty-file"])
+    def test_missing_or_wrong_header(self, tmp_path, small_cluster, edit):
+        path = self.edited(tmp_path, small_cluster, edit)
+        with pytest.raises(ParseError, match="expected header"):
+            read_cluster_csv(path)
+
+    def test_only_lines_starting_with_hash_are_skipped(self, tmp_path, small_cluster):
+        path = self.edited(
+            tmp_path, small_cluster,
+            lambda ls: ls[:2] + ["# between header and rows\n"] + ls[2:40] + ["#x\n"] + ls[40:],
+        )
+        back = read_cluster_csv(path, country_order=small_cluster.countries)
+        for sa, sb in zip(back.surfaces, small_cluster.surfaces):
+            assert np.array_equal(sa.m, sb.m)
+
+    def test_missing_cell(self, tmp_path, small_cluster):
+        path = self.edited(tmp_path, small_cluster, lambda ls: ls[:9] + ls[10:])
+        with pytest.raises(DataGapError, match="missing cell"):
+            read_cluster_csv(path, country_order=small_cluster.countries)
+
+    def test_duplicate_row_refused(self, tmp_path, small_cluster):
+        """A (country, year, age) given twice is refused, even with the same
+        value; it is not overwritten by the later row."""
+        path = self.edited(tmp_path, small_cluster, lambda ls: ls + [ls[9]])
+        code, year, age, _ = path.read_text().splitlines()[-1].split(",")
+        with pytest.raises(ParseError, match=f"{code}: more than one record for age {age}, year {year}"):
+            read_cluster_csv(path, country_order=small_cluster.countries)
 
 
 def test_cluster_requires_two_countries(small_cluster):

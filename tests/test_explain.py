@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from mortlab import explain
 from mortlab.explain import (
+    EXACT_LIMIT,
     ShapReport,
     _kernel_coalitions,
     aggregate_country_influence,
@@ -218,3 +220,64 @@ class TestAggregate:
         assert scores.shape == (2,)
         want0 = np.abs(phi).reshape(5, 4, 2)[:, :, 0].mean()
         assert scores[0] == pytest.approx(want0)
+
+
+class RowSpy:
+    """A model whose rows do not interact (no matrix products), recording
+    how many rows each call is handed."""
+
+    def __init__(self, d, seed=0):
+        self.w = np.random.default_rng(seed).standard_normal(d)
+        self.rows = []
+
+    def __call__(self, W):
+        self.rows.append(W.shape[0])
+        flat = W.reshape(W.shape[0], -1)
+        return np.tanh((flat * self.w).sum(axis=1)) + 0.3 * flat[:, 0] * flat[:, -1]
+
+
+def spy_shap(shape, **kwargs):
+    """kernel_shap of a RowSpy on seeded windows of (lookback, features) =
+    `shape`; returns the report and the spy."""
+    rng = np.random.default_rng(31)
+    spy = RowSpy(shape[0] * shape[1])
+    x = rng.standard_normal((2, *shape))
+    b = rng.standard_normal((5, *shape))
+    return kernel_shap(spy, b, x, seed=4, **kwargs), spy
+
+
+class TestCoalitionBlocks:
+    """Coalitions reach the model in blocks of at most BLOCK rows, none of
+    them a single row, and the attributions do not depend on the split."""
+
+    def test_sampled_d70_default_budget(self):
+        _, spy = spy_shap((10, 7), mode="sampled")  # d = 70: 2188 coalitions
+        blocks = [r for r in spy.rows if r > 1]
+        assert max(spy.rows) <= explain.BLOCK
+        assert sum(blocks) == 2 * (2 * 70 + 2048)
+        assert len(blocks) == 2 * 9  # ceil(2188 / 256) per window
+
+    def test_exact_at_the_limit(self):
+        _, spy = spy_shap((4, 4), mode="exact")  # d = 16 = EXACT_LIMIT
+        assert 4 * 4 == EXACT_LIMIT
+        blocks = [r for r in spy.rows if r > 1]
+        assert max(spy.rows) <= explain.BLOCK
+        assert sum(blocks) == 2 * 2**EXACT_LIMIT
+
+    @pytest.mark.parametrize("shape, mode, budget", [
+        ((10, 7), "sampled", None),
+        ((10, 7), "sampled", 2 * 256 + 1),
+        ((5, 3), "sampled", 3 * 256 - 1),
+        ((3, 4), "exact", None),
+    ], ids=["sampled-d70-default", "sampled-2B+1", "sampled-3B-1", "exact-d12"])
+    def test_equals_whole_batch_bitwise(self, monkeypatch, shape, mode, budget):
+        assert explain.BLOCK == 256
+        blocked, spy = spy_shap(shape, mode=mode, n_coalitions=budget)
+        assert spy.rows.count(1) == 1 + 2  # base value and f(x) per window only
+        monkeypatch.setattr(explain, "BLOCK", 2**20)
+        whole, whole_spy = spy_shap(shape, mode=mode, n_coalitions=budget)
+        assert max(whole_spy.rows) > 256  # one batch per window
+        assert len(spy.rows) > len(whole_spy.rows)
+        assert np.array_equal(blocked.phi, whole.phi)
+        assert np.array_equal(blocked.fx, whole.fx)
+        assert blocked.base_value == whole.base_value
