@@ -233,8 +233,7 @@ class RunContext:
                 f"{MANIFEST} in {self.out_dir} holds artifacts for config "
                 f"{doc.get('config_hash')}, current config is {self.hash}; refusing to mix"
             )
-        if not isinstance(doc["stages"], dict):
-            raise TypeError("'stages' is not an object")
+        # a misshapen `stages` or record raises here, and load turns that into exit 3
         for stage, record in doc["stages"].items():
             files = record["files"]
             if isinstance(files, list) and all(isinstance(n, str) for n in files):
@@ -530,12 +529,11 @@ def cmd_forecast(args) -> int:
     )
 
     bands = ensemble_quantiles(ens, quantiles)
-    fan_rows = [
-        [lab, int(ens.years[h]), q, repr(float(bands[qi, h, j]))]
-        for j, lab in enumerate(panel.labels)
-        for qi, q in enumerate(quantiles)
-        for h in range(ens.levels.shape[1])
-    ]
+    fan_rows = []
+    for j, lab in enumerate(panel.labels):
+        for qi, q in enumerate(quantiles):
+            for h in range(ens.levels.shape[1]):
+                fan_rows.append([lab, int(ens.years[h]), q, repr(float(bands[qi, h, j]))])
     ctx.write_csv("fan_factors.csv", ["factor", "year", "quantile", "value"], fan_rows)
 
     observed = ctx.load("observed_e0.csv", lambda data: _observed_e0(data, params.countries))

@@ -10,6 +10,7 @@ licensed data.
 from __future__ import annotations
 
 import csv
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
@@ -411,8 +412,10 @@ def read_cluster_csv(
         if [h.strip() for h in next(lines, "").split(",")] != list(CLUSTER_COLUMNS):
             raise ParseError(f"{path}: expected header country,year,age,m")
         try:
-            rows = np.loadtxt(lines, dtype=CLUSTER_ROW, delimiter=",", comments=None,
-                              quotechar='"', ndmin=1)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # no rows: refused below
+                rows = np.loadtxt(lines, dtype=CLUSTER_ROW, delimiter=",", comments=None,
+                                  quotechar='"', ndmin=1)
         except ValueError as exc:
             # np.loadtxt takes one line at a time, so the last one taken is the bad one
             raise ParseError(f"{path}: bad row: {exc}", line_no) from None

@@ -51,9 +51,8 @@ class LiLeeParams:
 
     def __post_init__(self):
         for name in _ARRAYS:
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
-        object.__setattr__(self, "ages", np.asarray(self.ages, dtype=int))
-        object.__setattr__(self, "years", np.asarray(self.years, dtype=int))
+            dtype = int if name in ("ages", "years") else float
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=dtype))
         n, a, t = len(self.countries), self.ages.size, self.years.size
         if self.alpha.shape != (n, a) or self.b.shape != (n, a):
             raise DimensionError("alpha/b must have shape (countries, ages)")

@@ -461,9 +461,10 @@ def train(
     Stops after `patience` epochs without a new best validation MSE and
     restores the best epoch's weights.  Deterministic under config.seed.
     """
-    X_train, Y_train, X_val, Y_val = (
-        np.asarray(a, dtype=float) for a in (X_train, Y_train, X_val, Y_val)
-    )
+    X_train = np.asarray(X_train, dtype=float)
+    Y_train = np.asarray(Y_train, dtype=float)
+    X_val = np.asarray(X_val, dtype=float)
+    Y_val = np.asarray(Y_val, dtype=float)
     if X_train.shape[0] < 1 or X_val.shape[0] < 1:
         raise ValueError("need at least one training and one validation sample")
 

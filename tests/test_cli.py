@@ -338,6 +338,20 @@ class TestArtifactRule:
         assert f"rerun {writer}" in caplog.text
 
 
+    def test_manifest_without_checksums_is_mended_by_rerun(self, pipeline, tmp_path):
+        """An older version's list of names passes the manifest's shape
+        check, so rerunning the stage it names rewrites its record."""
+        root, _ = pipeline
+        copy = shutil.copytree(root, tmp_path / "copy")
+        path = copy / "run" / "manifest.json"
+        manifest = json.loads(path.read_text())
+        manifest["stages"]["fit"]["files"] = list(manifest["stages"]["fit"]["files"])
+        path.write_text(json.dumps(manifest))
+        cfg = str(copy / "config.json")
+        assert main(["train", "--config", cfg, "--quiet"]) == 3
+        assert main(["fit", "--config", cfg, "--quiet"]) == 0
+        assert main(["train", "--config", cfg, "--quiet"]) == 0
+
     @pytest.mark.parametrize("edit", [
         lambda doc: doc.pop("stages"),
         lambda doc: doc.update(stages=list(doc["stages"])),
