@@ -395,8 +395,8 @@ def read_cluster_csv(
     `country_order` fixes the index order (configuration order); by default
     countries appear in file order.  Lines starting with '#' are ignored.
     np.loadtxt parses the rows into `CLUSTER_ROW` records.  A malformed row
-    raises ParseError with its line number, and so do a country code longer
-    than CODE_WIDTH - 1 characters and a (country, year, age) given twice.
+    raises ParseError with its line number; so, without one, do a country
+    code of CODE_WIDTH or more characters and a (country, year, age) twice.
     """
     path = Path(path)
     line_no = 0

@@ -15,9 +15,9 @@ efficiency identity base + sum(phi) = f(x) holds by construction.
 Both modes evaluate the coalitions in the fewest contiguous, near-equal
 blocks of at most `BLOCK` rows (`forecast_stochastic`'s split, so no block
 is a single row, whose matrix-vector product may round differently), so
-the model's working set is bounded whatever the budget or 2^d is.  As one
-batch, exact mode at d = 16 took 253 MB more for one window, and the
-wide-6c benchmark's explain stage peaked at 52.9 MB against 44.2 MB.
+the model's working set is bounded whatever the budget or 2^d is.  Exact
+mode at d = 16 took 265 MB more for one window as one batch and 9.4 MB in
+blocks; the wide-6c benchmark's explain stage peaked at 53.0 against 43.7 MB.
 """
 
 from __future__ import annotations
