@@ -15,6 +15,12 @@ header, shape and origin row are exactly what forecast wrote.  All
 randomness flows from the single config seed through named substreams, so
 reruns, the ensemble's bytes included, are bit-reproducible.
 
+One runner, `run_stage`, owns every stage's lifecycle: it loads the
+context, runs the body `cmd_<stage>(ctx)` and records in manifest.json the
+files the body wrote and the facts it returned (forecast: `path_blocks`,
+`path_workers`; train: `epochs_run`, `best_epoch`, `stopped_early`).  A
+stage that fails records nothing, so its previous record stays untouched.
+
 Exit codes: 0 ok, 1 usage/config, 2 data, 3 missing, mismatched,
 unparseable or invalid stage artifacts, 4 degenerate domain, 5 numeric
 failure.
@@ -275,21 +281,6 @@ def _observed_e0(data: bytes, countries) -> dict[str, float]:
     return {code: observed[code] for code in countries}
 
 
-def load_context(args) -> RunContext:
-    cfg_path = Path(args.config)
-    if not cfg_path.exists():
-        raise FileNotFoundError(f"config file not found: {cfg_path}")
-    try:
-        cfg = json.loads(cfg_path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    if getattr(args, "seed_override", None) is not None:
-        cfg["seed"] = int(args.seed_override)
-    if getattr(args, "out", None):
-        cfg["out_dir"] = args.out
-    return RunContext(cfg, cfg_path.resolve().parent)
-
-
 # -- data loading -------------------------------------------------------------
 
 
@@ -365,8 +356,7 @@ def _hybrid_config(ctx: RunContext, stream: str) -> HybridConfig:
 # -- stages -------------------------------------------------------------------
 
 
-def cmd_synth(args) -> int:
-    ctx = load_context(args)
+def cmd_synth(ctx: RunContext) -> None:
     synth = ctx.cfg["synth"]
     regime = synth.get("regime", "unit_root")
     if regime not in SYNTH_REGIMES:
@@ -384,13 +374,10 @@ def cmd_synth(args) -> int:
     # outside the run directory, the data CSV is recorded by its absolute path
     ctx.write_csv(str(target), CLUSTER_COLUMNS, cluster_rows(cluster))
     ctx.write("truth_params.json", dump_params(truth))
-    ctx.record_stage("synth")
     log.info("synth: wrote %s (%d countries, regime %s)", target, len(cluster.surfaces), regime)
-    return 0
 
 
-def cmd_fit(args) -> int:
-    ctx = load_context(args)
+def cmd_fit(ctx: RunContext) -> None:
     dataset = load_dataset(ctx)
     params, _resid = fit_lilee(dataset)
     ctx.write("params.json", dump_params(params))
@@ -420,14 +407,11 @@ def cmd_fit(args) -> int:
         for s in dataset.surfaces
     ]
     ctx.write_csv("observed_e0.csv", ["country", "year", "e0_observed"], obs_rows)
-    ctx.record_stage("fit")
     log.info("fit: %d countries, years %s..%s", len(params.countries),
              params.years[0], params.years[-1])
-    return 0
 
 
-def cmd_train(args) -> int:
-    ctx = load_context(args)
+def cmd_train(ctx: RunContext) -> dict:
     params = ctx.load("params.json", parse_params)
     panel = FactorPanel.from_params(params)
     model, trace, _windows, (train_idx, val_idx) = fit_forecaster(
@@ -444,13 +428,13 @@ def cmd_train(args) -> int:
             for e, (tr, va) in enumerate(zip(trace.train_mse, trace.val_mse))
         ],
     )
-    ctx.record_stage("train")
     log.info(
         "train: %d epochs (best %d, val MSE %.5f), %d train / %d val windows",
         trace.epochs_run, trace.best_epoch, trace.best_val_mse,
         train_idx.size, val_idx.size,
     )
-    return 0
+    return {"epochs_run": trace.epochs_run, "best_epoch": trace.best_epoch,
+            "stopped_early": trace.stopped_early}
 
 
 ENSEMBLE = "ensemble.npy"
@@ -501,8 +485,7 @@ def _parse_ensemble(data: bytes, panel: FactorPanel, fdoc: dict) -> ForecastEnse
     )
 
 
-def cmd_forecast(args) -> int:
-    ctx = load_context(args)
+def cmd_forecast(ctx: RunContext) -> dict:
     params, model, panel = _load_model_panel(ctx)
     fc = ctx.cfg["forecast"]
     horizon = int(fc["horizon"])
@@ -577,13 +560,11 @@ def cmd_forecast(args) -> int:
     ]
     ctx.write_csv(f"fan_e0_{focus}.csv", ["year", "quantile", "e0"], fan_e0_rows)
 
-    ctx.record_stage("forecast", path_blocks=ens.blocks, path_workers=ens.workers)
     log.info("forecast: %d paths x %d years, %d factors", n_paths, horizon, panel.n_factors)
-    return 0
+    return {"path_blocks": ens.blocks, "path_workers": ens.workers}
 
 
-def cmd_validate(args) -> int:
-    ctx = load_context(args)
+def cmd_validate(ctx: RunContext) -> None:
     params, model, panel = _load_model_panel(ctx)
     vc = ctx.cfg["validate"]
     rows = benchmark.validate(
@@ -602,15 +583,12 @@ def cmd_validate(args) -> int:
             for r in rows
         ],
     )
-    ctx.record_stage("validate")
     for r in rows:
         log.info("validate: %-6s lilee %.4f hybrid %.4f (%+.2f%%)",
                  r.country, r.rmse_lilee, r.rmse_hybrid, r.improvement_pct)
-    return 0
 
 
-def cmd_explain(args) -> int:
-    ctx = load_context(args)
+def cmd_explain(ctx: RunContext) -> None:
     params, model, panel = _load_model_panel(ctx)
     _, windows, (train_idx, val_idx) = prepare_windows(
         panel, int(ctx.cfg["split_year"]), model.lookback, model.scaler
@@ -644,15 +622,12 @@ def cmd_explain(args) -> int:
         ["factor", "score"],
         [[lab, f"{s:.6f}"] for lab, s in zip(panel.labels, scores)],
     )
-    ctx.record_stage("explain")
     log.info("explain: saliency peak at %s, top influence %s",
              f"t-{model.lookback - int(np.argmax(prof))}",
              panel.labels[int(np.argmax(scores))])
-    return 0
 
 
-def cmd_stress(args) -> int:
-    ctx = load_context(args)
+def cmd_stress(ctx: RunContext) -> None:
     params, model, panel = _load_model_panel(ctx)
     fdoc = ctx.load("forecast_manifest.json", _json_object)
     ens = ctx.load(ENSEMBLE, lambda data: _parse_ensemble(data, panel, fdoc))
@@ -697,14 +672,11 @@ def cmd_stress(args) -> int:
             "e0_gains": list(stress_res.e0_gains),
         },
     )
-    ctx.record_stage("stress")
     log.info("stress: %s SCR_ES %+.3f yrs, delta* %.1f%%",
              focus, rep.scr_es, 100 * stress_res.delta_star)
-    return 0
 
 
-def cmd_ablate(args) -> int:
-    ctx = load_context(args)
+def cmd_ablate(ctx: RunContext) -> None:
     params = ctx.load("params.json", parse_params)
     panel = FactorPanel.from_params(params)
     cfg = _hybrid_config(ctx, "ablate")
@@ -732,10 +704,8 @@ def cmd_ablate(args) -> int:
             for r in sweep
         ],
     )
-    ctx.record_stage("ablate")
     for name, res in results.items():
         log.info("ablate: %-15s rmse %.4f (%+.1f%%)", name, res.rmse_kt, res.degradation_pct)
-    return 0
 
 
 # -- entry point ---------------------------------------------------------------
@@ -748,27 +718,42 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+STAGES = ("synth", "fit", "train", "forecast", "validate", "explain", "stress", "ablate")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="mortlab", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
-    commands = {
-        "synth": cmd_synth,
-        "fit": cmd_fit,
-        "train": cmd_train,
-        "forecast": cmd_forecast,
-        "validate": cmd_validate,
-        "explain": cmd_explain,
-        "stress": cmd_stress,
-        "ablate": cmd_ablate,
-    }
-    for name, fn in commands.items():
+    for name in STAGES:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="path to the run config JSON")
         p.add_argument("--out", help="override the output directory")
         p.add_argument("--seed-override", type=int, help="replace the config seed")
         p.add_argument("--quiet", action="store_true", help="only warnings and errors")
-        p.set_defaults(func=fn)
     return parser
+
+
+def run_stage(args) -> int:
+    """Run stage `args.command`: build the RunContext from the config file
+    and the command-line overrides, run the body `cmd_<stage>(ctx)`, then
+    record in manifest.json the files it wrote and the facts it returned.
+    The body is looked up in the module's globals at call time, so a
+    wrapper bound to `cmd_<stage>` after import (perfbench's tracer) runs."""
+    cfg_path = Path(args.config)
+    if not cfg_path.exists():
+        raise FileNotFoundError(f"config file not found: {cfg_path}")
+    try:
+        cfg = _json_object(cfg_path.read_bytes())
+    except (json.JSONDecodeError, TypeError) as exc:
+        raise ConfigError(f"config is not a valid JSON object: {exc}") from exc
+    if args.seed_override is not None:
+        cfg["seed"] = args.seed_override
+    if args.out:
+        cfg["out_dir"] = args.out
+    ctx = RunContext(cfg, cfg_path.resolve().parent)
+    facts = globals()[f"cmd_{args.command}"](ctx) or {}
+    ctx.record_stage(args.command, **facts)
+    return 0
 
 
 _EXIT_CODES = (
@@ -789,7 +774,7 @@ def main(argv=None) -> int:
         level="WARNING" if args.quiet else level, format="%(levelname)s %(message)s"
     )
     try:
-        return args.func(args)
+        return run_stage(args)
     except Exception as exc:  # noqa: BLE001 - translated to exit codes below
         for code, types in _EXIT_CODES:
             if isinstance(exc, types):

@@ -90,13 +90,13 @@ class ClusterDataset:
     def __post_init__(self):
         object.__setattr__(self, "surfaces", tuple(self.surfaces))
         if len(self.surfaces) < 2:
-            raise DimensionError("a cluster needs at least 2 countries")
+            raise StructureError("a cluster needs at least 2 countries")
         first = self.surfaces[0]
         for s in self.surfaces[1:]:
             if not np.array_equal(s.ages, first.ages) or not np.array_equal(
                 s.years, first.years
             ):
-                raise DimensionError("all surfaces must share ages and years")
+                raise StructureError("all surfaces must share ages and years")
 
     @property
     def countries(self) -> tuple[str, ...]:

@@ -1,4 +1,5 @@
 import hashlib
+import importlib.util
 import io
 import json
 import os
@@ -9,12 +10,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mortlab import forecast, lstm
-from mortlab.cli import RunContext, main
+from mortlab import cli, forecast, lstm
+from mortlab.cli import STAGES, RunContext, main
 from mortlab.forecast import forecast_stochastic, parse_forecaster
 from mortlab.lilee import FactorPanel, parse_params
-
-STAGES = ("synth", "fit", "train", "forecast", "validate", "explain", "stress", "ablate")
 
 
 def write_config(path: Path, **overrides) -> Path:
@@ -173,6 +172,17 @@ class TestPipeline:
         assert doc["delta_star"] > 0
         assert doc["sensitivity_years_per_unit"] > 0
         assert len(doc["e0_gains"]) == 4
+
+    def test_train_records_how_training_stopped(self, pipeline):
+        root, _ = pipeline
+        out = root / "run"
+        record = json.loads((out / "manifest.json").read_text())["stages"]["train"]
+        rows = (out / "training_trace.csv").read_text().splitlines()[2:]
+        val_mse = [float(row.split(",")[2]) for row in rows]
+        assert record["epochs_run"] == len(rows)
+        assert val_mse[record["best_epoch"] - 1] == min(val_mse)
+        # max_epochs is 80; only patience ends training sooner
+        assert record["stopped_early"] or record["epochs_run"] == 80
 
 
 class TestDeterminism:
@@ -416,6 +426,8 @@ class TestExitCodes:
         collapsed = np.repeat(levels[:1], levels.shape[0], axis=0)
         write_ensemble(out, npy_bytes(collapsed), record_checksum=True)
         assert main(["stress", "--config", str(cfg), "--quiet"]) == 4
+        # the runner records a stage only after its body returns
+        assert "stress" not in json.loads((out / "manifest.json").read_text())["stages"]
 
     def _stress_on_edited_ensemble(self, pipeline, tmp_path, edit, record_checksum=False):
         """Rerun stress on a copy of the pipeline whose ensemble.npy bytes
@@ -425,6 +437,12 @@ class TestExitCodes:
         data = (copy / "run" / "ensemble.npy").read_bytes()
         write_ensemble(copy / "run", edit(data), record_checksum)
         return main(["stress", "--config", str(copy / "config.json"), "--quiet"])
+
+    def test_failed_stage_keeps_its_previous_record(self, pipeline, tmp_path):
+        root, _ = pipeline
+        assert self._stress_on_edited_ensemble(pipeline, tmp_path, flip_middle_byte) == 3
+        manifest = Path("run", "manifest.json")
+        assert (tmp_path / "copy" / manifest).read_bytes() == (root / manifest).read_bytes()
 
     def test_rewritten_intact_ensemble_is_0(self, pipeline, tmp_path):
         def resave(data):
@@ -569,6 +587,21 @@ class TestExitCodes:
         assert main(["forecast", "--config", str(copy / "config.json"), "--quiet"]) == 3
         assert "observed_e0.csv" in caplog.text
 
+    @pytest.mark.parametrize("keep", ["one-country", "header-only"])
+    def test_cluster_of_fewer_than_two_countries_is_2(self, tmp_path, caplog, keep):
+        cfg = write_config(tmp_path)
+        assert main(["synth", "--config", str(cfg), "--quiet"]) == 0
+        data = tmp_path / "data" / "cluster.csv"
+        lines = data.read_text().splitlines(keepends=True)
+        head, rows = lines[:2], lines[2:]  # config_hash line, column header
+        if keep == "one-country":
+            rows = [row for row in rows if row.split(",")[0] == rows[0].split(",")[0]]
+        else:
+            rows = []
+        data.write_text("".join(head + rows))
+        assert main(["fit", "--config", str(cfg), "--quiet"]) == 2
+        assert "a cluster needs at least 2 countries" in caplog.text
+
     def test_lapack_failure_is_5(self, tmp_path, monkeypatch):
         cfg = write_config(tmp_path)
         assert main(["synth", "--config", str(cfg), "--quiet"]) == 0
@@ -591,3 +624,43 @@ class TestExitCodes:
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
         assert main(["fit", "--config", str(bad), "--quiet"]) == 1
+
+    def test_config_not_an_object_is_1(self, tmp_path, caplog):
+        bad = tmp_path / "number.json"
+        bad.write_text("5")
+        assert main(["fit", "--config", str(bad), "--quiet"]) == 1
+        assert "config is not a valid JSON object" in caplog.text
+
+
+class TestStageRunner:
+    def test_body_is_looked_up_at_call_time(self, tmp_path, monkeypatch):
+        """A wrapper bound to cli.cmd_<stage> after import is the body the
+        runner calls, and the facts it returns land in the stage's record."""
+        cfg = write_config(tmp_path)
+        body = cli.cmd_synth
+
+        def wrapper(ctx):
+            body(ctx)
+            return {"probe": 1}
+
+        monkeypatch.setattr(cli, "cmd_synth", wrapper)
+        assert main(["synth", "--config", str(cfg), "--quiet"]) == 0
+        record = json.loads((tmp_path / "run" / "manifest.json").read_text())["stages"]["synth"]
+        assert record["probe"] == 1
+        assert "truth_params.json" in record["files"]
+
+    def test_tracer_targets_resolve(self, monkeypatch):
+        """Every function perfbench's tracer wraps by name exists, and the
+        stage bodies it wraps are the CLI's stages, in order."""
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+        spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+        spans = importlib.util.module_from_spec(spec)
+        # its dataclasses resolve their annotations through sys.modules
+        monkeypatch.setitem(sys.modules, spec.name, spans)
+        spec.loader.exec_module(spans)
+        for layer, names in spans.TARGETS.items():
+            module = importlib.import_module(f"mortlab.{layer}")
+            for name in names:
+                assert callable(getattr(module, name, None)), f"mortlab.{layer}.{name}"
+        bodies = [name for name in spans.TARGETS["cli"] if name.startswith("cmd_")]
+        assert bodies == [f"cmd_{stage}" for stage in STAGES]

@@ -14,7 +14,6 @@ from mortlab.data import (
 )
 from mortlab.errors import (
     DataGapError,
-    DimensionError,
     ExposureError,
     ParseError,
     StructureError,
@@ -277,5 +276,14 @@ class TestCsvRoundTrip:
 def test_cluster_requires_two_countries(small_cluster):
     from mortlab.data import ClusterDataset
 
-    with pytest.raises(DimensionError):
+    with pytest.raises(StructureError):
         ClusterDataset(surfaces=small_cluster.surfaces[:1])
+
+
+def test_cluster_requires_one_grid(small_cluster):
+    from mortlab.data import ClusterDataset, MortalitySurface
+
+    s = small_cluster.surfaces[1]
+    short = MortalitySurface(s.country, s.ages, s.years[:-1], s.m[:, :-1], s.log_m[:, :-1])
+    with pytest.raises(StructureError, match="share ages and years"):
+        ClusterDataset(surfaces=(small_cluster.surfaces[0], short))
