@@ -214,34 +214,25 @@ def _levels_variant_rmse(panel: FactorPanel, split_year: int, cfg: HybridConfig)
 
 
 def ablate(
-    panel: FactorPanel,
-    split_year: int,
-    cfg: HybridConfig,
-    variants: tuple[str, ...] = ("baseline", "no_mbc", "no_differences"),
-    *,
-    baseline=None,
+    panel: FactorPanel, split_year: int, cfg: HybridConfig, *, baseline
 ) -> dict[str, AblationResult]:
-    """Common-factor RMSE per design variant, with degradation vs baseline.
+    """Common-factor RMSE of the baseline, of the baseline without its
+    mean-bias correction (no_mbc) and of a retrained levels network
+    (no_differences), each with its degradation vs the baseline.
 
-    `baseline` is `fit_forecaster(panel, split_year, cfg)` when the caller
-    already has it; None trains it here."""
-    if baseline is None:
-        baseline = fit_forecaster(panel, split_year, cfg)
+    `baseline` is `fit_forecaster(panel, split_year, cfg)`."""
     model = baseline[0]
     base = _rmse_kt_recursive(model, panel, split_year)
-    out = {"baseline": AblationResult("baseline", base, 0.0)}
-    for name in variants:
-        if name == "baseline":
-            continue
-        if name == "no_mbc":
-            stripped = replace(model, mbc=np.zeros_like(model.mbc))
-            r = _rmse_kt_recursive(stripped, panel, split_year)
-        elif name == "no_differences":
-            r = _levels_variant_rmse(panel, split_year, cfg)
-        else:
-            raise ValueError(f"unknown ablation variant {name!r}")
-        out[name] = AblationResult(name, r, (r - base) / base * 100.0)
-    return out
+    variants = {
+        "no_mbc": _rmse_kt_recursive(replace(model, mbc=np.zeros_like(model.mbc)),
+                                     panel, split_year),
+        "no_differences": _levels_variant_rmse(panel, split_year, cfg),
+    }
+    return {
+        "baseline": AblationResult("baseline", base, 0.0),
+        **{name: AblationResult(name, r, (r - base) / base * 100.0)
+           for name, r in variants.items()},
+    }
 
 
 def lookback_sweep(
@@ -250,21 +241,18 @@ def lookback_sweep(
     cfg: HybridConfig,
     lookbacks: tuple[int, ...] = (5, 10, 15),
     *,
-    baseline=None,
+    baseline,
 ) -> list[SweepResult]:
     """Retrain with identical seed policy per window length.
 
-    `baseline` is `fit_forecaster(panel, split_year, cfg)` when the caller
-    already has it; the sweep then reuses it for `cfg.lookback` instead of
-    training the same model again."""
+    `baseline` is `fit_forecaster(panel, split_year, cfg)`; the sweep
+    reuses it for `cfg.lookback` instead of training the same model again."""
     results = []
     n_diffs = panel.values.shape[0] - 1
     for lb in lookbacks:
         try:
-            if baseline is not None and lb == cfg.lookback:
-                fit = baseline
-            else:
-                fit = fit_forecaster(panel, split_year, replace(cfg, lookback=lb))
+            fit = (baseline if lb == cfg.lookback
+                   else fit_forecaster(panel, split_year, replace(cfg, lookback=lb)))
             model, _, _, (train_idx, val_idx) = fit
         except InsufficientHistoryError as exc:
             note = f"skipped: {exc} ({n_diffs} difference rows)"

@@ -130,6 +130,11 @@ _DEFAULTS = {
 }
 
 
+# (section, key, least value) of the config counts that have a floor; an
+# unset key whose default is None keeps the stage's own default
+_AT_LEAST = (("forecast", "n_paths", 2), ("forecast", "horizon", 1),
+             ("explain", "n_coalitions", 1))
+
 MANIFEST = "manifest.json"
 HEX = set("0123456789abcdef")
 
@@ -146,7 +151,18 @@ class RunContext:
         self.cfg = {**_DEFAULTS, **cfg}
         for key, sub in _DEFAULTS.items():
             if isinstance(sub, dict):
-                self.cfg[key] = {**sub, **cfg.get(key, {})}
+                given = cfg.get(key, {})
+                if not isinstance(given, dict):
+                    raise ConfigError(f"config section {key!r} must be a JSON object, "
+                                      f"not {type(given).__name__}")
+                self.cfg[key] = {**sub, **given}
+        for section, key, least in _AT_LEAST:
+            value = self.cfg[section][key]
+            if value is None and _DEFAULTS[section][key] is None:
+                continue
+            if not (isinstance(value, int) and value >= least):
+                raise ConfigError(f"config {section}.{key} must be an integer >= {least}, "
+                                  f"got {value!r}")
         self.config_dir = config_dir
         self.hash = config_hash(self.cfg)
         out = os.environ.get("MORTLAB_OUT") or self.cfg.get("out_dir") or f"runs/{self.hash[:8]}"
@@ -358,17 +374,17 @@ def _hybrid_config(ctx: RunContext, stream: str) -> HybridConfig:
 
 def cmd_synth(ctx: RunContext) -> None:
     synth = ctx.cfg["synth"]
-    regime = synth.get("regime", "unit_root")
+    regime = synth["regime"]
     if regime not in SYNTH_REGIMES:
         raise ConfigError(f"unknown synth regime {regime!r}; options {sorted(SYNTH_REGIMES)}")
     seed = stream_seed(ctx.seed, "synth")
     truth = synthetic_truth(
-        n_countries=int(synth.get("n_countries", 3)),
-        year_range=tuple(synth.get("year_range", (1956, 2020))),
+        n_countries=int(synth["n_countries"]),
+        year_range=tuple(synth["year_range"]),
         seed=seed,
         **SYNTH_REGIMES[regime],
     )
-    cluster = synthesize_cluster(truth, noise_sd=float(synth.get("noise_sd", 0.01)), seed=seed + 1)
+    cluster = synthesize_cluster(truth, noise_sd=float(synth["noise_sd"]), seed=seed + 1)
     target = ctx.data_path(ctx.cfg.get("data", {}).get("cluster_csv", "data/cluster.csv"))
     target.parent.mkdir(parents=True, exist_ok=True)
     # outside the run directory, the data CSV is recorded by its absolute path
@@ -532,8 +548,7 @@ def cmd_forecast(ctx: RunContext) -> dict:
             terminal = lifetable.e0_paths(ens, params, code, horizons=-1)
         origin_model = lifetable.e0_at(params, code, float(panel.values[-1, 0]))
         mean_term = float(terminal.mean())
-        ci_low = risk.quantile(terminal, 0.025)
-        ci_high = risk.quantile(terminal, 0.975)
+        ci_low, ci_high = risk.sorted_quantiles(np.sort(terminal), (0.025, 0.975))
         summary_rows.append(
             [
                 code,
@@ -605,16 +620,15 @@ def cmd_explain(ctx: RunContext) -> None:
     out_index = 1 + params.country_index(focus)
     xc = ctx.cfg["explain"]
     X_test = windows.X[val_idx]
-    if xc.get("max_test_windows"):
+    if xc["max_test_windows"]:
         X_test = X_test[: int(xc["max_test_windows"])]
     rep = explain.kernel_shap(
         model.net,
         windows.X[train_idx],
         X_test,
         output_index=out_index,
-        n_coalitions=xc.get("n_coalitions"),
+        n_coalitions=xc["n_coalitions"],
         seed=stream_seed(ctx.seed, "explain"),
-        mode="sampled",
     )
     scores = explain.aggregate_country_influence(rep)
     ctx.write_csv(

@@ -7,10 +7,11 @@ output, normalized to percentages.
 The Shapley explainer treats the flattened window (lag-major) as the
 feature vector.  Missing features are replaced by the mean background
 window, a single-reference simplification that keeps every coalition at
-one model evaluation.  Exact enumeration is available for small feature
-counts; otherwise coalitions are sampled from the Shapley kernel and
+one model evaluation.  Coalitions are sampled from the Shapley kernel and
 attributions solved by constrained weighted least squares, so the
-efficiency identity base + sum(phi) = f(x) holds by construction.
+efficiency identity base + sum(phi) = f(x) holds by construction.  Exact
+enumeration, for at most EXACT_LIMIT features, is the reference the
+sampled mode is checked against.
 
 Both modes evaluate the coalitions in the fewest contiguous, near-equal
 blocks of at most `BLOCK` rows (`forecast_stochastic`'s split, so no block
@@ -96,15 +97,15 @@ def kernel_shap(
     output_index: int | None = None,
     n_coalitions: int | None = None,
     seed: int = 0,
-    mode: str = "auto",
+    mode: str = "sampled",
 ) -> ShapReport:
     """Shapley attributions of one output over flattened input windows.
 
     `model` is a NetworkParams or any callable mapping (n, L, F) windows to
-    outputs.  `mode` is "exact" (full enumeration, feature count <= 16),
-    "sampled", or "auto" (exact when small enough).  The default sampling
-    budget is 2*d + 2048; a budget covering all proper coalitions switches
-    to full enumeration with analytic kernel weights.
+    outputs.  `mode` is "sampled" or "exact" (full enumeration, feature
+    count <= EXACT_LIMIT).  The default sampling budget is 2*d + 2048; a
+    budget covering all proper coalitions switches to full enumeration
+    with analytic kernel weights.
     """
     background = np.asarray(background, dtype=float)
     X_test = np.asarray(X_test, dtype=float)
@@ -121,8 +122,6 @@ def kernel_shap(
     if n_coalitions is None:
         n_coalitions = 2 * d + 2048
 
-    if mode == "auto":
-        mode = "exact" if d <= 12 else "sampled"
     if mode == "exact" and d > EXACT_LIMIT:
         raise ValueError(f"exact mode supports at most {EXACT_LIMIT} features, got {d}")
     if mode not in ("exact", "sampled"):

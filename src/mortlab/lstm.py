@@ -6,7 +6,7 @@ saliency, so there is no reason to pull in a framework.
 
 Conventions
 -----------
-* Sequences are (samples, steps, features); a single sample is (steps, features).
+* Sequences are (samples, steps, features); one window is a stack of one.
 * Each LSTM layer holds an input kernel W (in, 4H), a recurrent kernel
   U (H, 4H) and a bias (4H,), with gates ordered [input, forget, cell, output]
   along the last axis.
@@ -311,43 +311,31 @@ def draw_mask(
 
 
 def forward(
-    params: NetworkParams,
-    x: np.ndarray,
-    *,
-    rng: np.random.Generator | None = None,
-    mask: np.ndarray | None = None,
+    params: NetworkParams, x: np.ndarray, *, mask: np.ndarray | None = None
 ) -> np.ndarray:
-    """Predict the next step from one window (steps, features) or from a
-    stack of windows (n, steps, features), with an optional layer-1
-    dropout mask shaped like the windows' (steps, h1) or (n, steps, h1).
+    """Predict the next step from a stack of windows (n, steps, features),
+    with an optional layer-1 dropout mask (n, steps, h1) from `draw_mask`.
 
-    Deterministic without `rng`/`mask`; passing an rng draws a seeded
-    dropout mask, so a fixed seed reproduces the same prediction.  Each row
-    of a stack gives the same bits as that window run alone, because every
-    product is taken row by row on a C-order copy (a strided row may take
-    another BLAS path); the stochastic ensemble relies on this.
+    Deterministic without `mask`.  Each row of a stack gives the same bits
+    as that window run alone, because every product is taken row by row on
+    a C-order copy (a strided row may take another BLAS path); the
+    stochastic ensemble relies on this.
     """
-    x = np.ascontiguousarray(x, dtype=float)
-    single = x.ndim == 2
-    X = x[None] if single else x
+    X = np.ascontiguousarray(x, dtype=float)
     if X.ndim != 3 or X.shape[2] != params.input_dim:
         raise DimensionError(
-            f"forward expects (steps, {params.input_dim}) or (n, steps, "
-            f"{params.input_dim}) windows, got {x.shape}"
+            f"forward expects (n, steps, {params.input_dim}) windows, got {X.shape}"
         )
     if not np.all(np.isfinite(X)):
         raise NumericError("non-finite input window")
-    if mask is None and rng is not None:
-        mask = draw_mask(params, rng, X.shape[0], X.shape[1])
-    elif mask is not None:
+    if mask is not None:
         mask = np.asarray(mask, dtype=float)
-        mask = mask[None] if single else mask
         if mask.shape != (*X.shape[:2], params.hidden[0]):
             raise DimensionError(f"dropout mask shape {mask.shape} does not fit the windows")
     pred = _infer(params, X, mask, _rows)
     if not np.all(np.isfinite(pred)):
         raise NumericError("non-finite prediction")
-    return pred[0] if single else pred
+    return pred
 
 
 def predict(params: NetworkParams, X: np.ndarray) -> np.ndarray:
@@ -391,7 +379,6 @@ class TrainConfig:
     learning_rate: float = 1e-3
     max_epochs: int = 500
     patience: int = 15
-    clip_norm: float = 5.0
     seed: int = 0
 
     def __post_init__(self):
@@ -435,10 +422,13 @@ class _Adam:
             w -= self.lr * (m / b1c) / (np.sqrt(v / b2c) + self.eps)
 
 
-def _clip_global_norm(grads: dict, max_norm: float):
+CLIP_NORM = 5.0  # largest global gradient norm an Adam step takes
+
+
+def _clip_global_norm(grads: dict):
     total = np.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
-    if max_norm > 0 and total > max_norm:
-        scale = max_norm / total
+    if total > CLIP_NORM:
+        scale = CLIP_NORM / total
         for g in grads.values():
             g *= scale
     return total
@@ -453,9 +443,10 @@ def train(
     *,
     hidden: tuple[int, int] = (32, 16),
     dropout_rate: float = 0.2,
-    params: NetworkParams | None = None,
 ) -> tuple[NetworkParams, TrainTrace]:
-    """Full-batch Adam with early stopping on the validation loss.
+    """Full-batch Adam from `init_params` weights, each step's gradients
+    clipped to global norm CLIP_NORM, with early stopping on the
+    validation loss.
 
     Dropout is active on training forward passes, never on evaluation.
     Stops after `patience` epochs without a new best validation MSE and
@@ -469,16 +460,13 @@ def train(
         raise ValueError("need at least one training and one validation sample")
 
     init_seed, mask_seed = np.random.SeedSequence(config.seed).spawn(2)
-    if params is None:
-        params = init_params(
-            X_train.shape[2],
-            hidden=hidden,
-            output_dim=Y_train.shape[1],
-            dropout_rate=dropout_rate,
-            seed=init_seed,
-        )
-    else:
-        params = params.copy()
+    params = init_params(
+        X_train.shape[2],
+        hidden=hidden,
+        output_dim=Y_train.shape[1],
+        dropout_rate=dropout_rate,
+        seed=init_seed,
+    )
     mask_rng = np.random.default_rng(mask_seed)
 
     trace = TrainTrace()
@@ -496,7 +484,7 @@ def train(
             raise TrainingError("training loss diverged", epoch=epoch)
         dpred = 2.0 * (pred - Y_train) / n
         grads, _ = _backward(params, cache, dpred)
-        _clip_global_norm(grads, config.clip_norm)
+        _clip_global_norm(grads)
         optimizer.step(params, grads)
 
         val_loss = mse(predict(params, X_val), Y_val)

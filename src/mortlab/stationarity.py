@@ -58,20 +58,19 @@ def default_adf_max_lag(n: int) -> int:
     return int(math.floor(12.0 * (n / 100.0) ** 0.25))
 
 
-def adf_test(series: np.ndarray, max_lag: int | None = None) -> tuple[float, float]:
+def adf_test(series: np.ndarray) -> tuple[float, float]:
     """Augmented Dickey-Fuller test, constant-only regression.
 
     Regresses the first difference on the lagged level, `p` lagged
     differences and a constant, selecting p in 0..max_lag by AIC on a
-    common sample.  Returns (t statistic on the lagged level, p-value).
+    common sample, with max_lag = default_adf_max_lag(n) (Schwert's rule).
+    Returns (t statistic on the lagged level, p-value).
     The p-values are MacKinnon's for the constant-only regression, the
     only one supported.
     """
     y = np.asarray(series, dtype=float)
     n = y.size
-    if max_lag is None:
-        max_lag = default_adf_max_lag(n)
-    max_lag = int(max_lag)
+    max_lag = default_adf_max_lag(n)
     if n < max_lag + 10:
         raise ValueError(f"series too short: need at least max_lag + 10 = {max_lag + 10}")
 
@@ -155,12 +154,10 @@ def mackinnon_p(stat: float) -> float:
     return min(max(_norm_cdf(poly), 0.0), 1.0)
 
 
-def kpss_test(
-    series: np.ndarray, bandwidth: int | str = "auto"
-) -> tuple[float, float]:
+def kpss_test(series: np.ndarray) -> tuple[float, float]:
     """KPSS level-stationarity test with Bartlett-kernel long-run variance.
 
-    Auto bandwidth is bw = floor(4 * (n/100)^0.25); the long-run variance
+    The bandwidth is bw = floor(4 * (n/100)^0.25); the long-run variance
     takes lags 1..bw-1 with weights 1 - l/bw.  That is one lag fewer than
     the l4 rule of Kwiatkowski, Phillips, Schmidt & Shin (1992, Journal of
     Econometrics 54), which takes bw lags with the Newey & West (1987,
@@ -173,18 +170,13 @@ def kpss_test(
     n = y.size
     if n < 10:
         raise ValueError("need at least 10 observations")
-    if bandwidth == "auto":
-        bw = int(math.floor(4.0 * (n / 100.0) ** 0.25))
-    else:
-        bw = int(bandwidth)
-        if bw < 0:
-            raise ValueError("bandwidth must be >= 0")
+    bw = int(math.floor(4.0 * (n / 100.0) ** 0.25))
 
     resid = y - y.mean()
     if np.max(np.abs(resid)) <= 1e-14 * max(1.0, abs(float(y.mean()))):
         raise DegenerateSeriesError("constant series has zero long-run variance")
     # Bartlett kernel in the spectral-bandwidth parameterization: weights
-    # 1 - l/bw for lags l < bw (bandwidth 0 or 1 leaves the plain variance).
+    # 1 - l/bw for lags l < bw.
     s2 = float(resid @ resid) / n
     for l in range(1, bw):
         w = 1.0 - l / bw
@@ -225,9 +217,9 @@ def classify(adf_p: float, kpss_p: float) -> str:
     return "Conflict-Inertial"
 
 
-def analyze(series: np.ndarray, max_lag: int | None = None) -> StationarityReport:
+def analyze(series: np.ndarray) -> StationarityReport:
     """Run both tests on a series and classify the outcome."""
-    adf_stat, adf_p = adf_test(series, max_lag=max_lag)
+    adf_stat, adf_p = adf_test(series)
     kpss_stat, kpss_p = kpss_test(series)
     return StationarityReport(
         adf_stat=adf_stat,

@@ -331,13 +331,24 @@ def test_c13_monotonicity_checker():
     )
 
 
-def _selectivity_run(seed: int, regime: dict):
-    _, _, params, panel = build_run(seed, regime)
+def _champion_fit(seed: int, regime: dict):
+    """(panel, config, fit_forecaster result) of the champion architecture
+    on acceptance run `seed` of `regime`."""
+    panel = build_run(seed, regime)[3]
     cfg = HybridConfig(
         lookback=10, hidden=(32, 16), dropout_rate=0.2,
         train=TrainConfig(max_epochs=600, patience=15, seed=seed + 2000),
     )
-    model = fit_forecaster(panel, 2011, cfg)[0]
+    return panel, cfg, fit_forecaster(panel, 2011, cfg)
+
+
+@pytest.fixture(scope="module")
+def unit_root_fits():
+    """The 20 unit-root champion fits C14 and C15 both judge."""
+    return [_champion_fit(seed, UNIT_ROOT) for seed in range(20)]
+
+
+def _selectivity_run(panel, model):
     actual = panel.values[panel.years > 2011]
     bias = model.mbc * model.scaler.sd
     ll = linear_benchmark_forecast(panel, 2011, bias=bias)
@@ -350,10 +361,13 @@ def _selectivity_run(seed: int, regime: dict):
     return pooled, per_country_mean
 
 
-def test_c14_regime_selectivity():
+def test_c14_regime_selectivity(unit_root_fits):
     t0 = time.time()
-    ur = np.array([_selectivity_run(s, UNIT_ROOT) for s in range(20)])
-    st = np.array([_selectivity_run(s, NEAR_STATIONARY) for s in range(20)])
+    ur = np.array([_selectivity_run(panel, fit[0]) for panel, _, fit in unit_root_fits])
+    st = np.array([
+        _selectivity_run(panel, fit[0])
+        for panel, _, fit in (_champion_fit(s, NEAR_STATIONARY) for s in range(20))
+    ])
     wins_pooled = int(np.sum(ur[:, 0] > 0))
     wins_country = int(np.sum(ur[:, 1] > 0))
     stat_mean_pooled = float(st[:, 0].mean())
@@ -374,15 +388,10 @@ def test_c14_regime_selectivity():
     )
 
 
-def test_c15_ablation_ordering():
+def test_c15_ablation_ordering(unit_root_fits):
     holds = 0
-    for seed in range(20):
-        _, _, params, panel = build_run(seed, UNIT_ROOT)
-        cfg = HybridConfig(
-            lookback=10, hidden=(32, 16), dropout_rate=0.2,
-            train=TrainConfig(max_epochs=600, patience=15, seed=seed + 2000),
-        )
-        res = ablate(panel, 2011, cfg)
+    for panel, cfg, fit in unit_root_fits:
+        res = ablate(panel, 2011, cfg, baseline=fit)
         lv = res["no_differences"].degradation_pct
         nm = res["no_mbc"].degradation_pct
         if lv > nm > 0:

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -211,7 +213,8 @@ class TestValidate:
 class TestAblate:
     def test_baseline_zero_degradation(self, fitted_panel):
         _, panel = fitted_panel
-        out = ablate(panel, 2011, quick_cfg(), variants=("baseline",))
+        cfg = quick_cfg()
+        out = ablate(panel, 2011, cfg, baseline=fit_forecaster(panel, 2011, cfg))
         assert out["baseline"].degradation_pct == 0.0
 
     def test_no_mbc_on_zero_bias_model_is_noop(self, fitted_panel):
@@ -230,17 +233,24 @@ class TestAblate:
 
     def test_variants_present(self, fitted_panel):
         _, panel = fitted_panel
-        out = ablate(panel, 2011, quick_cfg(seed=6))
+        cfg = quick_cfg(seed=6)
+        out = ablate(panel, 2011, cfg, baseline=fit_forecaster(panel, 2011, cfg))
         assert set(out) == {"baseline", "no_mbc", "no_differences"}
         for res in out.values():
             assert isinstance(res, AblationResult)
             assert res.rmse_kt >= 0
 
 
+def sweep(panel, split_year, cfg, lookbacks):
+    """lookback_sweep with the baseline `cfg` model trained here."""
+    baseline = fit_forecaster(panel, split_year, cfg)
+    return lookback_sweep(panel, split_year, cfg, lookbacks, baseline=baseline)
+
+
 class TestLookbackSweep:
     def test_sample_counts_differ_by_delta_lookback(self, fitted_panel):
         _, panel = fitted_panel
-        out = lookback_sweep(panel, 2011, quick_cfg(seed=7), lookbacks=(5, 10))
+        out = sweep(panel, 2011, quick_cfg(seed=7), lookbacks=(5, 10))
         by_l = {r.lookback: r for r in out}
         total_5 = by_l[5].n_train + by_l[5].n_val
         total_10 = by_l[10].n_train + by_l[10].n_val
@@ -252,22 +262,21 @@ class TestLookbackSweep:
             [np.cumsum(rng.normal(-1, 0.3, 16)), rng.normal(0, 0.3, 16)]
         )
         panel = FactorPanel(years=2000 + np.arange(16), values=values, labels=("K", "C0"))
-        out = lookback_sweep(panel, 2012, quick_cfg(seed=8), lookbacks=(5, 40))
+        out = sweep(panel, 2012, replace(quick_cfg(seed=8), lookback=5), lookbacks=(5, 40))
         by_l = {r.lookback: r for r in out}
         assert by_l[40].skipped and "skipped" in by_l[40].note
         assert not by_l[5].skipped
 
     def test_reused_baseline_equals_retraining(self, fitted_panel):
+        # each sweep reuses its baseline for one lookback and trains the other
         _, panel = fitted_panel
-        cfg = quick_cfg(seed=10)
-        fresh = lookback_sweep(panel, 2011, cfg, lookbacks=(5, 10))
-        reused = lookback_sweep(
-            panel, 2011, cfg, lookbacks=(5, 10), baseline=fit_forecaster(panel, 2011, cfg)
-        )
-        assert reused == fresh
+        at_10 = sweep(panel, 2011, quick_cfg(seed=10), lookbacks=(5, 10))
+        at_5 = sweep(panel, 2011, replace(quick_cfg(seed=10), lookback=5), lookbacks=(5, 10))
+        assert at_5 == at_10
 
     def test_deterministic_output(self, fitted_panel):
         _, panel = fitted_panel
-        a = lookback_sweep(panel, 2011, quick_cfg(seed=9), lookbacks=(5,))
-        b = lookback_sweep(panel, 2011, quick_cfg(seed=9), lookbacks=(5,))
+        cfg = replace(quick_cfg(seed=9), lookback=5)
+        a = sweep(panel, 2011, cfg, lookbacks=(5,))
+        b = sweep(panel, 2011, cfg, lookbacks=(5,))
         assert a[0].rmse_kt == b[0].rmse_kt

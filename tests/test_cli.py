@@ -625,11 +625,20 @@ class TestExitCodes:
         bad.write_text("{not json")
         assert main(["fit", "--config", str(bad), "--quiet"]) == 1
 
-    def test_config_not_an_object_is_1(self, tmp_path, caplog):
-        bad = tmp_path / "number.json"
-        bad.write_text("5")
+    @pytest.mark.parametrize("text, message", [
+        ("5", "config is not a valid JSON object"),
+        ('{"seed": 1, "train": 3}', "config section 'train' must be a JSON object, not int"),
+        ('{"seed": 1, "forecast": {"n_paths": 1}}', "forecast.n_paths must be an integer >= 2"),
+        ('{"seed": 1, "forecast": {"horizon": 0}}', "forecast.horizon must be an integer >= 1"),
+        ('{"seed": 1, "explain": {"n_coalitions": -5}}',
+         "explain.n_coalitions must be an integer >= 1"),
+    ], ids=["top-level", "section", "n_paths", "horizon", "n_coalitions"])
+    def test_config_not_an_object_is_1(self, tmp_path, caplog, text, message):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
         assert main(["fit", "--config", str(bad), "--quiet"]) == 1
-        assert "config is not a valid JSON object" in caplog.text
+        errors = [r for r in caplog.records if r.levelname == "ERROR"]
+        assert len(errors) == 1 and message in errors[0].getMessage()
 
 
 class TestStageRunner:

@@ -139,7 +139,7 @@ class TestLayout:
         x = (np.diff(stack, axis=1) - scaler.mean) / scaler.sd
         want_fwd = forward(net, x)
         assert forward(net, np.asfortranarray(x)).tobytes() == want_fwd.tobytes()
-        assert forward(net, np.asfortranarray(x[3])).tobytes() == want_fwd[3].tobytes()
+        assert forward(net, np.asfortranarray(x[3:4])).tobytes() == want_fwd[3].tobytes()
 
 
 def per_path_oracle(model, history, horizon, n_paths, sigma, seed):
@@ -156,7 +156,7 @@ def per_path_oracle(model, history, horizon, n_paths, sigma, seed):
         for h in range(1, horizon + 1):
             mask = draw_mask(model.net, rng, 1, model.lookback)
             x = (np.diff(window, axis=0) - model.scaler.mean) / model.scaler.sd
-            pred = forward(model.net, x, mask=None if mask is None else mask[0])
+            pred = forward(model.net, x[None], mask=mask)[0]
             nxt = window[-1] + ((pred + model.mbc) * model.scaler.sd + model.scaler.mean)
             if np.any(sigma > 0):
                 nxt = nxt + rng.normal(0.0, sigma)

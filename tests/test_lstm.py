@@ -74,35 +74,38 @@ def assert_close_grads(analytic, numeric, rel_tol=1e-5, abs_tol=1e-8):
 class TestForward:
     def test_zero_network_outputs_head_bias(self):
         params = zero_params(head_bias=0.7)
-        x = np.random.default_rng(0).standard_normal((5, 3))
+        x = np.random.default_rng(0).standard_normal((1, 5, 3))
         assert np.allclose(forward(params, x), 0.7)
 
     def test_dropout_zero_equals_deterministic_bitwise(self):
         params = toy_params(dropout=0.0)
-        x = np.random.default_rng(1).standard_normal((6, 3))
+        x = np.random.default_rng(1).standard_normal((1, 6, 3))
         det = forward(params, x)
-        drop = forward(params, x, rng=np.random.default_rng(99))
+        drop = forward(params, x, mask=draw_mask(params, np.random.default_rng(99), 1, 6))
         assert np.array_equal(det, drop)
 
     def test_fixed_seed_reproducible_dropout(self):
         params = toy_params(dropout=0.3)
-        x = np.random.default_rng(2).standard_normal((6, 3))
-        a = forward(params, x, rng=np.random.default_rng(7))
-        b = forward(params, x, rng=np.random.default_rng(7))
+        x = np.random.default_rng(2).standard_normal((1, 6, 3))
+
+        def seeded(seed):
+            return forward(params, x, mask=draw_mask(params, np.random.default_rng(seed), 1, 6))
+
+        a, b, c = seeded(7), seeded(7), seeded(8)
         assert np.array_equal(a, b)
-        c = forward(params, x, rng=np.random.default_rng(8))
         assert not np.array_equal(a, c)
 
     def test_batch_predict_matches_single(self):
         params = toy_params()
         X = np.random.default_rng(3).standard_normal((4, 5, 3))
         batch = predict(params, X)
-        singles = np.stack([forward(params, X[i]) for i in range(4)])
+        singles = np.concatenate([forward(params, X[i : i + 1]) for i in range(4)])
         assert np.allclose(batch, singles, atol=1e-12)
 
     def test_bad_shapes_rejected(self):
         params = toy_params()
-        for bad in (np.zeros(3), np.zeros((2, 3, 3, 3)), np.zeros((5, 4)), np.zeros((2, 5, 2))):
+        # a lone (steps, features) window is not a stack
+        for bad in (np.zeros(3), np.zeros((5, 3)), np.zeros((2, 3, 3, 3)), np.zeros((2, 5, 2))):
             with pytest.raises(DimensionError):
                 forward(params, bad)
         with pytest.raises(DimensionError):
@@ -115,10 +118,10 @@ class TestForward:
         masks = draw_mask(params, rng, 9, 7)
         batch = forward(params, X, mask=masks)
         for i in range(9):
-            assert np.array_equal(batch[i], forward(params, X[i], mask=masks[i]))
+            assert np.array_equal(batch[i], forward(params, X[i : i + 1], mask=masks[i : i + 1])[0])
         plain = forward(params, X)
         for i in range(9):
-            assert np.array_equal(plain[i], forward(params, X[i]))
+            assert np.array_equal(plain[i], forward(params, X[i : i + 1])[0])
 
 
 class TestPredict:
@@ -179,9 +182,9 @@ class TestGradients:
             for idx in np.ndindex(x.shape):
                 orig = x[idx]
                 x[idx] = orig + step
-                up = forward(params, x)[j]
+                up = forward(params, x[None])[0, j]
                 x[idx] = orig - step
-                down = forward(params, x)[j]
+                down = forward(params, x[None])[0, j]
                 x[idx] = orig
                 numeric[idx] = (up - down) / (2 * step)
             assert_close_grads(analytic, numeric)
