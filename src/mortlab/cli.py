@@ -43,7 +43,7 @@ from pathlib import Path
 import numpy as np
 
 from . import benchmark, explain, lifetable, risk, stationarity
-from .data import CLUSTER_COLUMNS, cluster_rows, read_cluster_csv, synthesize_cluster
+from .data import cluster_csv_chunks, read_cluster_csv, synthesize_cluster
 from .data import ClusterDataset, build_surface, parse_hmd_file, synthetic_truth
 from .errors import (
     ConfigError,
@@ -132,8 +132,9 @@ _DEFAULTS = {
 
 # (section, key, least value) of the config counts that have a floor; an
 # unset key whose default is None keeps the stage's own default
-_AT_LEAST = (("forecast", "n_paths", 2), ("forecast", "horizon", 1),
-             ("explain", "n_coalitions", 1))
+_AT_LEAST = (("train", "patience", 1), ("train", "max_epochs", 1),
+             ("forecast", "n_paths", 2), ("forecast", "horizon", 1),
+             ("explain", "n_coalitions", 1), ("explain", "max_test_windows", 1))
 
 MANIFEST = "manifest.json"
 HEX = set("0123456789abcdef")
@@ -160,7 +161,7 @@ class RunContext:
             value = self.cfg[section][key]
             if value is None and _DEFAULTS[section][key] is None:
                 continue
-            if not (isinstance(value, int) and value >= least):
+            if not (type(value) is int and value >= least):  # a JSON true is no count
                 raise ConfigError(f"config {section}.{key} must be an integer >= {least}, "
                                   f"got {value!r}")
         self.config_dir = config_dir
@@ -388,7 +389,7 @@ def cmd_synth(ctx: RunContext) -> None:
     target = ctx.data_path(ctx.cfg.get("data", {}).get("cluster_csv", "data/cluster.csv"))
     target.parent.mkdir(parents=True, exist_ok=True)
     # outside the run directory, the data CSV is recorded by its absolute path
-    ctx.write_csv(str(target), CLUSTER_COLUMNS, cluster_rows(cluster))
+    ctx.write(str(target), *cluster_csv_chunks(cluster, [f"config_hash={ctx.hash}"]))
     ctx.write("truth_params.json", dump_params(truth))
     log.info("synth: wrote %s (%d countries, regime %s)", target, len(cluster.surfaces), regime)
 
@@ -458,15 +459,14 @@ ENSEMBLE = "ensemble.npy"
 ENSEMBLE_DTYPE = np.dtype("<f8")
 
 
-def _write_ensemble(ctx: RunContext, ens: ForecastEnsemble) -> str:
+def _write_ensemble(ctx: RunContext, ens: ForecastEnsemble) -> None:
     """Save the levels, origin row included, as a version 1.0 .npy file
-    (np.save's bytes) and return their SHA-256.  The payload is written
-    and hashed straight from the array's buffer; nothing stamps a time, so
-    reruns give the same bytes."""
+    (np.save's bytes).  The payload is written and hashed straight from the
+    array's buffer; nothing stamps a time, so reruns give the same bytes."""
     levels = np.ascontiguousarray(ens.levels, dtype=ENSEMBLE_DTYPE)
     header = io.BytesIO()
     np.lib.format.write_array_header_1_0(header, np.lib.format.header_data_from_array_1_0(levels))
-    return ctx.write(ENSEMBLE, header.getbuffer(), memoryview(levels).cast("B"))
+    ctx.write(ENSEMBLE, header.getbuffer(), memoryview(levels).cast("B"))
 
 
 def _parse_ensemble(data: bytes, panel: FactorPanel, fdoc: dict) -> ForecastEnsemble:
@@ -513,7 +513,7 @@ def cmd_forecast(ctx: RunContext) -> dict:
     ens = forecast_stochastic(
         model, panel, horizon, n_paths=n_paths, sigma=sigma, seed=seed
     )
-    checksum = _write_ensemble(ctx, ens)
+    _write_ensemble(ctx, ens)
     ctx.write_json(
         "forecast_manifest.json",
         {
@@ -523,7 +523,6 @@ def cmd_forecast(ctx: RunContext) -> dict:
             "origin_year": int(panel.years[-1]),
             "sigma": sigma.tolist(),
             "quantiles": list(quantiles),
-            "ensemble_sha256": checksum,
         },
     )
 

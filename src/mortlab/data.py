@@ -9,7 +9,6 @@ licensed data.
 
 from __future__ import annotations
 
-import csv
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -30,7 +29,8 @@ from .lilee import LiLeeParams
 # Floor added inside the log transform so cells with zero deaths stay finite.
 EPS = 1e-10
 
-# Columns of the cluster CSV (`write_cluster_csv`, `read_cluster_csv`).
+# Columns of the cluster CSV, which `cluster_csv_chunks` formats and
+# `read_cluster_csv` reads.
 CLUSTER_COLUMNS = ("country", "year", "age", "m")
 # Its rows as `read_cluster_csv` parses them.  The country field's width is
 # paid on every row, and codes must be shorter than it: np.loadtxt cuts them.
@@ -365,22 +365,27 @@ def _cumulative_index(
     return levels
 
 
-def write_cluster_csv(dataset: ClusterDataset, path: str | Path, header_lines: Sequence[str] = ()) -> None:
-    """Serialize a cluster as CSV with columns country,year,age,m."""
-    with Path(path).open("w", newline="") as fh:
-        for line in header_lines:
-            fh.write(f"# {line}\n")
-        writer = csv.writer(fh)
-        writer.writerow(CLUSTER_COLUMNS)
-        writer.writerows(cluster_rows(dataset))
-
-
-def cluster_rows(dataset: ClusterDataset) -> Iterator[list]:
-    """The data rows of the cluster CSV, in `CLUSTER_COLUMNS` order."""
+def cluster_csv_chunks(dataset: ClusterDataset, header_lines: Sequence[str] = ()) -> Iterator[str]:
+    """The cluster CSV's text: the `# ` header lines and the column row,
+    then one chunk per country of rows in age-major, year-minor order.
+    These are the bytes of csv.writer's excel dialect (CRLF line ends, a
+    code quoted when it holds a comma, quote or line break) with
+    repr(float) rates, so every rate reads back bit for bit."""
+    yield "".join(f"# {line}\n" for line in header_lines) + ",".join(CLUSTER_COLUMNS) + "\r\n"
+    first = dataset.surfaces[0]
+    cells = [f",{year},{age}," for age in first.ages.tolist() for year in first.years.tolist()]
     for s in dataset.surfaces:
-        for ai, age in enumerate(s.ages):
-            for yi, year in enumerate(s.years):
-                yield [s.country, int(year), int(age), repr(float(s.m[ai, yi]))]
+        code = s.country
+        if any(c in code for c in ',"\r\n'):
+            code = '"' + code.replace('"', '""') + '"'
+        rates = s.m.ravel().tolist()
+        yield "".join([f"{code}{cell}{rate!r}\r\n" for cell, rate in zip(cells, rates)])
+
+
+def write_cluster_csv(dataset: ClusterDataset, path: str | Path, header_lines: Sequence[str] = ()) -> None:
+    """Write a cluster as CSV with columns country,year,age,m."""
+    with Path(path).open("w", newline="") as fh:
+        fh.writelines(cluster_csv_chunks(dataset, header_lines))
 
 
 def read_cluster_csv(

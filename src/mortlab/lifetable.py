@@ -51,7 +51,10 @@ def reconstruct_surface(
     return np.exp(params.alpha[i] + params.B * float(k_value))
 
 
-def _qx_batch(m: np.ndarray) -> np.ndarray:
+def _columns(m: np.ndarray):
+    """q_x, p_x, l_x and e0 of a batch of (n, ages) rate curves: l_0 = 1,
+    l_x the survivorship product, e0 the sum of l_x over the closed table
+    minus the half-year mid-period adjustment."""
     if np.any(m < 0):
         raise DomainError("death rates must be non-negative")
     q = m / (1.0 + 0.5 * m)
@@ -62,33 +65,25 @@ def _qx_batch(m: np.ndarray) -> np.ndarray:
             "death rate above 2 encountered; q_x clamped to 1", RuntimeWarning
         )
         q = np.minimum(q, 1.0)
-    return q
+    p = 1.0 - q
+    lx = np.ones_like(p)
+    np.cumprod(p[:, :-1], axis=1, out=lx[:, 1:])
+    return q, p, lx, lx.sum(axis=1) - 0.5
 
 
 def _e0_batch(m: np.ndarray) -> np.ndarray:
     """Life expectancy at birth for a batch of (n, ages) rate curves."""
-    q = _qx_batch(m)
-    p = 1.0 - q
-    lx = np.ones_like(p)
-    np.cumprod(p[:, :-1], axis=1, out=lx[:, 1:])
-    return lx.sum(axis=1) - 0.5
+    return _columns(m)[3]
 
 
 def life_table(m: np.ndarray) -> LifeTable:
-    """Build a period life table for one rate curve on ages 0..len(m)-1.
-
-    l_0 = 1, l_x is the survivorship product, and e0 sums survivorship over
-    the closed table minus the half-year mid-period adjustment.
-    """
+    """Build a period life table for one rate curve on ages 0..len(m)-1,
+    by the batch rule of `_columns`."""
     m = np.asarray(m, dtype=float)
     if m.ndim != 1:
         raise DimensionError("expected one rate curve")
-    q = _qx_batch(m[None, :])[0]
-    p = 1.0 - q
-    lx = np.ones_like(p)
-    lx[1:] = np.cumprod(p[:-1])
-    e0 = float(lx.sum() - 0.5)
-    return LifeTable(ages=np.arange(m.size), qx=q, px=p, lx=lx, e0=e0)
+    q, p, lx, e0 = (col[0] for col in _columns(m[None, :]))
+    return LifeTable(ages=np.arange(m.size), qx=q, px=p, lx=lx, e0=float(e0))
 
 
 def monotonicity_check(

@@ -14,14 +14,14 @@ Conventions
   layer's output sequence only; the mask is drawn per step and unit.
 * The training loss is the mean over samples of the squared error norm.
 
-Inference runs one cache-free kernel (`_infer`) with two product rules.
-`forward` multiplies row by row, so every row of a stack has the bits of
-its window run alone; the stochastic ensemble relies on that to run its
-paths in blocks on worker threads, whatever the split.  `predict`
-uses plain 2-D products, bit for bit the training forward, so validation
-losses, the mean-bias correction and attributions see the bits training
-saw.  Only `train` and `input_gradient` run `_forward`, which keeps the
-caches that backpropagation reads.
+One forward loop (`_infer`) runs both layers step by step, with two
+product rules.  `forward` multiplies row by row, so every row of a stack
+has the bits of its window run alone; the stochastic ensemble relies on
+that to run its paths in blocks on worker threads, whatever the split.
+`predict`, `train` and `input_gradient` use plain 2-D products, so
+validation losses, the mean-bias correction and attributions see the bits
+training saw.  Only `train` and `input_gradient` ask the loop to keep the
+caches that backpropagation (`_backward`) reads.
 """
 
 from __future__ import annotations
@@ -157,25 +157,6 @@ def _cell(z, c, h):
     return z[:, 3 * h :] * np.tanh(c)
 
 
-def _layer_forward(X, W, U, b):
-    """Run one LSTM layer over (n, L, in); returns hidden sequence and caches."""
-    n, L, _ = X.shape
-    h = W.shape[1] // 4
-    hs = np.zeros((L, n, h))
-    cs = np.zeros((L, n, h))
-    gates = np.empty((L, n, 4 * h))
-    h_t = np.zeros((n, h))
-    c_t = np.zeros((n, h))
-    for t in range(L):
-        z = np.matmul(X[:, t, :], W, out=gates[t])
-        z += h_t @ U
-        z += b
-        h_t = _cell(z, c_t, h)
-        cs[t] = c_t
-        hs[t] = h_t
-    return hs, cs, gates
-
-
 def _layer_backward(dh_seq, X, hs, cs, gates, W, U):
     """BPTT through one layer.
 
@@ -218,21 +199,9 @@ def _layer_backward(dh_seq, X, hs, cs, gates, W, U):
     return dX, dW, dU, db
 
 
-def _forward(params: NetworkParams, X: np.ndarray, mask: np.ndarray | None):
-    """Full forward pass; mask (n, L, h1) is the pre-scaled dropout mask or
-    None.  Returns (predictions, cache for backward)."""
-    hs1, cs1, gates1 = _layer_forward(X, params.W1, params.U1, params.b1)
-    h1_seq = np.moveaxis(hs1, 0, 1)  # (n, L, h1)
-    h1_in = h1_seq if mask is None else h1_seq * mask
-    hs2, cs2, gates2 = _layer_forward(h1_in, params.W2, params.U2, params.b2)
-    h2_last = hs2[-1]
-    pred = h2_last @ params.Wh + params.bh
-    cache = (X, hs1, cs1, gates1, h1_in, hs2, cs2, gates2, mask)
-    return pred, cache
-
-
 def _backward(params: NetworkParams, cache, dpred: np.ndarray):
-    """Gradients of a scalar loss with upstream dpred = dL/dprediction.
+    """Gradients of a scalar loss with upstream dpred = dL/dprediction,
+    from the cache of `_infer(..., keep=True)`.
 
     Returns (grads dict keyed like weight_items, dX)."""
     X, hs1, cs1, gates1, h1_in, hs2, cs2, gates2, mask = cache
@@ -270,18 +239,26 @@ def _rows(a, W):
     return (a[:, None, :] @ W)[:, 0]
 
 
-def _infer(params: NetworkParams, X: np.ndarray, mask: np.ndarray | None, product):
-    """Inference-only forward over (n, L, in) keeping no backward caches.
+def _infer(params: NetworkParams, X: np.ndarray, mask: np.ndarray | None, product,
+           keep: bool = False):
+    """The forward pass over (n, L, in) windows, both layers step by step;
+    mask (n, L, h1) is the pre-scaled layer-1 dropout mask or None.
 
     `product(a, W)` computes every matrix product: `_rows` makes row p
-    bit-identical to window p run alone; `np.matmul` reproduces the bits
-    of `_forward` (each layer's step products are the same 2-D products
-    whether the layers run interleaved per step or one after the other).
+    bit-identical to window p run alone, `np.matmul` takes plain 2-D
+    products.  Returns the predictions; with `keep`, returns (predictions,
+    cache), the cache holding what `_backward` reads: each step's gates,
+    cell and hidden states of both layers, all (L, n, .), and the masked
+    layer-1 outputs as an (n, L, h1) view of an (L, n, h1) buffer, so a
+    step's block stays contiguous.
     """
     n, L, _ = X.shape
     h1, h2 = params.hidden
     h1_t, c1_t = np.zeros((n, h1)), np.zeros((n, h1))
     h2_t, c2_t = np.zeros((n, h2)), np.zeros((n, h2))
+    if keep:
+        # gates, cell, hidden and masked output of layer 1; gates, cell, hidden of layer 2
+        steps = [np.empty((L, n, w)) for w in (4 * h1, h1, h1, h1, 4 * h2, h2, h2)]
     for t in range(L):
         z1 = product(X[:, t, :], params.W1)
         z1 += product(h1_t, params.U1)
@@ -292,7 +269,14 @@ def _infer(params: NetworkParams, X: np.ndarray, mask: np.ndarray | None, produc
         z2 += product(h2_t, params.U2)
         z2 += params.b2
         h2_t = _cell(z2, c2_t, h2)
-    return product(h2_t, params.Wh) + params.bh
+        if keep:
+            for buf, a in zip(steps, (z1, c1_t, h1_t, h1_in, z2, c2_t, h2_t)):
+                buf[t] = a
+    pred = product(h2_t, params.Wh) + params.bh
+    if not keep:
+        return pred
+    gates1, cs1, hs1, h1_in, gates2, cs2, hs2 = steps
+    return pred, (X, hs1, cs1, gates1, np.moveaxis(h1_in, 0, 1), hs2, cs2, gates2, mask)
 
 
 def dropout_mask(params: NetworkParams, u: np.ndarray) -> np.ndarray:
@@ -341,8 +325,8 @@ def forward(
 def predict(params: NetworkParams, X: np.ndarray) -> np.ndarray:
     """Deterministic batched predictions for (samples, steps, features).
 
-    Runs the cache-free kernel with plain 2-D products, so the result is
-    bit for bit the prediction of the training forward `_forward`.  A row's
+    Runs the forward loop with plain 2-D products and no caches, the bits
+    of the training forward `_infer(..., np.matmul, keep=True)`.  A row's
     bits are not stable across batch sizes: one row goes through a
     matrix-vector product (gemv), more rows through a matrix-matrix
     product (gemm), which may round differently.  Use `forward` where a
@@ -361,7 +345,7 @@ def input_gradient(
     x = np.asarray(x, dtype=float)
     if x.ndim != 2:
         raise DimensionError("input_gradient expects a single window")
-    pred, cache = _forward(params, x[None, :, :], None)
+    pred, cache = _infer(params, x[None, :, :], None, np.matmul, keep=True)
     dpred = np.zeros_like(pred)
     dpred[0, output_index] = 1.0
     _, dX = _backward(params, cache, dpred)
@@ -478,7 +462,7 @@ def train(
     n, steps, _ = X_train.shape
     for epoch in range(1, config.max_epochs + 1):
         mask = draw_mask(params, mask_rng, n, steps)
-        pred, cache = _forward(params, X_train, mask)
+        pred, cache = _infer(params, X_train, mask, np.matmul, keep=True)
         train_loss = mse(pred, Y_train)
         if not np.isfinite(train_loss):
             raise TrainingError("training loss diverged", epoch=epoch)

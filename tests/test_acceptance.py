@@ -35,7 +35,7 @@ from mortlab.forecast import (
 from mortlab.lifetable import life_table, monotonicity_check
 from mortlab.lilee import FactorPanel, fit_lilee, leading_singular_pair
 from mortlab.lstm import TrainConfig, init_params, input_gradient, mse, predict, train
-from mortlab.lstm import _backward, _forward
+from mortlab.lstm import _backward, _infer
 from mortlab.risk import delta_star_from, es, reverse_stress, var
 from mortlab.stationarity import adf_test, kpss_test
 from tests.test_lifetable import direct_e0_oracle, make_params
@@ -159,7 +159,7 @@ def test_c04_gradient_exactness():
     params = init_params(3, hidden=(4, 3), output_dim=2, dropout_rate=0.0, seed=44)
     X = rng.standard_normal((2, 5, 3))
     Y = rng.standard_normal((2, 2))
-    pred, cache = _forward(params, X, None)
+    pred, cache = _infer(params, X, None, np.matmul, keep=True)
     grads, _ = _backward(params, cache, 2.0 * (pred - Y) / X.shape[0])
     numeric = numeric_weight_grads(params, X, Y, None)
     worst = 0.0

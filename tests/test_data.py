@@ -1,3 +1,5 @@
+import csv
+import io
 from pathlib import Path
 
 import numpy as np
@@ -5,7 +7,10 @@ import pytest
 
 from mortlab.data import (
     EPS,
+    ClusterDataset,
+    MortalitySurface,
     build_surface,
+    cluster_csv_chunks,
     parse_hmd_file,
     read_cluster_csv,
     synthesize_cluster,
@@ -180,6 +185,42 @@ class TestSynthesize:
 
 
 class TestCsvRoundTrip:
+    def test_golden_bytes(self, tmp_path):
+        """The formatter writes csv.writer's bytes with repr(float) rates
+        (the writer it replaced, kept here as the reference), and the
+        reader gets every rate back bit for bit."""
+        rates = {
+            "SYA": [[1e-05, 0.1], [5e-324, 1.0000000000000002]],
+            "A,B": [[0.0, 2.5e-10], [0.123456789012345678, 3.0]],
+            'Q"R': [[1e-300, 0.5], [7e-3, 1.0]],
+        }
+        cluster = ClusterDataset(surfaces=tuple(
+            MortalitySurface(country=code, ages=[0, 1], years=[2019, 2020], m=m,
+                             log_m=np.log(np.asarray(m) + EPS))
+            for code, m in rates.items()
+        ))
+        buf = io.StringIO()
+        buf.write("# config_hash=abc\n")
+        writer = csv.writer(buf)
+        writer.writerow(["country", "year", "age", "m"])
+        writer.writerows(
+            [s.country, int(year), int(age), repr(float(s.m[ai, yi]))]
+            for s in cluster.surfaces
+            for ai, age in enumerate(s.ages)
+            for yi, year in enumerate(s.years)
+        )
+        text = "".join(cluster_csv_chunks(cluster, ["config_hash=abc"]))
+        assert text == buf.getvalue()
+        assert '"A,B",2019,0,0.0\r\n' in text and '"Q""R",2020,1,1.0\r\n' in text
+
+        path = tmp_path / "cluster.csv"
+        write_cluster_csv(cluster, path, header_lines=("config_hash=abc",))
+        assert path.read_bytes() == text.encode()
+        back = read_cluster_csv(path, age_max=1)
+        assert back.countries == tuple(rates)
+        for sa, sb in zip(back.surfaces, cluster.surfaces):
+            assert sa.m.tobytes() == sb.m.tobytes()
+
     def test_write_then_read(self, tmp_path, small_cluster):
         path = tmp_path / "cluster.csv"
         write_cluster_csv(small_cluster, path, header_lines=("config_hash=abc",))

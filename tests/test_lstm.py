@@ -17,7 +17,7 @@ from mortlab.lstm import (
     predict,
     train,
 )
-from mortlab.lstm import _backward, _cell, _forward  # white-box checks
+from mortlab.lstm import _backward, _cell, _infer  # white-box checks
 
 
 def toy_params(seed=0, input_dim=3, hidden=(4, 3), output_dim=2, dropout=0.0):
@@ -44,8 +44,7 @@ def zero_params(input_dim=3, hidden=(4, 3), output_dim=2, head_bias=0.0):
 def numeric_weight_grads(params, X, Y, mask, step=1e-5):
     """Central finite differences of the training loss for every weight."""
     def loss():
-        pred, _ = _forward(params, X, mask)
-        return mse(pred, Y)
+        return mse(_infer(params, X, mask, np.matmul), Y)
 
     out = {}
     for key, arr in params.weight_items():
@@ -131,10 +130,11 @@ class TestPredict:
         rng = np.random.default_rng(6)
         for n in (1, 2, 15, 2188):
             X = rng.standard_normal((n, 10, 7))
-            assert np.array_equal(predict(params, X), _forward(params, X, None)[0]), n
+            pred, _cache = _infer(params, X, None, np.matmul, keep=True)
+            assert np.array_equal(predict(params, X), pred), n
 
     def test_keeps_no_backward_caches(self):
-        # the caches of _forward for this batch take about 50 MB
+        # the training forward's caches (keep=True) for this batch take about 50 MB
         params = init_params(7, hidden=(32, 16), seed=3)
         X = np.random.default_rng(7).standard_normal((2188, 10, 7))
         predict(params, X)
@@ -153,7 +153,7 @@ class TestGradients:
         params = toy_params(seed=11)
         X = rng.standard_normal((2, 4, 3))
         Y = rng.standard_normal((2, 2))
-        pred, cache = _forward(params, X, None)
+        pred, cache = _infer(params, X, None, np.matmul, keep=True)
         grads, _ = _backward(params, cache, 2.0 * (pred - Y) / X.shape[0])
         numeric = numeric_weight_grads(params, X, Y, None)
         for key, _ in params.weight_items():
@@ -165,7 +165,7 @@ class TestGradients:
         X = rng.standard_normal((2, 4, 3))
         Y = rng.standard_normal((2, 2))
         mask = draw_mask(params, np.random.default_rng(0), 2, 4)
-        pred, cache = _forward(params, X, mask)
+        pred, cache = _infer(params, X, mask, np.matmul, keep=True)
         grads, _ = _backward(params, cache, 2.0 * (pred - Y) / X.shape[0])
         numeric = numeric_weight_grads(params, X, Y, mask)
         for key, _ in params.weight_items():
