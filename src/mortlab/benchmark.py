@@ -14,12 +14,10 @@ output space, the linear benchmark receives the identical vector mapped to
 unscaled difference units.  Both contenders therefore get the same
 constant adjustment and the comparison isolates structural adaptability.
 
-Forecasts are fully recursive by default (each model feeds its own
-predictions forward); a teacher-forced one-step mode is available for
-diagnostics.  Both modes share one step per forecaster, `_linear_step` and
-`forecast._advance`, so their first validation year agrees bit for bit.
-RMSE is reported per country on the specific-factor levels, or on the
-common factor for ablations.
+Forecasts are recursive: each model feeds its own predictions forward
+over the validation years.  `validate` reports RMSE per country on the
+specific-factor levels; the ablations and the lookback sweep score the
+common factor.
 """
 
 from __future__ import annotations
@@ -29,7 +27,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DegenerateSeriesError, InsufficientHistoryError
-from .forecast import ForecastModel, HybridConfig, _advance, fit_forecaster, forecast_deterministic
+from .forecast import ForecastModel, HybridConfig, fit_forecaster, forecast_deterministic
 from .lilee import FactorPanel, fit_ar1, fit_rwd
 from .lstm import predict
 from .windows import inverse_transform, transform
@@ -78,10 +76,7 @@ def _split_panel(panel: FactorPanel, split_year: int):
 
 
 def linear_benchmark_forecast(
-    panel: FactorPanel,
-    split_year: int,
-    bias: np.ndarray | None = None,
-    mode: str = "recursive",
+    panel: FactorPanel, split_year: int, bias: np.ndarray
 ) -> np.ndarray:
     """Drift/AR(1) level forecasts over the validation years.
 
@@ -89,17 +84,14 @@ def linear_benchmark_forecast(
     `bias` is the shared mean-bias correction in unscaled difference units
     (the network's validation bias vector mapped through the scaler), added
     to every per-step difference so both contenders receive the identical
-    adjustment; None means zero.
+    adjustment.
     """
     train_rows, val_rows = _split_panel(panel, split_year)
-    values = panel.values
-    n_factors = values.shape[1]
-    train_vals = values[train_rows]
-    if bias is None:
-        bias = np.zeros(n_factors)
+    train_vals = panel.values[train_rows]
+    n_factors = train_vals.shape[1]
     bias = np.asarray(bias, dtype=float)
 
-    rwd = fit_rwd(train_vals[:, 0])
+    drift = fit_rwd(train_vals[:, 0]).drift
     phis = np.zeros(n_factors - 1)
     for i in range(n_factors - 1):
         try:
@@ -107,93 +99,57 @@ def linear_benchmark_forecast(
         except DegenerateSeriesError:
             phis[i] = 0.0
 
-    val_idx = np.flatnonzero(val_rows)
-    if mode == "recursive":
-        out = np.empty((val_idx.size, n_factors))
-        state = train_vals[-1]
-        for h in range(val_idx.size):
-            out[h] = state = _linear_step(state, rwd.drift, phis, bias)
-        return out
-    if mode == "one_step":
-        return _linear_step(values[val_idx - 1], rwd.drift, phis, bias)
-    raise ValueError(f"unknown mode {mode!r}")
-
-
-def _linear_step(prev: np.ndarray, drift: float, phis: np.ndarray, bias: np.ndarray):
-    """One benchmark step from level rows `prev` (..., F): K moves by its
-    drift, each specific index decays by its phi, and every factor takes
-    its shared bias."""
-    nxt = np.empty_like(prev)
-    nxt[..., 0] = prev[..., 0] + (drift + bias[0])
-    nxt[..., 1:] = phis * prev[..., 1:] + bias[1:]
-    return nxt
+    # K moves by its drift, each specific index decays by its phi, and
+    # every factor takes its shared bias
+    out = np.empty((int(val_rows.sum()), n_factors))
+    state = train_vals[-1]
+    for h in range(out.shape[0]):
+        out[h, 0] = state[0] + (drift + bias[0])
+        out[h, 1:] = phis * state[1:] + bias[1:]
+        state = out[h]
+    return out
 
 
 def hybrid_validation_forecast(
-    model: ForecastModel, panel: FactorPanel, split_year: int, mode: str = "recursive"
+    model: ForecastModel, panel: FactorPanel, split_year: int
 ) -> np.ndarray:
-    """Network level forecasts over the validation years.  One-step mode
-    advances every validation year's true window in one `_advance` call."""
+    """Network level forecasts over the validation years, recursive from
+    the training years."""
     train_rows, val_rows = _split_panel(panel, split_year)
-    if mode == "recursive":
-        horizon = int(val_rows.sum())
-        history = FactorPanel(
-            years=panel.years[train_rows],
-            values=panel.values[train_rows],
-            labels=panel.labels,
-        )
-        return forecast_deterministic(model, history, horizon).values[-horizon:]
-    if mode == "one_step":
-        need = model.lookback + 1
-        # a C-order stack, like forecast_deterministic's windows: the product
-        # bits follow the memory layout, so row 0 is the recursive row 0
-        windows = np.array([panel.values[t - need : t] for t in np.flatnonzero(val_rows)])
-        return _advance(model, windows, mask=None)
-    raise ValueError(f"unknown mode {mode!r}")
+    horizon = int(val_rows.sum())
+    history = FactorPanel(
+        years=panel.years[train_rows],
+        values=panel.values[train_rows],
+        labels=panel.labels,
+    )
+    return forecast_deterministic(model, history, horizon).values[-horizon:]
 
 
-def validate(
-    panel: FactorPanel,
-    model: ForecastModel,
-    split_year: int,
-    *,
-    rmse_target: str = "specific_factors",
-    mode: str = "recursive",
-) -> list[BenchmarkRow]:
-    """Benchmark rows comparing the linear and hybrid forecasters.
+def validate(panel: FactorPanel, model: ForecastModel, split_year: int) -> list[BenchmarkRow]:
+    """Per-country benchmark rows on the specific-factor levels, comparing
+    the linear and hybrid forecasters.
 
     The network's bias vector, mapped to unscaled difference units, is the
     single shared correction applied to both forecast paths."""
     _, val_rows = _split_panel(panel, split_year)
     actual = panel.values[val_rows]
     shared_bias = model.mbc * model.scaler.sd
-    ll = linear_benchmark_forecast(panel, split_year, bias=shared_bias, mode=mode)
-    hy = hybrid_validation_forecast(model, panel, split_year, mode=mode)
-
-    if rmse_target == "specific_factors":
-        return [
-            BenchmarkRow(
-                country=panel.labels[1 + i],
-                rmse_lilee=rmse(ll[:, 1 + i], actual[:, 1 + i]),
-                rmse_hybrid=rmse(hy[:, 1 + i], actual[:, 1 + i]),
-            )
-            for i in range(panel.n_factors - 1)
-        ]
-    if rmse_target == "common_factor":
-        return [
-            BenchmarkRow(
-                country="K",
-                rmse_lilee=rmse(ll[:, 0], actual[:, 0]),
-                rmse_hybrid=rmse(hy[:, 0], actual[:, 0]),
-            )
-        ]
-    raise ValueError(f"unknown rmse_target {rmse_target!r}")
+    ll = linear_benchmark_forecast(panel, split_year, shared_bias)
+    hy = hybrid_validation_forecast(model, panel, split_year)
+    return [
+        BenchmarkRow(
+            country=panel.labels[1 + i],
+            rmse_lilee=rmse(ll[:, 1 + i], actual[:, 1 + i]),
+            rmse_hybrid=rmse(hy[:, 1 + i], actual[:, 1 + i]),
+        )
+        for i in range(panel.n_factors - 1)
+    ]
 
 
 def _rmse_kt_recursive(model: ForecastModel, panel: FactorPanel, split_year: int) -> float:
     _, val_rows = _split_panel(panel, split_year)
     actual_k = panel.values[val_rows][:, 0]
-    hy = hybrid_validation_forecast(model, panel, split_year, mode="recursive")
+    hy = hybrid_validation_forecast(model, panel, split_year)
     return rmse(hy[:, 0], actual_k)
 
 

@@ -123,18 +123,26 @@ _DEFAULTS = {
     "train": {"learning_rate": 1e-3, "max_epochs": 500, "patience": 15},
     "forecast": {"horizon": 30, "n_paths": 1000, "quantiles": [0.025, 0.10, 0.50, 0.90, 0.975]},
     "stress": {"shock_grid": [0.05, 0.10, 0.15, 0.20]},
-    "validate": {"rmse_target": "specific_factors", "mode": "recursive"},
     "explain": {"n_coalitions": None, "max_test_windows": None},
     "ablate": {"lookbacks": [5, 10, 15]},
     "synth": {"n_countries": 3, "regime": "unit_root", "noise_sd": 0.01, "year_range": [1956, 2020]},
 }
 
 
+# the top-level keys a config may set; the sections of _DEFAULTS may set
+# only their own keys, and `data` is read by load_dataset
+_TOP_LEVEL = {*_DEFAULTS, "seed", "out_dir", "data", "focus_country"}
+
 # (section, key, least value) of the config counts that have a floor; an
 # unset key whose default is None keeps the stage's own default
 _AT_LEAST = (("train", "patience", 1), ("train", "max_epochs", 1),
              ("forecast", "n_paths", 2), ("forecast", "horizon", 1),
              ("explain", "n_coalitions", 1), ("explain", "max_test_windows", 1))
+
+# (section, key, range, test) of the config lists whose every value must lie
+# in a range: quantile levels, and rate reductions that leave a rate positive
+_IN_RANGE = (("forecast", "quantiles", "[0, 1]", lambda v: 0 <= v <= 1),
+             ("stress", "shock_grid", "(0, 1)", lambda v: 0 < v < 1))
 
 MANIFEST = "manifest.json"
 HEX = set("0123456789abcdef")
@@ -149,6 +157,7 @@ class RunContext:
     def __init__(self, cfg: dict, config_dir: Path):
         if "seed" not in cfg or not isinstance(cfg["seed"], int):
             raise ConfigError("config must set an integer 'seed'")
+        _refuse_unknown(cfg, _TOP_LEVEL)
         self.cfg = {**_DEFAULTS, **cfg}
         for key, sub in _DEFAULTS.items():
             if isinstance(sub, dict):
@@ -156,6 +165,7 @@ class RunContext:
                 if not isinstance(given, dict):
                     raise ConfigError(f"config section {key!r} must be a JSON object, "
                                       f"not {type(given).__name__}")
+                _refuse_unknown(given, sub, f"{key}.")
                 self.cfg[key] = {**sub, **given}
         for section, key, least in _AT_LEAST:
             value = self.cfg[section][key]
@@ -164,6 +174,12 @@ class RunContext:
             if not (type(value) is int and value >= least):  # a JSON true is no count
                 raise ConfigError(f"config {section}.{key} must be an integer >= {least}, "
                                   f"got {value!r}")
+        for section, key, bounds, inside in _IN_RANGE:
+            values = self.cfg[section][key]
+            if not (isinstance(values, list) and values and all(
+                    type(v) in (int, float) and inside(v) for v in values)):
+                raise ConfigError(f"config {section}.{key} must be a non-empty list of "
+                                  f"numbers in {bounds}, got {values!r}")
         self.config_dir = config_dir
         self.hash = config_hash(self.cfg)
         out = os.environ.get("MORTLAB_OUT") or self.cfg.get("out_dir") or f"runs/{self.hash[:8]}"
@@ -283,6 +299,16 @@ class RunContext:
                          "that writes it first")
 
 
+def _refuse_unknown(given: dict, known, prefix: str = "") -> None:
+    """Refuse a config key that nothing reads, a typo or a removed setting."""
+    unknown = sorted(given.keys() - known)
+    if unknown:
+        raise ConfigError(
+            f"unknown config key {', '.join(repr(prefix + k) for k in unknown)}; "
+            f"known: {', '.join(prefix + k for k in sorted(known))}"
+        )
+
+
 def _json_object(data: bytes) -> dict:
     doc = json.loads(data)
     if not isinstance(doc, dict):
@@ -333,7 +359,7 @@ def load_dataset(ctx: RunContext) -> ClusterDataset:
                 f"country {entry['code']!r} needs 'rates' or both 'deaths' and 'exposures'"
             )
         # rates alone, or deaths then exposures
-        rows = [parse_hmd_file(existing(entry[kind]).read_text(), kind=kind) for kind in kinds]
+        rows = [parse_hmd_file(existing(entry[kind]).read_text()) for kind in kinds]
         surfaces.append(build_surface(*rows, country=entry["code"], year_range=year_range,
                                       age_max=age_max, impute_gaps=impute))
     return ClusterDataset(surfaces=tuple(surfaces))
@@ -580,14 +606,7 @@ def cmd_forecast(ctx: RunContext) -> dict:
 
 def cmd_validate(ctx: RunContext) -> None:
     params, model, panel = _load_model_panel(ctx)
-    vc = ctx.cfg["validate"]
-    rows = benchmark.validate(
-        panel,
-        model,
-        int(ctx.cfg["split_year"]),
-        rmse_target=vc["rmse_target"],
-        mode=vc["mode"],
-    )
+    rows = benchmark.validate(panel, model, int(ctx.cfg["split_year"]))
     ctx.write_csv(
         "benchmark.csv",
         ["country", "rmse_lilee", "rmse_hybrid", "improvement_pct"],

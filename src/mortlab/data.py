@@ -108,9 +108,7 @@ class ClusterDataset:
         return int(years[0]), int(years[-1])
 
 
-def parse_hmd_file(
-    text: str | Iterable[str], kind: str = "rates"
-) -> list[tuple[int, int, float | None]]:
+def parse_hmd_file(text: str | Iterable[str]) -> list[tuple[int, int, float | None]]:
     """Parse a 1x1 fixed-layout mortality file into (year, age, total) rows.
 
     Only the Total (both sexes) column is kept.  The "110+" age token maps
@@ -119,8 +117,6 @@ def parse_hmd_file(
     block; anything else raises StructureError.  Malformed rows raise
     ParseError with their line number.
     """
-    if kind not in ("deaths", "exposures", "rates"):
-        raise ValueError(f"unknown file kind {kind!r}")
     lines = text.splitlines() if isinstance(text, str) else list(text)
 
     records: list[tuple[int, int, float | None]] = []

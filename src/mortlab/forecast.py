@@ -161,9 +161,9 @@ def fit_forecaster(
 def _advance(model: ForecastModel, windows: np.ndarray, mask) -> np.ndarray:
     """One recursion step for a stack of level windows (n, L+1, F): scale
     the last L diffs, predict, bias-correct, inverse-scale, integrate.
-    The only hybrid step: every forecasting mode and the one-step
-    validation go through it, so the degenerate stochastic ensemble is
-    bit-identical to the deterministic path.  Returns (n, F)."""
+    The only hybrid step: every forecasting mode goes through it, so the
+    degenerate stochastic ensemble is bit-identical to the deterministic
+    path.  Returns (n, F)."""
     x = transform(model.scaler, np.diff(windows, axis=1))
     pred = forward(model.net, x, mask=mask) + model.mbc
     return windows[:, -1] + inverse_transform(model.scaler, pred)

@@ -83,7 +83,8 @@ def _tail_mean(a: np.ndarray, level: float) -> float:
     x = a.size * (1.0 - level)
     tail = int(np.ceil(x - 1e-9))
     if x < 1.0 - 1e-9 or tail < 1:
-        raise ValueError(f"tail is empty: n * (1 - level) = {x:.3f} < 1")
+        raise DegenerateRiskError(f"expected-shortfall tail is empty: {a.size} values "
+                                  f"* (1 - {level}) = {x:.3f} < 1")
     return float(a[-tail:].mean())
 
 

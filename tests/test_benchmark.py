@@ -7,17 +7,15 @@ from mortlab.benchmark import (
     AblationResult,
     BenchmarkRow,
     ablate,
-    hybrid_validation_forecast,
     linear_benchmark_forecast,
     lookback_sweep,
     rmse,
     validate,
 )
 from mortlab.data import synthesize_cluster, synthetic_truth
-from mortlab.forecast import ForecastModel, HybridConfig, _advance, fit_forecaster
+from mortlab.forecast import HybridConfig, fit_forecaster
 from mortlab.lilee import FactorPanel, fit_ar1, fit_lilee, fit_rwd
-from mortlab.lstm import TrainConfig, init_params
-from mortlab.windows import difference, fit_scaler
+from mortlab.lstm import TrainConfig
 
 
 def quick_cfg(seed=0, epochs=60):
@@ -84,7 +82,7 @@ class TestLinearBenchmark:
             values=np.column_stack([K, k1]),
             labels=("K", "C0"),
         )
-        out = linear_benchmark_forecast(panel, split_year=2014)
+        out = linear_benchmark_forecast(panel, 2014, np.zeros(2))
         # drift on the training slice is exactly -1 per year
         train_K = K[: np.sum(panel.years <= 2014)]
         d = fit_rwd(train_K).drift
@@ -93,8 +91,8 @@ class TestLinearBenchmark:
 
     def test_shared_bias_shifts_drift(self):
         panel = noisy_panel()
-        base = linear_benchmark_forecast(panel, 2010)
-        shifted = linear_benchmark_forecast(panel, 2010, bias=np.array([0.5, 0.0]))
+        base = linear_benchmark_forecast(panel, 2010, np.zeros(2))
+        shifted = linear_benchmark_forecast(panel, 2010, np.array([0.5, 0.0]))
         steps = np.arange(1, base.shape[0] + 1)
         assert np.allclose(shifted[:, 0] - base[:, 0], 0.5 * steps)
 
@@ -102,72 +100,8 @@ class TestLinearBenchmark:
         # the specific forecast is zero no matter where the series ends
         panel = phi_zero_panel()
         assert fit_ar1(panel.values[panel.years <= 2013, 1]).phi == 0.0
-        for mode in ("recursive", "one_step"):
-            out = linear_benchmark_forecast(panel, 2013, mode=mode)
-            assert np.all(out[:, 1] == 0.0)
-
-    @pytest.mark.parametrize("make_panel, split_year, bias", [
-        (noisy_panel, 2010, None),
-        (noisy_panel, 2010, np.array([0.3, -0.1])),
-        (phi_zero_panel, 2013, None),
-        # K's last training value, drift and this bias round differently
-        # when summed in the other order
-        (phi_zero_panel, 2013, np.array([0.1, 0.0])),
-    ], ids=["noisy", "noisy-biased", "phi-zero", "phi-zero-biased"])
-    def test_one_step_row0_equals_recursive_bitwise(self, make_panel, split_year, bias):
-        # both modes step once from the last true training row
-        panel = make_panel()
-        rec = linear_benchmark_forecast(panel, split_year, bias=bias)
-        one = linear_benchmark_forecast(panel, split_year, bias=bias, mode="one_step")
-        assert one.shape == rec.shape
-        assert np.array_equal(one[0], rec[0])
-
-    def test_fitted_panel_row0_equals_recursive_bitwise(self, fitted_panel, trained_model):
-        _, panel = fitted_panel
-        model = trained_model[0]
-        bias = model.mbc * model.scaler.sd
-        rec = linear_benchmark_forecast(panel, 2011, bias=bias)
-        one = linear_benchmark_forecast(panel, 2011, bias=bias, mode="one_step")
-        assert np.array_equal(one[0], rec[0])
-
-
-class TestHybridValidationForecast:
-    def test_one_step_row0_equals_recursive_bitwise(self, fitted_panel, trained_model):
-        # both modes advance the last true training window by one `_advance`
-        _, panel = fitted_panel
-        model = trained_model[0]
-        rec = hybrid_validation_forecast(model, panel, 2011, mode="recursive")
-        one = hybrid_validation_forecast(model, panel, 2011, mode="one_step")
-        assert one.shape == rec.shape
-        assert np.array_equal(one[0], rec[0])
-
-    def test_one_step_row0_equals_recursive_on_fortran_order_panel(self):
-        # FactorPanel.from_params gives Fortran-order values, and the product
-        # bits follow the windows' memory layout; an untrained 7-factor
-        # network at hidden (16, 8) shows the difference
-        rng = np.random.default_rng(3)
-        values = np.asfortranarray(rng.normal(size=(60, 7)).cumsum(axis=0))
-        panel = FactorPanel(
-            years=1961 + np.arange(60), values=values, labels=tuple(f"f{i}" for i in range(7))
-        )
-        model = ForecastModel(
-            net=init_params(7, (16, 8), seed=1),
-            scaler=fit_scaler(difference(panel), 2005),
-            mbc=np.full(7, 0.1),
-            lookback=10,
-        )
-        rec = hybrid_validation_forecast(model, panel, 2005, mode="recursive")
-        one = hybrid_validation_forecast(model, panel, 2005, mode="one_step")
-        assert np.array_equal(one[0], rec[0])
-
-    def test_one_step_rows_are_single_window_steps(self, fitted_panel, trained_model):
-        _, panel = fitted_panel
-        model = trained_model[0]
-        one = hybrid_validation_forecast(model, panel, 2011, mode="one_step")
-        need = model.lookback + 1
-        for row, t in enumerate(np.flatnonzero(panel.years > 2011)):
-            window = np.ascontiguousarray(panel.values[t - need : t])[None]
-            assert np.array_equal(one[row], _advance(model, window, mask=None)[0])
+        out = linear_benchmark_forecast(panel, 2013, np.zeros(2))
+        assert np.all(out[:, 1] == 0.0)
 
 
 class TestValidate:
@@ -178,18 +112,6 @@ class TestValidate:
         assert [r.country for r in rows] == list(panel.labels[1:])
         for r in rows:
             assert r.rmse_lilee >= 0 and r.rmse_hybrid >= 0
-
-    def test_common_factor_mode(self, fitted_panel, trained_model):
-        _, panel = fitted_panel
-        model = trained_model[0]
-        rows = validate(panel, model, 2011, rmse_target="common_factor")
-        assert len(rows) == 1 and rows[0].country == "K"
-
-    def test_one_step_mode_runs(self, fitted_panel, trained_model):
-        _, panel = fitted_panel
-        model = trained_model[0]
-        rows = validate(panel, model, 2011, mode="one_step")
-        assert len(rows) == len(panel.labels) - 1
 
     def test_unit_root_cluster_hybrid_wins(self):
         # single-seed smoke version of the 20-run acceptance study

@@ -3,6 +3,7 @@ import importlib.util
 import io
 import json
 import os
+import re
 import shutil
 import sys
 from pathlib import Path
@@ -28,7 +29,6 @@ def write_config(path: Path, **overrides) -> Path:
         "train": {"learning_rate": 1e-3, "max_epochs": 80, "patience": 15},
         "forecast": {"horizon": 6, "n_paths": 120, "quantiles": [0.025, 0.5, 0.975]},
         "stress": {"shock_grid": [0.05, 0.1, 0.15, 0.2]},
-        "validate": {"rmse_target": "specific_factors", "mode": "recursive"},
         "explain": {"n_coalitions": 300, "max_test_windows": 2},
         "ablate": {"lookbacks": [5, 10, 40]},
         "synth": {
@@ -426,6 +426,16 @@ class TestExitCodes:
         # the runner records a stage only after its body returns
         assert "stress" not in json.loads((out / "manifest.json").read_text())["stages"]
 
+    def test_stress_with_an_empty_es_tail_is_4(self, tmp_path, caplog):
+        # 50 paths pass the forecast floor, but the 99% ES needs 100
+        cfg = write_config(tmp_path, train={"max_epochs": 5},
+                           forecast={"horizon": 2, "n_paths": 50})
+        for stage in ("synth", "fit", "train", "forecast"):
+            assert main([stage, "--config", str(cfg), "--quiet"]) == 0
+        assert main(["stress", "--config", str(cfg), "--quiet"]) == 4
+        errors = [r for r in caplog.records if r.levelname == "ERROR"]
+        assert len(errors) == 1 and "tail is empty" in errors[0].getMessage()
+
     def _stress_on_edited_ensemble(self, pipeline, tmp_path, edit, record_checksum=False):
         """Rerun stress on a copy of the pipeline whose ensemble.npy bytes
         went through `edit`."""
@@ -636,14 +646,32 @@ class TestExitCodes:
         ('{"seed": 1, "train": {"patience": 2.5}}', "train.patience must be an integer >= 1"),
         ('{"seed": 1, "explain": {"max_test_windows": true}}',
          "explain.max_test_windows must be an integer >= 1"),
+        ('{"seed": 1, "train": {"max_epoch": 3, "patience": 20}}',
+         "unknown config key 'train.max_epoch'"),
+        ('{"seed": 1, "validate": {"mode": "one_step"}}', "unknown config key 'validate'"),
+        ('{"seed": 1, "forecast": {"quantiles": [0.5, 1.5]}}',
+         "forecast.quantiles must be a non-empty list of numbers in [0, 1]"),
+        ('{"seed": 1, "stress": {"shock_grid": [0.0, 0.1]}}',
+         "stress.shock_grid must be a non-empty list of numbers in (0, 1)"),
     ], ids=["top-level", "section", "n_paths", "horizon", "n_coalitions",
-            "patience", "max_epochs", "max_test_windows", "patience-not-integer", "boolean"])
+            "patience", "max_epochs", "max_test_windows", "patience-not-integer", "boolean",
+            "section-typo", "removed-validate", "quantile-range", "shock-range"])
     def test_config_not_an_object_is_1(self, tmp_path, caplog, text, message):
         bad = tmp_path / "bad.json"
         bad.write_text(text)
         assert main(["fit", "--config", str(bad), "--quiet"]) == 1
         errors = [r for r in caplog.records if r.levelname == "ERROR"]
         assert len(errors) == 1 and message in errors[0].getMessage()
+
+
+class TestConfigReference:
+    def test_readme_table_lists_the_accepted_keys(self):
+        """README's config table names every top-level key a config may set,
+        and no other."""
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        table = readme.split("### Config reference", 1)[1].split("\n#", 1)[0]
+        keys = re.findall(r"^\| `([^`]+)` \|", table, flags=re.MULTILINE)
+        assert {key.split(".")[0] for key in keys} == cli._TOP_LEVEL
 
 
 class TestStageRunner:

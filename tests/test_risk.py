@@ -54,7 +54,7 @@ class TestEs:
         assert es(sample, 0.99) == sample.max()
 
     def test_empty_tail_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(DegenerateRiskError):
             es(np.arange(10, dtype=float), 0.99)
 
     @given(
