@@ -17,8 +17,9 @@ reruns, the ensemble's bytes included, are bit-reproducible.
 
 One runner, `run_stage`, owns every stage's lifecycle: it loads the
 context, runs the body `cmd_<stage>(ctx)` and records in manifest.json the
-files the body wrote and the facts it returned (forecast: `path_blocks`,
-`path_workers`; train: `epochs_run`, `best_epoch`, `stopped_early`).  A
+files the body wrote, the facts it returned (forecast: `path_blocks`,
+`path_workers`; train: `epochs_run`, `best_epoch`, `stopped_early`) and
+the stage process's peak RSS in MB (`peak_rss_mb`).  A
 stage that fails records nothing, so its previous record stays untouched.
 
 Exit codes: 0 ok, 1 usage/config, 2 data, 3 missing, mismatched,
@@ -36,6 +37,7 @@ import json
 import logging
 import math
 import os
+import resource
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -139,10 +141,12 @@ _AT_LEAST = (("train", "patience", 1), ("train", "max_epochs", 1),
              ("forecast", "n_paths", 2), ("forecast", "horizon", 1),
              ("explain", "n_coalitions", 1), ("explain", "max_test_windows", 1))
 
-# (section, key, range, test) of the config lists whose every value must lie
-# in a range: quantile levels, and rate reductions that leave a rate positive
-_IN_RANGE = (("forecast", "quantiles", "[0, 1]", lambda v: 0 <= v <= 1),
-             ("stress", "shock_grid", "(0, 1)", lambda v: 0 < v < 1))
+# (section, key, rule, test) of the config lists whose every value must pass
+# a test: quantile levels, rate reductions that leave a rate positive, and
+# window lengths
+_IN_RANGE = (("forecast", "quantiles", "numbers in [0, 1]", lambda v: 0 <= v <= 1),
+             ("stress", "shock_grid", "numbers in (0, 1)", lambda v: 0 < v < 1),
+             ("ablate", "lookbacks", "integers >= 1", lambda v: type(v) is int and v >= 1))
 
 MANIFEST = "manifest.json"
 HEX = set("0123456789abcdef")
@@ -174,12 +178,12 @@ class RunContext:
             if not (type(value) is int and value >= least):  # a JSON true is no count
                 raise ConfigError(f"config {section}.{key} must be an integer >= {least}, "
                                   f"got {value!r}")
-        for section, key, bounds, inside in _IN_RANGE:
+        for section, key, rule, inside in _IN_RANGE:
             values = self.cfg[section][key]
             if not (isinstance(values, list) and values and all(
                     type(v) in (int, float) and inside(v) for v in values)):
                 raise ConfigError(f"config {section}.{key} must be a non-empty list of "
-                                  f"numbers in {bounds}, got {values!r}")
+                                  f"{rule}, got {values!r}")
         self.config_dir = config_dir
         self.hash = config_hash(self.cfg)
         out = os.environ.get("MORTLAB_OUT") or self.cfg.get("out_dir") or f"runs/{self.hash[:8]}"
@@ -768,7 +772,8 @@ def build_parser() -> argparse.ArgumentParser:
 def run_stage(args) -> int:
     """Run stage `args.command`: build the RunContext from the config file
     and the command-line overrides, run the body `cmd_<stage>(ctx)`, then
-    record in manifest.json the files it wrote and the facts it returned.
+    record in manifest.json the files it wrote, the facts it returned and
+    the process's peak RSS (`ru_maxrss`, KiB on Linux) in MB.
     The body is looked up in the module's globals at call time, so a
     wrapper bound to `cmd_<stage>` after import (perfbench's tracer) runs."""
     cfg_path = Path(args.config)
@@ -784,7 +789,8 @@ def run_stage(args) -> int:
         cfg["out_dir"] = args.out
     ctx = RunContext(cfg, cfg_path.resolve().parent)
     facts = globals()[f"cmd_{args.command}"](ctx) or {}
-    ctx.record_stage(args.command, **facts)
+    peak_kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    ctx.record_stage(args.command, **facts, peak_rss_mb=round(peak_kib * 1024 / 1e6, 2))
     return 0
 
 

@@ -198,10 +198,13 @@ def _kernel_coalitions(d, n_coalitions, rng):
     size_p = size_p / size_p.sum()
     drawn = rng.choice(sizes, size=n_coalitions, p=size_p)
     # one shuffle per row, drawn in row order exactly as a per-row
-    # rng.permutation(d) would; row r's first drawn[r] entries join it
-    perms = rng.permuted(np.tile(np.arange(d), (n_coalitions, 1)), axis=1)
+    # rng.permutation(d) would, BLOCK rows at a time so only Z grows with
+    # the budget; row r's first drawn[r] entries join it
     Z = np.zeros((n_coalitions, d))
-    np.put_along_axis(Z, perms, np.arange(d) < drawn[:, None], axis=1)
+    for lo in range(0, n_coalitions, BLOCK):
+        block = drawn[lo:lo + BLOCK, None]
+        perms = rng.permuted(np.tile(np.arange(d), (block.shape[0], 1)), axis=1)
+        np.put_along_axis(Z[lo:lo + BLOCK], perms, np.arange(d) < block, axis=1)
     return Z, np.ones(n_coalitions)
 
 
@@ -217,6 +220,7 @@ def _kernel_wls(fn, x_flat, b_flat, lookback, n_feat, fx, base, n_coalitions, rn
     # substitution, which is why they never need to be sampled
     y_adj = y - Z[:, -1] * (fx - base)
     Zt = Z[:, :-1] - Z[:, [-1]]
+    del Z  # so Z, Zt and w * Zt are never alive together
     A = Zt.T @ (w[:, None] * Zt)
     rhs = Zt.T @ (w * y_adj)
     try:

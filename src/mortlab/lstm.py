@@ -468,6 +468,9 @@ def train(
             raise TrainingError("training loss diverged", epoch=epoch)
         dpred = 2.0 * (pred - Y_train) / n
         grads, _ = _backward(params, cache, dpred)
+        # free this epoch's caches before the next epoch's draw and forward
+        # allocate theirs, so only one epoch's set is ever alive
+        del pred, cache, mask
         _clip_global_norm(grads)
         optimizer.step(params, grads)
 

@@ -4,6 +4,7 @@ import io
 import json
 import os
 import re
+import resource
 import shutil
 import sys
 from pathlib import Path
@@ -273,6 +274,14 @@ class TestArtifactRule:
             assert record["files"], stage
             for name, digest in record["files"].items():
                 assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
+
+    def test_manifest_records_each_stage_peak_rss(self, pipeline):
+        root, _ = pipeline
+        manifest = json.loads((root / "run" / "manifest.json").read_text())
+        # the stages ran in this process, so none can exceed its peak so far
+        ceiling = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024 / 1e6
+        for stage, record in manifest["stages"].items():
+            assert 0 < record["peak_rss_mb"] <= ceiling + 0.01, stage
 
     @pytest.mark.parametrize("damage", ["foreign", "cut-in-half", "flipped-byte", "deleted"])
     @pytest.mark.parametrize("stage, name", READS, ids=[f"{s}-{n}" for s, n in READS])
@@ -653,9 +662,14 @@ class TestExitCodes:
          "forecast.quantiles must be a non-empty list of numbers in [0, 1]"),
         ('{"seed": 1, "stress": {"shock_grid": [0.0, 0.1]}}',
          "stress.shock_grid must be a non-empty list of numbers in (0, 1)"),
+        ('{"seed": 1, "ablate": {"lookbacks": [0]}}',
+         "ablate.lookbacks must be a non-empty list of integers >= 1"),
+        ('{"seed": 1, "ablate": {"lookbacks": [5, 7.5]}}',
+         "ablate.lookbacks must be a non-empty list of integers >= 1"),
     ], ids=["top-level", "section", "n_paths", "horizon", "n_coalitions",
             "patience", "max_epochs", "max_test_windows", "patience-not-integer", "boolean",
-            "section-typo", "removed-validate", "quantile-range", "shock-range"])
+            "section-typo", "removed-validate", "quantile-range", "shock-range",
+            "lookback-floor", "lookback-not-integer"])
     def test_config_not_an_object_is_1(self, tmp_path, caplog, text, message):
         bad = tmp_path / "bad.json"
         bad.write_text(text)

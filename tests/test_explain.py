@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -198,6 +200,17 @@ class TestCoalitions:
         assert Z.dtype == want.dtype and np.array_equal(Z, want)
         assert np.array_equal(w, np.ones(n))
         assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+    def test_sampled_draw_holds_one_block_beyond_z(self):
+        # drawing every row's shuffle at once peaked at 2.17 x Z
+        rng = np.random.default_rng(5)
+        tracemalloc.start()
+        try:
+            Z, _ = _kernel_coalitions(70, 20_000, rng)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * Z.nbytes, f"the draw peaked at {peak / Z.nbytes:.2f} x Z"
 
 
 class TestAggregate:

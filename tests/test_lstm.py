@@ -1,8 +1,10 @@
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
+from mortlab import lstm
 from mortlab.errors import DimensionError
 from mortlab.lstm import (
     NetworkParams,
@@ -245,6 +247,28 @@ class TestTraining:
         )
         for (k, a), (_, b) in zip(params.weight_items(), params2.weight_items()):
             assert np.array_equal(a, b), k
+
+    def test_holds_one_epoch_of_caches(self, monkeypatch):
+        """Each epoch's training forward starts only after the previous
+        epoch's caches and dropout mask are freed."""
+        real, alive, calls = lstm._infer, [], []
+
+        def watching_infer(*args, keep=False):
+            if not keep:
+                return real(*args)
+            assert all(ref() is None for ref in alive), "an earlier epoch's cache is alive"
+            pred, cache = real(*args, keep=True)
+            _, *buffers, mask = cache
+            alive[:] = [weakref.ref(a if a.base is None else a.base) for a in (*buffers, mask)]
+            calls.append(1)
+            return pred, cache
+
+        monkeypatch.setattr(lstm, "_infer", watching_infer)
+        rng = np.random.default_rng(13)
+        X, Y = rng.standard_normal((12, 6, 3)), rng.standard_normal((12, 3))
+        cfg = TrainConfig(max_epochs=5, patience=5, seed=6)
+        train(X[:9], Y[:9], X[9:], Y[9:], cfg, hidden=(8, 4), dropout_rate=0.2)
+        assert len(calls) == 5
 
     def test_same_seed_identical_weights(self):
         rng = np.random.default_rng(11)
