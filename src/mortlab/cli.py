@@ -18,7 +18,8 @@ reruns, the ensemble's bytes included, are bit-reproducible.
 One runner, `run_stage`, owns every stage's lifecycle: it loads the
 context, runs the body `cmd_<stage>(ctx)` and records in manifest.json the
 files the body wrote, the facts it returned (forecast: `path_blocks`,
-`path_workers`; train: `epochs_run`, `best_epoch`, `stopped_early`) and
+`path_workers`; train: `epochs_run`, `best_epoch`, `stopped_early`,
+`clipped_epochs`, `max_grad_norm`) and
 the stage process's peak RSS in MB (`peak_rss_mb`).  A
 stage that fails records nothing, so its previous record stays untouched.
 
@@ -106,7 +107,7 @@ SYNTH_REGIMES = {
 
 def stream_seed(seed: int, name: str) -> int:
     """Deterministic 32-bit substream seed for a named stage."""
-    ss = np.random.SeedSequence((int(seed), STREAMS[name]))
+    ss = np.random.SeedSequence((seed, STREAMS[name]))
     return int(ss.generate_state(1)[0])
 
 
@@ -117,36 +118,86 @@ def config_hash(cfg: dict) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
-_DEFAULTS = {
-    "split_year": 2011,
-    "lookback": 10,
-    "hidden": [32, 16],
-    "dropout": 0.2,
-    "train": {"learning_rate": 1e-3, "max_epochs": 500, "patience": 15},
-    "forecast": {"horizon": 30, "n_paths": 1000, "quantiles": [0.025, 0.10, 0.50, 0.90, 0.975]},
-    "stress": {"shock_grid": [0.05, 0.10, 0.15, 0.20]},
-    "explain": {"n_coalitions": None, "max_test_windows": None},
-    "ablate": {"lookbacks": [5, 10, 15]},
-    "synth": {"n_countries": 3, "regime": "unit_root", "noise_sd": 0.01, "year_range": [1956, 2020]},
+def _list(each, size: int = 0):
+    """Test: a list of `size` values, or a non-empty one, each passing `each`."""
+    return lambda v: type(v) is list and 0 < len(v) == (size or len(v)) and all(map(each, v))
+
+
+def _at_least(least: int) -> tuple:
+    return f"an integer >= {least}", lambda v: type(v) is int and v >= least
+
+
+NUM = (int, float)  # types are matched exactly, so a JSON true is no number
+# (rule, test) pairs that several keys share
+COUNT, STRING = _at_least(1), ("a string", lambda v: type(v) is str)
+YEARS = ("a list [first, last] of integers, first <= last",
+         lambda v: _list(lambda y: type(y) is int, 2)(v) and v[0] <= v[1])
+FILES = ({"code", "rates"}, {"code", "deaths", "exposures"})  # of one data.countries entry
+SOURCES = ("a non-empty list of {code, rates} or {code, deaths, exposures} objects of strings",
+           _list(lambda e: type(e) is dict and set(e) in FILES
+                 and all(type(v) is str for v in e.values())))
+
+# Every key a config may set, as (default, rule, test); a section is a JSON
+# object of its own keys.  Only a key whose default is null may be null, which
+# leaves the choice to the stage, and seed's "required" fails its own test.
+# The stages read each value as its default's type: a float default reads 1
+# as 1.0, a list default gives a tuple.
+CONFIG = {
+    "seed": ("required", *_at_least(0)), "out_dir": (None, *STRING),
+    "focus_country": (None, *STRING),
+    "data": {"cluster_csv": (None, *STRING), "countries": (None, *SOURCES),
+             "year_range": (None, *YEARS), "age_max": (90, *_at_least(0)),
+             "impute_gaps": (False, "true or false", lambda v: type(v) is bool),
+             "country_order": (None, "a non-empty list of strings", _list(STRING[1]))},
+    "split_year": (2011, "an integer", lambda v: type(v) is int), "lookback": (10, *COUNT),
+    "hidden": ([32, 16], "a list of 2 integers >= 1", _list(COUNT[1], 2)),
+    "dropout": (0.2, "a number in [0, 1)", lambda v: type(v) in NUM and 0 <= v < 1),
+    "train": {"learning_rate": (1e-3, "a number > 0", lambda v: type(v) in NUM and v > 0),
+              "max_epochs": (500, *COUNT), "patience": (15, *COUNT)},
+    "forecast": {"horizon": (30, *COUNT), "n_paths": (1000, *_at_least(2)),
+                 "quantiles": ([0.025, 0.10, 0.50, 0.90, 0.975],
+                               "a non-empty list of numbers in [0, 1]",
+                               _list(lambda v: type(v) in NUM and 0 <= v <= 1))},
+    "stress": {"shock_grid": ([0.05, 0.10, 0.15, 0.20], "a non-empty list of numbers in (0, 1)",
+                              _list(lambda v: type(v) in NUM and 0 < v < 1))},
+    "explain": {"n_coalitions": (None, *COUNT), "max_test_windows": (None, *COUNT)},
+    "ablate": {"lookbacks": ([5, 10, 15], "a non-empty list of integers >= 1", _list(COUNT[1]))},
+    "synth": {"n_countries": (3, *COUNT), "year_range": ([1956, 2020], *YEARS),
+              "regime": ("unit_root", f"one of {', '.join(SYNTH_REGIMES)}",
+                         lambda v: type(v) is str and v in SYNTH_REGIMES),
+              "noise_sd": (0.01, "a number >= 0", lambda v: type(v) in NUM and v >= 0)},
 }
 
 
-# the top-level keys a config may set; the sections of _DEFAULTS may set
-# only their own keys, and `data` is read by load_dataset
-_TOP_LEVEL = {*_DEFAULTS, "seed", "out_dir", "data", "focus_country"}
+def _checked(given, table: dict = CONFIG, prefix: str = "") -> tuple[dict, dict]:
+    """Config `given` as the stages read it, and the dict config_hash covers:
+    `given` over the defaults but `data`'s and the top level's null ones.  A key
+    the table does not name (a typo or a removed setting) or that breaks its rule
+    is refused."""
+    if not isinstance(given, dict):
+        raise ConfigError(f"config section {prefix[:-1]!r} must be a JSON object, "
+                          f"not {type(given).__name__}")
+    if unknown := sorted(given.keys() - table.keys()):
+        raise ConfigError(f"unknown config key {', '.join(repr(prefix + k) for k in unknown)}; "
+                          f"known: {', '.join(prefix + k for k in sorted(table))}")
+    typed, hashed = {}, dict(given)
+    for name, key in table.items():
+        if isinstance(key, dict):
+            typed[name], merged = _checked(given.get(name, {}), key, f"{name}.")
+            if name != "data":  # hashed as given
+                hashed[name] = merged
+            continue
+        default, rule, test = key
+        value = given.get(name, default)
+        if not (value is None is default or test(value)):
+            raise ConfigError(f"config {prefix}{name} must be {rule}, "
+                              f"got {repr(value) if name in given else 'nothing'}")
+        if prefix or default is not None:
+            hashed.setdefault(name, default)
+        typed[name] = (float(value) if type(default) is float else
+                       tuple(map(type(default[0]), value)) if type(default) is list else value)
+    return typed, hashed
 
-# (section, key, least value) of the config counts that have a floor; an
-# unset key whose default is None keeps the stage's own default
-_AT_LEAST = (("train", "patience", 1), ("train", "max_epochs", 1),
-             ("forecast", "n_paths", 2), ("forecast", "horizon", 1),
-             ("explain", "n_coalitions", 1), ("explain", "max_test_windows", 1))
-
-# (section, key, rule, test) of the config lists whose every value must pass
-# a test: quantile levels, rate reductions that leave a rate positive, and
-# window lengths
-_IN_RANGE = (("forecast", "quantiles", "numbers in [0, 1]", lambda v: 0 <= v <= 1),
-             ("stress", "shock_grid", "numbers in (0, 1)", lambda v: 0 < v < 1),
-             ("ablate", "lookbacks", "integers >= 1", lambda v: type(v) is int and v >= 1))
 
 MANIFEST = "manifest.json"
 HEX = set("0123456789abcdef")
@@ -159,34 +210,10 @@ class RunContext:
     through `load`, which refuses bytes other than the recorded ones."""
 
     def __init__(self, cfg: dict, config_dir: Path):
-        if "seed" not in cfg or not isinstance(cfg["seed"], int):
-            raise ConfigError("config must set an integer 'seed'")
-        _refuse_unknown(cfg, _TOP_LEVEL)
-        self.cfg = {**_DEFAULTS, **cfg}
-        for key, sub in _DEFAULTS.items():
-            if isinstance(sub, dict):
-                given = cfg.get(key, {})
-                if not isinstance(given, dict):
-                    raise ConfigError(f"config section {key!r} must be a JSON object, "
-                                      f"not {type(given).__name__}")
-                _refuse_unknown(given, sub, f"{key}.")
-                self.cfg[key] = {**sub, **given}
-        for section, key, least in _AT_LEAST:
-            value = self.cfg[section][key]
-            if value is None and _DEFAULTS[section][key] is None:
-                continue
-            if not (type(value) is int and value >= least):  # a JSON true is no count
-                raise ConfigError(f"config {section}.{key} must be an integer >= {least}, "
-                                  f"got {value!r}")
-        for section, key, rule, inside in _IN_RANGE:
-            values = self.cfg[section][key]
-            if not (isinstance(values, list) and values and all(
-                    type(v) in (int, float) and inside(v) for v in values)):
-                raise ConfigError(f"config {section}.{key} must be a non-empty list of "
-                                  f"{rule}, got {values!r}")
+        self.cfg, hashed = _checked(cfg)
         self.config_dir = config_dir
-        self.hash = config_hash(self.cfg)
-        out = os.environ.get("MORTLAB_OUT") or self.cfg.get("out_dir") or f"runs/{self.hash[:8]}"
+        self.hash = config_hash(hashed)
+        out = os.environ.get("MORTLAB_OUT") or self.cfg["out_dir"] or f"runs/{self.hash[:8]}"
         out_path = Path(out)
         self.out_dir = out_path if out_path.is_absolute() else config_dir / out_path
         self.out_dir.mkdir(parents=True, exist_ok=True)
@@ -194,10 +221,6 @@ class RunContext:
         if self.path(MANIFEST).exists():
             self.manifest = self.load(MANIFEST, self._parse_manifest)
         self.written: dict[str, str] = {}  # name -> SHA-256 of this stage's files
-
-    @property
-    def seed(self) -> int:
-        return int(self.cfg["seed"])
 
     def path(self, name: str) -> Path:
         return self.out_dir / name
@@ -303,16 +326,6 @@ class RunContext:
                          "that writes it first")
 
 
-def _refuse_unknown(given: dict, known, prefix: str = "") -> None:
-    """Refuse a config key that nothing reads, a typo or a removed setting."""
-    unknown = sorted(given.keys() - known)
-    if unknown:
-        raise ConfigError(
-            f"unknown config key {', '.join(repr(prefix + k) for k in unknown)}; "
-            f"known: {', '.join(prefix + k for k in sorted(known))}"
-        )
-
-
 def _json_object(data: bytes) -> dict:
     doc = json.loads(data)
     if not isinstance(doc, dict):
@@ -332,12 +345,7 @@ def _observed_e0(data: bytes, countries) -> dict[str, float]:
 
 
 def load_dataset(ctx: RunContext) -> ClusterDataset:
-    data = ctx.cfg.get("data")
-    if not data:
-        raise ConfigError("config is missing the 'data' section")
-    year_range = tuple(data["year_range"]) if "year_range" in data else None
-    age_max = int(data.get("age_max", 90))
-    impute = bool(data.get("impute_gaps", False))
+    data = ctx.cfg["data"]
 
     def existing(rel: str) -> Path:
         path = ctx.data_path(rel)
@@ -345,32 +353,28 @@ def load_dataset(ctx: RunContext) -> ClusterDataset:
             raise FileNotFoundError(f"data file not found: {path}")
         return path
 
-    if "cluster_csv" in data:
+    if data["cluster_csv"] is not None:
         return read_cluster_csv(
             existing(data["cluster_csv"]),
-            country_order=data.get("country_order"),
-            year_range=year_range,
-            age_max=age_max,
+            country_order=data["country_order"],
+            year_range=data["year_range"],
+            age_max=data["age_max"],
         )
-    if "countries" not in data:
-        raise ConfigError("data section needs 'cluster_csv' or 'countries'")
+    if data["countries"] is None:
+        raise ConfigError("config needs a 'data' section with 'cluster_csv' or 'countries'")
 
     surfaces = []
     for entry in data["countries"]:
-        kinds = ("rates",) if "rates" in entry else ("deaths", "exposures")
-        if not all(kind in entry for kind in kinds):
-            raise ConfigError(
-                f"country {entry['code']!r} needs 'rates' or both 'deaths' and 'exposures'"
-            )
         # rates alone, or deaths then exposures
+        kinds = ("rates",) if "rates" in entry else ("deaths", "exposures")
         rows = [parse_hmd_file(existing(entry[kind]).read_text()) for kind in kinds]
-        surfaces.append(build_surface(*rows, country=entry["code"], year_range=year_range,
-                                      age_max=age_max, impute_gaps=impute))
+        surfaces.append(build_surface(*rows, country=entry["code"], year_range=data["year_range"],
+                                      age_max=data["age_max"], impute_gaps=data["impute_gaps"]))
     return ClusterDataset(surfaces=tuple(surfaces))
 
 
 def _focus_country(ctx: RunContext, countries) -> str:
-    focus = ctx.cfg.get("focus_country") or countries[0]
+    focus = ctx.cfg["focus_country"] or countries[0]
     if focus not in countries:
         raise ConfigError(f"focus_country {focus!r} is not in the cluster {list(countries)}")
     return focus
@@ -386,17 +390,12 @@ def _load_model_panel(ctx: RunContext):
 def _hybrid_config(ctx: RunContext, stream: str) -> HybridConfig:
     """The forecaster settings of the config; `train` and `ablate` differ
     only in the seed stream their training draws from."""
-    tc = ctx.cfg["train"]
     return HybridConfig(
-        lookback=int(ctx.cfg["lookback"]),
-        hidden=tuple(ctx.cfg["hidden"]),
-        dropout_rate=float(ctx.cfg["dropout"]),
-        train=TrainConfig(
-            learning_rate=float(tc["learning_rate"]),
-            max_epochs=int(tc["max_epochs"]),
-            patience=int(tc["patience"]),
-            seed=stream_seed(ctx.seed, stream),
-        ),
+        lookback=ctx.cfg["lookback"],
+        hidden=ctx.cfg["hidden"],
+        dropout_rate=ctx.cfg["dropout"],
+        # the train section's keys are TrainConfig's fields
+        train=TrainConfig(**ctx.cfg["train"], seed=stream_seed(ctx.cfg["seed"], stream)),
     )
 
 
@@ -406,17 +405,11 @@ def _hybrid_config(ctx: RunContext, stream: str) -> HybridConfig:
 def cmd_synth(ctx: RunContext) -> None:
     synth = ctx.cfg["synth"]
     regime = synth["regime"]
-    if regime not in SYNTH_REGIMES:
-        raise ConfigError(f"unknown synth regime {regime!r}; options {sorted(SYNTH_REGIMES)}")
-    seed = stream_seed(ctx.seed, "synth")
-    truth = synthetic_truth(
-        n_countries=int(synth["n_countries"]),
-        year_range=tuple(synth["year_range"]),
-        seed=seed,
-        **SYNTH_REGIMES[regime],
-    )
-    cluster = synthesize_cluster(truth, noise_sd=float(synth["noise_sd"]), seed=seed + 1)
-    target = ctx.data_path(ctx.cfg.get("data", {}).get("cluster_csv", "data/cluster.csv"))
+    seed = stream_seed(ctx.cfg["seed"], "synth")
+    truth = synthetic_truth(n_countries=synth["n_countries"], year_range=synth["year_range"],
+                            seed=seed, **SYNTH_REGIMES[regime])
+    cluster = synthesize_cluster(truth, noise_sd=synth["noise_sd"], seed=seed + 1)
+    target = ctx.data_path(ctx.cfg["data"]["cluster_csv"] or "data/cluster.csv")
     target.parent.mkdir(parents=True, exist_ok=True)
     # outside the run directory, the data CSV is recorded by its absolute path
     ctx.write(str(target), *cluster_csv_chunks(cluster, [f"config_hash={ctx.hash}"]))
@@ -462,7 +455,7 @@ def cmd_train(ctx: RunContext) -> dict:
     params = ctx.load("params.json", parse_params)
     panel = FactorPanel.from_params(params)
     model, trace, _windows, (train_idx, val_idx) = fit_forecaster(
-        panel, int(ctx.cfg["split_year"]), _hybrid_config(ctx, "train")
+        panel, ctx.cfg["split_year"], _hybrid_config(ctx, "train")
     )
     # the config hash leads the bundle
     ctx.write("model.json", dump_forecaster(model, "network.json", config_hash=ctx.hash))
@@ -481,7 +474,8 @@ def cmd_train(ctx: RunContext) -> dict:
         train_idx.size, val_idx.size,
     )
     return {"epochs_run": trace.epochs_run, "best_epoch": trace.best_epoch,
-            "stopped_early": trace.stopped_early}
+            "stopped_early": trace.stopped_early, "clipped_epochs": trace.clipped_epochs,
+            "max_grad_norm": max(trace.grad_norm)}
 
 
 ENSEMBLE = "ensemble.npy"
@@ -534,10 +528,8 @@ def _parse_ensemble(data: bytes, panel: FactorPanel, fdoc: dict) -> ForecastEnse
 def cmd_forecast(ctx: RunContext) -> dict:
     params, model, panel = _load_model_panel(ctx)
     fc = ctx.cfg["forecast"]
-    horizon = int(fc["horizon"])
-    n_paths = int(fc["n_paths"])
-    quantiles = tuple(float(q) for q in fc["quantiles"])
-    seed = stream_seed(ctx.seed, "forecast")
+    horizon, n_paths, quantiles = fc["horizon"], fc["n_paths"], fc["quantiles"]
+    seed = stream_seed(ctx.cfg["seed"], "forecast")
     sigma = historical_diff_sd(panel)
 
     ens = forecast_stochastic(
@@ -610,7 +602,7 @@ def cmd_forecast(ctx: RunContext) -> dict:
 
 def cmd_validate(ctx: RunContext) -> None:
     params, model, panel = _load_model_panel(ctx)
-    rows = benchmark.validate(panel, model, int(ctx.cfg["split_year"]))
+    rows = benchmark.validate(panel, model, ctx.cfg["split_year"])
     ctx.write_csv(
         "benchmark.csv",
         ["country", "rmse_lilee", "rmse_hybrid", "improvement_pct"],
@@ -628,7 +620,7 @@ def cmd_validate(ctx: RunContext) -> None:
 def cmd_explain(ctx: RunContext) -> None:
     params, model, panel = _load_model_panel(ctx)
     _, windows, (train_idx, val_idx) = prepare_windows(
-        panel, int(ctx.cfg["split_year"]), model.lookback, model.scaler
+        panel, ctx.cfg["split_year"], model.lookback, model.scaler
     )
 
     prof = explain.temporal_saliency(model.net, windows.X[val_idx], output_index=0)
@@ -641,16 +633,13 @@ def cmd_explain(ctx: RunContext) -> None:
     focus = _focus_country(ctx, params.countries)
     out_index = 1 + params.country_index(focus)
     xc = ctx.cfg["explain"]
-    X_test = windows.X[val_idx]
-    if xc["max_test_windows"]:
-        X_test = X_test[: int(xc["max_test_windows"])]
     rep = explain.kernel_shap(
         model.net,
         windows.X[train_idx],
-        X_test,
+        windows.X[val_idx][: xc["max_test_windows"]],  # null: every window
         output_index=out_index,
         n_coalitions=xc["n_coalitions"],
-        seed=stream_seed(ctx.seed, "explain"),
+        seed=stream_seed(ctx.cfg["seed"], "explain"),
     )
     scores = explain.aggregate_country_influence(rep)
     ctx.write_csv(
@@ -692,7 +681,7 @@ def cmd_stress(ctx: RunContext) -> None:
         mean_k_term,
         focus,
         rep.scr_es,
-        shock_grid=tuple(ctx.cfg["stress"]["shock_grid"]),
+        shock_grid=ctx.cfg["stress"]["shock_grid"],
     )
     ctx.write_json(
         "stress.json",
@@ -716,7 +705,7 @@ def cmd_ablate(ctx: RunContext) -> None:
     params = ctx.load("params.json", parse_params)
     panel = FactorPanel.from_params(params)
     cfg = _hybrid_config(ctx, "ablate")
-    split_year = int(ctx.cfg["split_year"])
+    split_year = ctx.cfg["split_year"]
     baseline = fit_forecaster(panel, split_year, cfg)
     results = benchmark.ablate(panel, split_year, cfg, baseline=baseline)
     ctx.write_csv(
@@ -728,7 +717,7 @@ def cmd_ablate(ctx: RunContext) -> None:
         ],
     )
     sweep = benchmark.lookback_sweep(
-        panel, split_year, cfg, lookbacks=tuple(ctx.cfg["ablate"]["lookbacks"]),
+        panel, split_year, cfg, lookbacks=ctx.cfg["ablate"]["lookbacks"],
         baseline=baseline,
     )
     ctx.write_csv(
@@ -803,14 +792,18 @@ _EXIT_CODES = (
          InsufficientHistoryError, RegressionError)),
     (5, (TrainingError, NumericError, FloatingPointError, np.linalg.LinAlgError)),
 )
+LOG_LEVELS = ("DEBUG", "INFO", "WARNING", "ERROR", "CRITICAL")  # MORTLAB_LOG's values
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    level = os.environ.get("MORTLAB_LOG", "INFO").upper()
-    logging.basicConfig(
-        level="WARNING" if args.quiet else level, format="%(levelname)s %(message)s"
-    )
+    level = os.environ.get("MORTLAB_LOG", "INFO")
+    known = level.upper() in LOG_LEVELS
+    logging.basicConfig(level=level.upper() if known and not args.quiet else "WARNING",
+                        format="%(levelname)s %(message)s")
+    if not known:
+        log.error("MORTLAB_LOG=%s is not a log level; use one of %s", level, ", ".join(LOG_LEVELS))
+        return 1
     try:
         return run_stage(args)
     except Exception as exc:  # noqa: BLE001 - translated to exit codes below

@@ -378,10 +378,15 @@ class TrainTrace:
     best_epoch: int = 0
     best_val_mse: float = float("inf")
     stopped_early: bool = False
+    grad_norm: list[float] = field(default_factory=list)  # per epoch, before clipping
 
     @property
     def epochs_run(self) -> int:
         return len(self.train_mse)
+
+    @property
+    def clipped_epochs(self) -> int:  # epochs whose step _clip_global_norm scaled down
+        return sum(norm > CLIP_NORM for norm in self.grad_norm)
 
 
 class _Adam:
@@ -409,8 +414,9 @@ class _Adam:
 CLIP_NORM = 5.0  # largest global gradient norm an Adam step takes
 
 
-def _clip_global_norm(grads: dict):
-    total = np.sqrt(sum(float(np.sum(g * g)) for g in grads.values()))
+def _clip_global_norm(grads: dict) -> float:
+    """Scale `grads` to global norm CLIP_NORM at most; returns the norm before."""
+    total = float(np.sqrt(sum(float(np.sum(g * g)) for g in grads.values())))
     if total > CLIP_NORM:
         scale = CLIP_NORM / total
         for g in grads.values():
@@ -471,7 +477,7 @@ def train(
         # free this epoch's caches before the next epoch's draw and forward
         # allocate theirs, so only one epoch's set is ever alive
         del pred, cache, mask
-        _clip_global_norm(grads)
+        trace.grad_norm.append(_clip_global_norm(grads))
         optimizer.step(params, grads)
 
         val_loss = mse(predict(params, X_val), Y_val)

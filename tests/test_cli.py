@@ -184,6 +184,14 @@ class TestPipeline:
         # max_epochs is 80; only patience ends training sooner
         assert record["stopped_early"] or record["epochs_run"] == 80
 
+    def test_train_records_its_gradient_norms(self, pipeline):
+        root, _ = pipeline
+        record = json.loads((root / "run" / "manifest.json").read_text())["stages"]["train"]
+        assert type(record["clipped_epochs"]) is int
+        assert 0 <= record["clipped_epochs"] <= record["epochs_run"]
+        assert record["max_grad_norm"] > 0
+        assert (record["max_grad_norm"] > lstm.CLIP_NORM) == (record["clipped_epochs"] > 0)
+
 
 class TestDeterminism:
     def test_rerun_fit_identical_params(self, tmp_path):
@@ -666,10 +674,25 @@ class TestExitCodes:
          "ablate.lookbacks must be a non-empty list of integers >= 1"),
         ('{"seed": 1, "ablate": {"lookbacks": [5, 7.5]}}',
          "ablate.lookbacks must be a non-empty list of integers >= 1"),
+        ('{"seed": 1, "dropout": 1.5}', "config dropout must be a number in [0, 1), got 1.5"),
+        ('{"seed": 1, "hidden": [0, 4]}', "config hidden must be a list of 2 integers >= 1"),
+        ('{"seed": 1, "hidden": [32]}', "config hidden must be a list of 2 integers >= 1"),
+        ('{"seed": 1, "lookback": 0}', "config lookback must be an integer >= 1, got 0"),
+        ('{"seed": 1, "lookback": 1.5}', "config lookback must be an integer >= 1, got 1.5"),
+        ('{"seed": 1, "train": {"learning_rate": -1.0}}',
+         "config train.learning_rate must be a number > 0, got -1.0"),
+        ('{"seed": 1, "data": {"cluster_csv": "c.csv", "year_rnage": [2000, 2020]}}',
+         "unknown config key 'data.year_rnage'"),
+        ('{"seed": true}', "config seed must be an integer >= 0, got True"),
+        ('{"seed": -1}', "config seed must be an integer >= 0, got -1"),
+        ('{"seed": 1, "synth": {"noise_sd": -1}}',
+         "config synth.noise_sd must be a number >= 0, got -1"),
     ], ids=["top-level", "section", "n_paths", "horizon", "n_coalitions",
             "patience", "max_epochs", "max_test_windows", "patience-not-integer", "boolean",
             "section-typo", "removed-validate", "quantile-range", "shock-range",
-            "lookback-floor", "lookback-not-integer"])
+            "lookback-floor", "lookback-not-integer", "dropout-range", "hidden-floor",
+            "hidden-length", "lookback-zero", "lookback-fraction", "learning-rate-sign",
+            "data-typo", "seed-boolean", "seed-negative", "noise-sign"])
     def test_config_not_an_object_is_1(self, tmp_path, caplog, text, message):
         bad = tmp_path / "bad.json"
         bad.write_text(text)
@@ -677,15 +700,79 @@ class TestExitCodes:
         errors = [r for r in caplog.records if r.levelname == "ERROR"]
         assert len(errors) == 1 and message in errors[0].getMessage()
 
+    def test_negative_seed_override_is_1(self, tmp_path, caplog):
+        cfg = write_config(tmp_path)
+        assert main(["fit", "--config", str(cfg), "--quiet", "--seed-override", "-1"]) == 1
+        errors = [r for r in caplog.records if r.levelname == "ERROR"]
+        assert len(errors) == 1
+        assert "config seed must be an integer >= 0, got -1" in errors[0].getMessage()
+        assert not (tmp_path / "run").exists()
+
+    def test_unknown_log_level_is_1(self, tmp_path, caplog, monkeypatch):
+        monkeypatch.setenv("MORTLAB_LOG", "verbose")
+        cfg = write_config(tmp_path)
+        assert main(["fit", "--config", str(cfg)]) == 1
+        errors = [r for r in caplog.records if r.levelname == "ERROR"]
+        assert len(errors) == 1
+        assert errors[0].getMessage() == ("MORTLAB_LOG=verbose is not a log level; "
+                                          "use one of DEBUG, INFO, WARNING, ERROR, CRITICAL")
+        assert not (tmp_path / "run").exists()
+
+
+# config_hash of three configs, computed before the config table replaced
+# the per-rule tables: a valid config's hash, and so its artifacts, must
+# not move when the config's checking changes
+README_CONFIG = {
+    "out_dir": "run",
+    "data": {"cluster_csv": "data/cluster.csv", "year_range": [1956, 2020]},
+    "synth": {"n_countries": 3, "regime": "unit_root", "noise_sd": 0.01,
+              "year_range": [1956, 2020]},
+}
+PINNED_HASHES = [
+    ({"seed": 4242, **README_CONFIG}, "2e10143de92009ef"),
+    ({"seed": 1, **README_CONFIG, "split_year": 2005,
+      "train": {"patience": 60, "max_epochs": 60}, "forecast": {"n_paths": 100},
+      "data": {"cluster_csv": "data/cluster.csv", "year_range": [1921, 2020]},
+      "synth": {"n_countries": 6, "regime": "stationary", "noise_sd": 0.01,
+                "year_range": [1921, 2020]}}, "88e363cf85be2cf3"),
+    ({"seed": 1, **README_CONFIG, "forecast": {"n_paths": 2000}}, "0064e8f5c159d2bd"),
+]
+
+
+class TestConfigHash:
+    @pytest.mark.parametrize("cfg, digest", PINNED_HASHES, ids=["readme", "wide-6c", "tail-2k"])
+    def test_hash_is_pinned(self, tmp_path, monkeypatch, cfg, digest):
+        monkeypatch.delenv("MORTLAB_OUT", raising=False)
+        assert RunContext(cfg, tmp_path).hash == digest
+
+
+def readme_config_rows() -> dict[str, list[str]]:
+    """README's config table: key -> the cells after it."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme.split("### Config reference", 1)[1].split("\n#", 1)[0]
+    rows = re.findall(r"^\| `([^`]+)` \|(.*)\|$", table, flags=re.MULTILINE)
+    return {key: [cell.strip() for cell in cells.split("|")] for key, cells in rows}
+
 
 class TestConfigReference:
     def test_readme_table_lists_the_accepted_keys(self):
         """README's config table names every top-level key a config may set,
         and no other."""
-        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-        table = readme.split("### Config reference", 1)[1].split("\n#", 1)[0]
-        keys = re.findall(r"^\| `([^`]+)` \|", table, flags=re.MULTILINE)
-        assert {key.split(".")[0] for key in keys} == cli._TOP_LEVEL
+        keys = readme_config_rows()
+        assert {key.split(".")[0] for key in keys} == set(cli.CONFIG)
+
+    def test_readme_table_states_each_default_and_rule(self):
+        """README's config table has one row per key, giving the key's
+        default and its rule as the config table has them."""
+        table = {}
+        for name, key in cli.CONFIG.items():
+            subs = key.items() if isinstance(key, dict) else [(None, key)]
+            table.update({f"{name}.{sub}" if sub else name: k for sub, k in subs})
+        rows = readme_config_rows()
+        assert rows.keys() == table.keys()
+        for name, (default, rule, _) in table.items():
+            want = "required" if default == "required" else f"`{json.dumps(default)}`"
+            assert rows[name][:2] == [want, rule], name
 
 
 class TestStageRunner:

@@ -270,6 +270,19 @@ class TestTraining:
         train(X[:9], Y[:9], X[9:], Y[9:], cfg, hidden=(8, 4), dropout_rate=0.2)
         assert len(calls) == 5
 
+    def test_records_gradient_norm_per_epoch(self):
+        """Targets far from any initial output force clipped steps; small
+        ones do not, and the trace keeps each epoch's norm either way."""
+        rng = np.random.default_rng(14)
+        X = rng.standard_normal((8, 5, 3))
+        cfg = TrainConfig(max_epochs=4, patience=4, seed=7)
+        for Y, clipped in ((np.full((8, 3), 100.0), True), (0.01 * X[:, -1, :], False)):
+            _, trace = train(X[:6], Y[:6], X[6:], Y[6:], cfg, hidden=(4, 3), dropout_rate=0.0)
+            assert len(trace.grad_norm) == trace.epochs_run == 4
+            assert min(trace.grad_norm) > 0
+            assert trace.clipped_epochs == sum(n > lstm.CLIP_NORM for n in trace.grad_norm)
+            assert (trace.clipped_epochs > 0) == clipped
+
     def test_same_seed_identical_weights(self):
         rng = np.random.default_rng(11)
         X = rng.standard_normal((8, 6, 3))
