@@ -195,7 +195,7 @@ def lookback_sweep(
     panel: FactorPanel,
     split_year: int,
     cfg: HybridConfig,
-    lookbacks: tuple[int, ...] = (5, 10, 15),
+    lookbacks: tuple[int, ...],
     *,
     baseline,
 ) -> list[SweepResult]:

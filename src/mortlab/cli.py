@@ -6,9 +6,11 @@ output directory) is stamped into every CSV artifact, the stage JSON
 documents and manifest.json; a stage refuses an output directory whose
 manifest carries another hash.  One rule binds every artifact to the run:
 `RunContext.write` is the only writer and records the SHA-256 of each file
-in manifest.json under the stage that wrote it, and `RunContext.load` is
+in manifest.json under the stage that wrote it (each stage's `files` maps
+file names to digests, the one manifest format), and `RunContext.load` is
 the only reader and refuses a file that is missing, whose bytes differ
 from that checksum, or that does not parse into a complete, valid object.
+A manifest in any other form does not parse either (exit 3).
 The binary ensemble (`ensemble.npy`, little-endian float64, paths x
 (horizon + 1) x factors, origin row included) is also refused unless its
 header, shape and origin row are exactly what forecast wrote.  All
@@ -302,8 +304,6 @@ class RunContext:
         # a misshapen `stages` or record raises here, and load turns that into exit 3
         for stage, record in doc["stages"].items():
             files = record["files"]
-            if isinstance(files, list) and all(isinstance(n, str) for n in files):
-                continue  # an older version's, refused by _recorded when one is read
             if not isinstance(files, dict) or not all(
                 isinstance(v, str) and len(v) == 64 and set(v) <= HEX for v in files.values()
             ):
@@ -313,15 +313,8 @@ class RunContext:
     def _recorded(self, name: str) -> tuple[str, str]:
         """The stage that wrote `name` and the SHA-256 it recorded."""
         for stage, record in self.manifest["stages"].items():
-            files = record["files"]
-            if name not in files:
-                continue
-            if isinstance(files, list):
-                raise StageError(
-                    f"{MANIFEST} lists artifact {name} without its checksum, in the "
-                    f"format of an older version; rerun {stage}"
-                )
-            return stage, files[name]
+            if name in record["files"]:
+                return stage, record["files"][name]
         raise StageError(f"artifact {name} is not recorded in {MANIFEST}; run the stage "
                          "that writes it first")
 
@@ -354,6 +347,9 @@ def load_dataset(ctx: RunContext) -> ClusterDataset:
         return path
 
     if data["cluster_csv"] is not None:
+        if data["countries"] is not None:
+            raise ConfigError("config data sets both 'cluster_csv' and 'countries'; "
+                              "give one source")
         return read_cluster_csv(
             existing(data["cluster_csv"]),
             country_order=data["country_order"],
@@ -516,13 +512,7 @@ def _parse_ensemble(data: bytes, panel: FactorPanel, fdoc: dict) -> ForecastEnse
     origin_year = int(fdoc["origin_year"])
     if origin_year != int(panel.years[-1]) or np.any(levels[:, 0, :] != panel.values[-1]):
         raise ValueError(f"it does not start from the panel's last year {int(panel.years[-1])}")
-    return ForecastEnsemble(
-        levels=levels,
-        years=origin_year + np.arange(shape[1]),
-        origin_year=origin_year,
-        seed=int(fdoc["seed"]),
-        sigma=np.asarray(fdoc["sigma"]),
-    )
+    return ForecastEnsemble(levels=levels, years=origin_year + np.arange(shape[1]))
 
 
 def cmd_forecast(ctx: RunContext) -> dict:

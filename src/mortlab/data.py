@@ -91,6 +91,10 @@ class ClusterDataset:
         object.__setattr__(self, "surfaces", tuple(self.surfaces))
         if len(self.surfaces) < 2:
             raise StructureError("a cluster needs at least 2 countries")
+        codes = self.countries
+        if repeated := sorted({c for c in codes if codes.count(c) > 1}):
+            raise StructureError(f"a cluster holds each country once; {', '.join(repeated)} "
+                                 "appears more than once")
         first = self.surfaces[0]
         for s in self.surfaces[1:]:
             if not np.array_equal(s.ages, first.ages) or not np.array_equal(
@@ -101,11 +105,6 @@ class ClusterDataset:
     @property
     def countries(self) -> tuple[str, ...]:
         return tuple(s.country for s in self.surfaces)
-
-    @property
-    def year_range(self) -> tuple[int, int]:
-        years = self.surfaces[0].years
-        return int(years[0]), int(years[-1])
 
 
 def parse_hmd_file(text: str | Iterable[str]) -> list[tuple[int, int, float | None]]:

@@ -8,10 +8,12 @@ The Shapley explainer treats the flattened window (lag-major) as the
 feature vector.  Missing features are replaced by the mean background
 window, a single-reference simplification that keeps every coalition at
 one model evaluation.  Coalitions are sampled from the Shapley kernel and
-attributions solved by constrained weighted least squares, so the
-efficiency identity base + sum(phi) = f(x) holds by construction.  Exact
-enumeration, for at most EXACT_LIMIT features, is the reference the
-sampled mode is checked against.
+attributions solved by constrained least squares, so the efficiency
+identity base + sum(phi) = f(x) holds by construction.  Exact enumeration
+with factorial weights is the one implementation of exact values: mode
+"exact" (at most EXACT_LIMIT features) and a sampled budget covering every
+proper coalition both run it, since Kernel SHAP over all coalitions gives
+the exact Shapley values (Lundberg & Lee 2017).
 
 Both modes evaluate the coalitions in the fewest contiguous, near-equal
 blocks of at most `BLOCK` rows (`forecast_stochastic`'s split, so no block
@@ -104,8 +106,8 @@ def kernel_shap(
     `model` is a NetworkParams or any callable mapping (n, L, F) windows to
     outputs.  `mode` is "sampled" or "exact" (full enumeration, feature
     count <= EXACT_LIMIT).  The default sampling budget is 2*d + 2048; a
-    budget covering all proper coalitions switches to full enumeration
-    with analytic kernel weights.
+    budget covering all 2^d - 2 proper coalitions gives the exact values
+    of mode "exact", bit for bit, and draws nothing from the generator.
     """
     background = np.asarray(background, dtype=float)
     X_test = np.asarray(X_test, dtype=float)
@@ -127,13 +129,14 @@ def kernel_shap(
     if mode not in ("exact", "sampled"):
         raise ValueError(f"unknown mode {mode!r}")
 
+    exact = mode == "exact" or n_coalitions >= 2**d - 2
     phi = np.empty((n_test, d))
     fx = np.empty(n_test)
     rng = np.random.default_rng(seed)
     for t, x in enumerate(X_test):
         x_flat = x.reshape(d)
         fx[t] = float(fn(x.reshape(1, lookback, n_feat))[0])
-        if mode == "exact":
+        if exact:
             phi[t] = _exact_shapley(fn, x_flat, b_flat, lookback, n_feat)
         else:
             phi[t] = _kernel_wls(
@@ -178,21 +181,8 @@ def _exact_shapley(fn, x_flat, b_flat, lookback, n_feat):
 
 
 def _kernel_coalitions(d, n_coalitions, rng):
-    """Proper coalitions (never empty/full) and their WLS weights.
-
-    If the budget covers every proper coalition, enumerate them all with
-    analytic Shapley-kernel weights; otherwise sample sizes from the kernel
-    distribution and subsets uniformly, with unit weights.
-    """
-    total_proper = 2**d - 2
-    if n_coalitions >= total_proper:
-        idx = np.arange(1, 2**d - 1, dtype=np.int64)
-        Z = ((idx[:, None] >> np.arange(d)) & 1).astype(float)
-        sizes = Z.sum(axis=1).astype(int)
-        weights = np.array(
-            [(d - 1) / (math.comb(d, s) * s * (d - s)) for s in sizes]
-        )
-        return Z, weights
+    """`n_coalitions` proper coalitions (never empty or full) as 0/1 rows:
+    sizes drawn from the Shapley-kernel distribution, subsets uniformly."""
     sizes = np.arange(1, d)
     size_p = (d - 1) / (sizes * (d - sizes))
     size_p = size_p / size_p.sum()
@@ -205,12 +195,12 @@ def _kernel_coalitions(d, n_coalitions, rng):
         block = drawn[lo:lo + BLOCK, None]
         perms = rng.permuted(np.tile(np.arange(d), (block.shape[0], 1)), axis=1)
         np.put_along_axis(Z[lo:lo + BLOCK], perms, np.arange(d) < block, axis=1)
-    return Z, np.ones(n_coalitions)
+    return Z
 
 
 def _kernel_wls(fn, x_flat, b_flat, lookback, n_feat, fx, base, n_coalitions, rng):
     d = x_flat.size
-    Z, w = _kernel_coalitions(d, n_coalitions, rng)
+    Z = _kernel_coalitions(d, n_coalitions, rng)
     fvals = _eval_masked(fn, Z.shape[0], lambda lo, hi: Z[lo:hi] != 0.0,
                          x_flat, b_flat, lookback, n_feat)
     y = fvals - base
@@ -220,9 +210,10 @@ def _kernel_wls(fn, x_flat, b_flat, lookback, n_feat, fx, base, n_coalitions, rn
     # substitution, which is why they never need to be sampled
     y_adj = y - Z[:, -1] * (fx - base)
     Zt = Z[:, :-1] - Z[:, [-1]]
-    del Z  # so Z, Zt and w * Zt are never alive together
-    A = Zt.T @ (w[:, None] * Zt)
-    rhs = Zt.T @ (w * y_adj)
+    del Z  # so Z and Zt are never alive together
+    # the sampled kernel weights are all one, so least squares is unweighted
+    A = Zt.T @ Zt
+    rhs = Zt.T @ y_adj
     try:
         rest = np.linalg.solve(A, rhs)
         if not np.all(np.isfinite(rest)):

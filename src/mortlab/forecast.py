@@ -57,8 +57,6 @@ from .windows import (
 
 MODEL_SCHEMA = "mortlab/forecaster-v1"
 
-DEFAULT_QUANTILES = (0.025, 0.10, 0.50, 0.90, 0.975)
-
 # paths per block, the unit of work and of transient memory; on 2 cores
 # 256 made the forecast stage 5-15% slower and 128 about 40% slower
 BLOCK = 512
@@ -90,20 +88,14 @@ class ForecastEnsemble:
 
     levels: np.ndarray
     years: np.ndarray
-    origin_year: int
-    seed: int
-    sigma: np.ndarray
     blocks: int = 1
     workers: int = 1
 
     def __post_init__(self):
         object.__setattr__(self, "levels", np.asarray(self.levels, dtype=float))
         object.__setattr__(self, "years", np.asarray(self.years, dtype=int))
-        object.__setattr__(self, "sigma", np.asarray(self.sigma, dtype=float))
         if self.levels.ndim != 3 or self.levels.shape[1] != self.years.size:
             raise DimensionError("levels must be (paths, horizon + 1, factors)")
-        if np.any(self.sigma < 0):
-            raise DimensionError("sigma must be non-negative")
 
     @property
     def n_paths(self) -> int:
@@ -243,8 +235,7 @@ def forecast_stochastic(
         with ThreadPoolExecutor(workers) as pool:
             list(pool.map(contextvars.Context.run, ctxs, [run] * blocks, bounds[:-1], bounds[1:]))
     years = history.years[-1] + np.arange(horizon + 1)
-    return ForecastEnsemble(levels=out, years=years, origin_year=int(history.years[-1]),
-                            seed=seed, sigma=sigma, blocks=blocks, workers=workers)
+    return ForecastEnsemble(levels=out, years=years, blocks=blocks, workers=workers)
 
 
 def _block_count(n_paths: int) -> int:
@@ -288,9 +279,7 @@ def _run_block(model, history, sigma, seed, out, lo: int, hi: int) -> None:
         out[lo:hi, h, :] = nxt
 
 
-def ensemble_quantiles(
-    ensemble: ForecastEnsemble, levels: Sequence[float] = DEFAULT_QUANTILES
-) -> np.ndarray:
+def ensemble_quantiles(ensemble: ForecastEnsemble, levels: Sequence[float]) -> np.ndarray:
     """Per-horizon, per-factor quantile bands, shaped (len(levels), H+1, F).
 
     Uses the risk measures' rule, sorting one horizon's (paths, F) at a time."""

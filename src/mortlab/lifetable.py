@@ -44,11 +44,12 @@ class MonotonicityResult:
 
 
 def reconstruct_surface(
-    params: LiLeeParams, country: int | str, k_value: float
+    params: LiLeeParams, country: int | str, k_value
 ) -> np.ndarray:
-    """Death rates by age for one country at a given common-index level."""
+    """Death rates by age for one country at common-index level(s) `k_value`:
+    (ages,) for a scalar, (*k.shape, ages) for an array, one curve per level."""
     i = params.country_index(country)
-    return np.exp(params.alpha[i] + params.B * float(k_value))
+    return np.exp(params.alpha[i] + np.multiply.outer(k_value, params.B))
 
 
 def _columns(m: np.ndarray):
@@ -121,12 +122,10 @@ def e0_paths(
     a time, so the rate matrix and its temporaries stay bounded whatever
     the ensemble size; each curve's e0 depends on that curve alone.
     """
-    i = params.country_index(country)
     k_vals = ensemble.levels[:, 1:, 0][:, horizons]
     k_flat = k_vals.ravel()
     out = np.empty(k_flat.size)
     for lo in range(0, k_flat.size, E0_BLOCK):
         k = k_flat[lo : lo + E0_BLOCK]
-        m = np.exp(params.alpha[i][None, :] + np.outer(k, params.B))
-        out[lo : lo + k.size] = _e0_batch(m)
+        out[lo : lo + k.size] = _e0_batch(reconstruct_surface(params, country, k))
     return out.reshape(k_vals.shape)

@@ -85,10 +85,6 @@ class NetworkParams:
     def hidden(self) -> tuple[int, int]:
         return self.U1.shape[0], self.U2.shape[0]
 
-    @property
-    def output_dim(self) -> int:
-        return self.Wh.shape[1]
-
     def copy(self) -> "NetworkParams":
         return NetworkParams(
             **{k: getattr(self, k).copy() for k in _WEIGHT_KEYS},

@@ -70,10 +70,6 @@ class WindowedDataset:
         if not (self.X.shape[0] == self.Y.shape[0] == self.sample_years.size):
             raise DimensionError("sample counts disagree")
 
-    @property
-    def lookback(self) -> int:
-        return self.X.shape[1]
-
 
 def difference(panel: FactorPanel) -> DiffPanel:
     if panel.years.size < 2:

@@ -339,43 +339,6 @@ class TestArtifactRule:
             assert opened - {"manifest.json"} <= loaded, stage
             assert "manifest.json" in opened or stage == "synth", stage
 
-    @pytest.mark.parametrize("stage, writer, name", [
-        ("train", "fit", "params.json"),
-        ("validate", "train", "network.json"),
-        ("stress", "forecast", "forecast_manifest.json"),
-    ])
-    def test_manifest_without_checksums_is_3(
-        self, pipeline, tmp_path, caplog, stage, writer, name
-    ):
-        """Manifests written before files were bound by checksum list them
-        by name only.  With the writer's entry in that form (the stages
-        after it rerun since), the reader names the file and the stage."""
-        root, _ = pipeline
-        copy = shutil.copytree(root, tmp_path / "copy")
-        path = copy / "run" / "manifest.json"
-        manifest = json.loads(path.read_text())
-        record = manifest["stages"][writer]
-        record["files"] = list(record["files"])
-        path.write_text(json.dumps(manifest))
-        assert main([stage, "--config", str(copy / "config.json"), "--quiet"]) == 3
-        assert f"artifact {name} without its checksum" in caplog.text
-        assert f"rerun {writer}" in caplog.text
-
-
-    def test_manifest_without_checksums_is_mended_by_rerun(self, pipeline, tmp_path):
-        """An older version's list of names passes the manifest's shape
-        check, so rerunning the stage it names rewrites its record."""
-        root, _ = pipeline
-        copy = shutil.copytree(root, tmp_path / "copy")
-        path = copy / "run" / "manifest.json"
-        manifest = json.loads(path.read_text())
-        manifest["stages"]["fit"]["files"] = list(manifest["stages"]["fit"]["files"])
-        path.write_text(json.dumps(manifest))
-        cfg = str(copy / "config.json")
-        assert main(["train", "--config", cfg, "--quiet"]) == 3
-        assert main(["fit", "--config", cfg, "--quiet"]) == 0
-        assert main(["train", "--config", cfg, "--quiet"]) == 0
-
     @pytest.mark.parametrize("edit", [
         lambda doc: doc.pop("stages"),
         lambda doc: doc.update(stages=list(doc["stages"])),
@@ -383,12 +346,13 @@ class TestArtifactRule:
         lambda doc: doc["stages"]["fit"].pop("files"),
         lambda doc: doc["stages"]["fit"].update(files="params.json"),
         lambda doc: doc["stages"]["fit"].update(files=[1, 2]),
+        lambda doc: doc["stages"]["fit"].update(files=list(doc["stages"]["fit"]["files"])),
         lambda doc: doc["stages"]["fit"]["files"].update({"params.json": "not-hex"}),
         lambda doc: doc["stages"]["fit"]["files"].update({"params.json": "ab" * 31}),
         lambda doc: doc["stages"]["fit"]["files"].update({"params.json": "AB" * 32}),
         lambda doc: doc["stages"]["synth"]["files"].update({"extra.csv": None}),
     ], ids=["no-stages", "stages-a-list", "record-not-an-object", "no-files",
-            "files-a-string", "files-not-names", "digest-not-hex", "digest-short",
+            "files-a-string", "files-not-names", "files-names-only", "digest-not-hex", "digest-short",
             "digest-upper-case", "digest-null"])
     def test_misshapen_manifest_is_3(self, pipeline, tmp_path, caplog, edit):
         """A manifest that parses, with the run's config_hash, but whose
@@ -626,6 +590,15 @@ class TestExitCodes:
         assert main(["fit", "--config", str(cfg), "--quiet"]) == 2
         assert "a cluster needs at least 2 countries" in caplog.text
 
+    def test_country_named_twice_is_2(self, tmp_path, caplog):
+        data = {"cluster_csv": "data/cluster.csv", "year_range": [1980, 2020],
+                "country_order": ["SYA", "SYA", "SYB"]}
+        cfg = write_config(tmp_path, data=data)
+        assert main(["synth", "--config", str(cfg), "--quiet"]) == 0
+        assert main(["fit", "--config", str(cfg), "--quiet"]) == 2
+        assert "SYA appears more than once" in caplog.text
+        assert not (tmp_path / "run" / "params.json").exists()
+
     def test_lapack_failure_is_5(self, tmp_path, monkeypatch):
         cfg = write_config(tmp_path)
         assert main(["synth", "--config", str(cfg), "--quiet"]) == 0
@@ -687,12 +660,14 @@ class TestExitCodes:
         ('{"seed": -1}', "config seed must be an integer >= 0, got -1"),
         ('{"seed": 1, "synth": {"noise_sd": -1}}',
          "config synth.noise_sd must be a number >= 0, got -1"),
+        ('{"seed": 1, "data": {"cluster_csv": "c.csv", "countries": [{"code": "A", "rates": "a"}]}}',
+         "config data sets both 'cluster_csv' and 'countries'"),
     ], ids=["top-level", "section", "n_paths", "horizon", "n_coalitions",
             "patience", "max_epochs", "max_test_windows", "patience-not-integer", "boolean",
             "section-typo", "removed-validate", "quantile-range", "shock-range",
             "lookback-floor", "lookback-not-integer", "dropout-range", "hidden-floor",
             "hidden-length", "lookback-zero", "lookback-fraction", "learning-rate-sign",
-            "data-typo", "seed-boolean", "seed-negative", "noise-sign"])
+            "data-typo", "seed-boolean", "seed-negative", "noise-sign", "data-both-sources"])
     def test_config_not_an_object_is_1(self, tmp_path, caplog, text, message):
         bad = tmp_path / "bad.json"
         bad.write_text(text)

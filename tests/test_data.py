@@ -321,6 +321,14 @@ def test_cluster_requires_two_countries(small_cluster):
         ClusterDataset(surfaces=small_cluster.surfaces[:1])
 
 
+def test_cluster_holds_each_country_once(small_cluster):
+    from mortlab.data import ClusterDataset
+
+    first, second = small_cluster.surfaces[:2]
+    with pytest.raises(StructureError, match=f"{first.country} appears more than once"):
+        ClusterDataset(surfaces=(first, first, second))
+
+
 def test_cluster_requires_one_grid(small_cluster):
     from mortlab.data import ClusterDataset, MortalitySurface
 

@@ -370,10 +370,7 @@ class TestQuantiles:
 
         paths = np.asarray(paths, dtype=float)
         levels = paths[:, None, None] * np.ones((1, 2, 1))
-        return ForecastEnsemble(
-            levels=levels, years=[2020, 2021], origin_year=2020, seed=0,
-            sigma=np.zeros(1),
-        )
+        return ForecastEnsemble(levels=levels, years=[2020, 2021])
 
     def test_identical_paths_collapse(self):
         ens = self._flat_ensemble(np.full(10, 3.25))

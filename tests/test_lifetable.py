@@ -143,13 +143,7 @@ class TestE0Paths:
         s, h1 = k_values.shape
         levels = np.zeros((s, h1, 2))
         levels[:, :, 0] = k_values
-        return ForecastEnsemble(
-            levels=levels,
-            years=2020 + np.arange(h1),
-            origin_year=2020,
-            seed=0,
-            sigma=np.zeros(2),
-        )
+        return ForecastEnsemble(levels=levels, years=2020 + np.arange(h1))
 
     def test_degenerate_ensemble_equal_e0(self):
         params = make_params([np.linspace(-9, -2, 91)])
