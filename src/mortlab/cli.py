@@ -2,9 +2,11 @@
 stress, ablate.
 
 Every run is driven by one JSON config.  Its hash (SHA-256, minus the
-output directory) is stamped into every CSV artifact, the stage JSON
-documents and manifest.json; a stage refuses an output directory whose
-manifest carries another hash.  One rule binds every artifact to the run:
+output directory) is stamped into every CSV artifact, model.json,
+forecast_manifest.json, stress.json and manifest.json; params.json,
+truth_params.json and network.json carry none and are bound to the run by
+their checksum alone.  A stage refuses an output directory whose manifest
+carries another hash.  One rule binds every artifact to the run:
 `RunContext.write` is the only writer and records the SHA-256 of each file
 in manifest.json under the stage that wrote it (each stage's `files` maps
 file names to digests, the one manifest format), and `RunContext.load` is
@@ -164,7 +166,7 @@ CONFIG = {
                               _list(lambda v: type(v) in NUM and 0 < v < 1))},
     "explain": {"n_coalitions": (None, *COUNT), "max_test_windows": (None, *COUNT)},
     "ablate": {"lookbacks": ([5, 10, 15], "a non-empty list of integers >= 1", _list(COUNT[1]))},
-    "synth": {"n_countries": (3, *COUNT), "year_range": ([1956, 2020], *YEARS),
+    "synth": {"n_countries": (3, *_at_least(2)), "year_range": ([1956, 2020], *YEARS),
               "regime": ("unit_root", f"one of {', '.join(SYNTH_REGIMES)}",
                          lambda v: type(v) is str and v in SYNTH_REGIMES),
               "noise_sd": (0.01, "a number >= 0", lambda v: type(v) in NUM and v >= 0)},

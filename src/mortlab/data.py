@@ -53,22 +53,20 @@ class MortalitySurface:
     ages: np.ndarray
     years: np.ndarray
     m: np.ndarray
-    log_m: np.ndarray
     imputed: tuple[tuple[int, int], ...] = field(default=())
+    log_m: np.ndarray = field(init=False)
 
     def __post_init__(self):
         object.__setattr__(self, "ages", np.asarray(self.ages, dtype=int))
         object.__setattr__(self, "years", np.asarray(self.years, dtype=int))
         object.__setattr__(self, "m", np.asarray(self.m, dtype=float))
-        object.__setattr__(self, "log_m", np.asarray(self.log_m, dtype=float))
         if self.m.shape != (self.ages.size, self.years.size):
             raise DimensionError("m must be shaped (ages, years)")
-        if self.log_m.shape != self.m.shape:
-            raise DimensionError("log_m must match m")
         if np.any(self.m < 0):
             raise DomainError("negative death rate")
+        object.__setattr__(self, "log_m", np.log(self.m + EPS))
         if not np.all(np.isfinite(self.log_m)):
-            raise DomainError("non-finite log rate")
+            raise DomainError("non-finite death rate")
         if self.ages.size > 1 and not np.all(np.diff(self.ages) == 1):
             raise StructureError("ages must be contiguous")
         if self.years.size > 1 and not np.all(np.diff(self.years) == 1):
@@ -228,7 +226,6 @@ def build_surface(
         ages=ages,
         years=years,
         m=m,
-        log_m=np.log(m + EPS),
         imputed=tuple(imputed),
     )
 
@@ -272,11 +269,7 @@ def synthesize_cluster(
         if noise_sd > 0:
             log_m = log_m + rng.standard_normal(log_m.shape) * noise_sd
         m = np.maximum(np.exp(log_m) - EPS, 0.0)
-        surfaces.append(
-            MortalitySurface(
-                country=code, ages=truth.ages, years=truth.years, m=m, log_m=np.log(m + EPS)
-            )
-        )
+        surfaces.append(MortalitySurface(country=code, ages=truth.ages, years=truth.years, m=m))
     return ClusterDataset(surfaces=tuple(surfaces))
 
 

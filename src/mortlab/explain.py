@@ -9,18 +9,18 @@ feature vector.  Missing features are replaced by the mean background
 window, a single-reference simplification that keeps every coalition at
 one model evaluation.  Coalitions are sampled from the Shapley kernel and
 attributions solved by constrained least squares, so the efficiency
-identity base + sum(phi) = f(x) holds by construction.  Exact enumeration
-with factorial weights is the one implementation of exact values: mode
-"exact" (at most EXACT_LIMIT features) and a sampled budget covering every
-proper coalition both run it, since Kernel SHAP over all coalitions gives
-the exact Shapley values (Lundberg & Lee 2017).
+identity base + sum(phi) = f(x) holds by construction.  A budget covering
+every proper coalition (2^d - 2 or more) runs exact enumeration with
+factorial weights instead, since Kernel SHAP over all coalitions gives the
+exact Shapley values (Lundberg & Lee 2017); its 2^d outputs cost less than
+the n x d draw of that budget.
 
-Both modes evaluate the coalitions in the fewest contiguous, near-equal
+Both paths evaluate the coalitions in the fewest contiguous, near-equal
 blocks of at most `BLOCK` rows (`forecast_stochastic`'s split, so no block
 is a single row, whose matrix-vector product may round differently), so
-the model's working set is bounded whatever the budget or 2^d is.  Exact
-mode at d = 16 took 265 MB more for one window as one batch and 9.4 MB in
-blocks; the wide-6c benchmark's explain stage peaked at 53.0 against 43.7 MB.
+the model's working set is bounded whatever the budget or 2^d is.  The
+enumeration at d = 16 took 265 MB more for one window as one batch and
+9.4 MB in blocks; the wide-6c explain stage peaked at 53.0 against 43.7 MB.
 """
 
 from __future__ import annotations
@@ -30,10 +30,9 @@ import warnings
 from dataclasses import dataclass
 import numpy as np
 
-from .errors import DimensionError
+from .errors import DimensionError, RankError
 from .lstm import NetworkParams, input_gradient, predict
 
-EXACT_LIMIT = 16
 BLOCK = 256  # most coalition rows handed to the model at once
 
 
@@ -99,15 +98,15 @@ def kernel_shap(
     output_index: int | None = None,
     n_coalitions: int | None = None,
     seed: int = 0,
-    mode: str = "sampled",
 ) -> ShapReport:
     """Shapley attributions of one output over flattened input windows.
 
     `model` is a NetworkParams or any callable mapping (n, L, F) windows to
-    outputs.  `mode` is "sampled" or "exact" (full enumeration, feature
-    count <= EXACT_LIMIT).  The default sampling budget is 2*d + 2048; a
-    budget covering all 2^d - 2 proper coalitions gives the exact values
-    of mode "exact", bit for bit, and draws nothing from the generator.
+    outputs.  The default budget is 2*d + 2048 coalitions.  A budget of
+    2^d - 2 or more gives the exact values by enumeration and draws nothing
+    from the generator.  A smaller one is sampled and must be at least
+    d - 1, or the least-squares system is always singular: RankError,
+    raised before the model is evaluated.
     """
     background = np.asarray(background, dtype=float)
     X_test = np.asarray(X_test, dtype=float)
@@ -118,18 +117,15 @@ def kernel_shap(
     n_test, lookback, n_feat = X_test.shape
     d = lookback * n_feat
     fn = _as_predict_fn(model, output_index)
+    if n_coalitions is None:
+        n_coalitions = 2 * d + 2048
+    exact = n_coalitions >= 2**d - 2
+    if not exact and n_coalitions < d - 1:
+        raise RankError(f"{n_coalitions} sampled coalitions cannot determine {d} "
+                        f"attributions; the budget must be at least {d - 1}")
 
     b_flat = background.reshape(background.shape[0], d).mean(axis=0)
     base = float(fn(b_flat.reshape(1, lookback, n_feat))[0])
-    if n_coalitions is None:
-        n_coalitions = 2 * d + 2048
-
-    if mode == "exact" and d > EXACT_LIMIT:
-        raise ValueError(f"exact mode supports at most {EXACT_LIMIT} features, got {d}")
-    if mode not in ("exact", "sampled"):
-        raise ValueError(f"unknown mode {mode!r}")
-
-    exact = mode == "exact" or n_coalitions >= 2**d - 2
     phi = np.empty((n_test, d))
     fx = np.empty(n_test)
     rng = np.random.default_rng(seed)

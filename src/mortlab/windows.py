@@ -9,27 +9,12 @@ year of its later level, so the split boundary is defined by target years.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import DimensionError, InsufficientHistoryError, ScalingError
 from .lilee import FactorPanel
-
-
-@dataclass(frozen=True)
-class DiffPanel:
-    """First differences of a factor panel; row t is level[t] - level[t-1]
-    and carries the year of level[t]."""
-
-    years: np.ndarray
-    V: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "years", np.asarray(self.years, dtype=int))
-        object.__setattr__(self, "V", np.asarray(self.V, dtype=float))
-        if self.V.ndim != 2 or self.V.shape[0] != self.years.size:
-            raise DimensionError("V must be (years, factors)")
 
 
 @dataclass(frozen=True)
@@ -71,15 +56,17 @@ class WindowedDataset:
             raise DimensionError("sample counts disagree")
 
 
-def difference(panel: FactorPanel) -> DiffPanel:
+def difference(panel: FactorPanel) -> FactorPanel:
+    """First differences: row t is level[t] - level[t-1] and carries the
+    year of level[t]."""
     if panel.years.size < 2:
         raise InsufficientHistoryError("need at least 2 level rows to difference")
-    return DiffPanel(years=panel.years[1:], V=np.diff(panel.values, axis=0))
+    return replace(panel, years=panel.years[1:], values=np.diff(panel.values, axis=0))
 
 
-def fit_scaler(diff: DiffPanel, train_end_year: int) -> ScalerParams:
+def fit_scaler(panel: FactorPanel, train_end_year: int) -> ScalerParams:
     """Mean/sd (n-1 denominator) over rows with year <= train_end_year."""
-    rows = diff.V[diff.years <= train_end_year]
+    rows = panel.values[panel.years <= train_end_year]
     if rows.shape[0] < 2:
         raise InsufficientHistoryError("need at least 2 training rows to fit a scaler")
     sd = rows.std(axis=0, ddof=1)
@@ -97,9 +84,9 @@ def inverse_transform(scaler: ScalerParams, V: np.ndarray) -> np.ndarray:
     return np.asarray(V, dtype=float) * scaler.sd + scaler.mean
 
 
-def make_windows(diff: DiffPanel, lookback: int) -> WindowedDataset:
+def make_windows(panel: FactorPanel, lookback: int) -> WindowedDataset:
     """Cut a (scaled) difference panel into chronological windows."""
-    t = diff.V.shape[0]
+    t = panel.values.shape[0]
     if lookback < 1:
         raise ValueError("lookback must be >= 1")
     if t <= lookback:
@@ -107,9 +94,9 @@ def make_windows(diff: DiffPanel, lookback: int) -> WindowedDataset:
             f"{t} difference rows cannot support lookback {lookback}"
         )
     n = t - lookback
-    X = np.stack([diff.V[s : s + lookback] for s in range(n)])
-    Y = diff.V[lookback:]
-    return WindowedDataset(X=X, Y=Y.copy(), sample_years=diff.years[lookback:])
+    X = np.stack([panel.values[s : s + lookback] for s in range(n)])
+    Y = panel.values[lookback:]
+    return WindowedDataset(X=X, Y=Y.copy(), sample_years=panel.years[lookback:])
 
 
 def split_windows(
@@ -138,10 +125,10 @@ def prepare_windows(
     for the levels ablation.  Raises InsufficientHistoryError when the
     split leaves no training or no validation windows.  Returns (scaler,
     windows, (train indices, validation indices))."""
-    rows = difference(panel) if differences else DiffPanel(years=panel.years, V=panel.values)
+    rows = difference(panel) if differences else panel
     if scaler is None:
         scaler = fit_scaler(rows, split_year)
-    windows = make_windows(DiffPanel(years=rows.years, V=transform(scaler, rows.V)), lookback)
+    windows = make_windows(replace(rows, values=transform(scaler, rows.values)), lookback)
     train_idx, val_idx = split_windows(windows, split_year)
     if train_idx.size < 1 or val_idx.size < 1:
         raise InsufficientHistoryError("the split leaves no training or no validation windows")

@@ -417,6 +417,18 @@ class TestExitCodes:
         errors = [r for r in caplog.records if r.levelname == "ERROR"]
         assert len(errors) == 1 and "tail is empty" in errors[0].getMessage()
 
+    def test_shap_budget_below_d_minus_1_is_4(self, tmp_path, caplog):
+        # d = 10 lags x 4 factors = 40: 3 coalitions cannot determine 39 unknowns
+        cfg = write_config(tmp_path, train={"max_epochs": 5}, explain={"n_coalitions": 3})
+        for stage in ("synth", "fit", "train"):
+            assert main([stage, "--config", str(cfg), "--quiet"]) == 0
+        assert main(["explain", "--config", str(cfg), "--quiet"]) == 4
+        errors = [r for r in caplog.records if r.levelname == "ERROR"]
+        assert len(errors) == 1 and "must be at least 39" in errors[0].getMessage()
+        out = tmp_path / "run"
+        assert "explain" not in json.loads((out / "manifest.json").read_text())["stages"]
+        assert not (out / "influence.csv").exists()
+
     def _stress_on_edited_ensemble(self, pipeline, tmp_path, edit, record_checksum=False):
         """Rerun stress on a copy of the pipeline whose ensemble.npy bytes
         went through `edit`."""
@@ -662,12 +674,15 @@ class TestExitCodes:
          "config synth.noise_sd must be a number >= 0, got -1"),
         ('{"seed": 1, "data": {"cluster_csv": "c.csv", "countries": [{"code": "A", "rates": "a"}]}}',
          "config data sets both 'cluster_csv' and 'countries'"),
+        ('{"seed": 1, "synth": {"n_countries": 1}}',
+         "config synth.n_countries must be an integer >= 2, got 1"),
     ], ids=["top-level", "section", "n_paths", "horizon", "n_coalitions",
             "patience", "max_epochs", "max_test_windows", "patience-not-integer", "boolean",
             "section-typo", "removed-validate", "quantile-range", "shock-range",
             "lookback-floor", "lookback-not-integer", "dropout-range", "hidden-floor",
             "hidden-length", "lookback-zero", "lookback-fraction", "learning-rate-sign",
-            "data-typo", "seed-boolean", "seed-negative", "noise-sign", "data-both-sources"])
+            "data-typo", "seed-boolean", "seed-negative", "noise-sign", "data-both-sources",
+            "synth-one-country"])
     def test_config_not_an_object_is_1(self, tmp_path, caplog, text, message):
         bad = tmp_path / "bad.json"
         bad.write_text(text)

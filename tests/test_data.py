@@ -19,6 +19,7 @@ from mortlab.data import (
 )
 from mortlab.errors import (
     DataGapError,
+    DomainError,
     ExposureError,
     ParseError,
     StructureError,
@@ -87,6 +88,11 @@ class TestBuildSurface:
         assert surf.m[0, 0] == 0.0
         assert surf.log_m[0, 0] == pytest.approx(np.log(1e-10))
         assert surf.log_m[0, 0] == pytest.approx(-23.0259, abs=1e-3)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_surface_refuses_a_non_finite_rate(self, bad):
+        with pytest.raises(DomainError, match="non-finite death rate"):
+            MortalitySurface(country="TST", ages=[0, 1], years=[2000], m=[[0.01], [bad]])
 
     def test_age_truncation(self):
         rates = [(2000, a, 0.01) for a in range(0, 96)]
@@ -195,8 +201,7 @@ class TestCsvRoundTrip:
             'Q"R': [[1e-300, 0.5], [7e-3, 1.0]],
         }
         cluster = ClusterDataset(surfaces=tuple(
-            MortalitySurface(country=code, ages=[0, 1], years=[2019, 2020], m=m,
-                             log_m=np.log(np.asarray(m) + EPS))
+            MortalitySurface(country=code, ages=[0, 1], years=[2019, 2020], m=m)
             for code, m in rates.items()
         ))
         buf = io.StringIO()
@@ -333,6 +338,6 @@ def test_cluster_requires_one_grid(small_cluster):
     from mortlab.data import ClusterDataset, MortalitySurface
 
     s = small_cluster.surfaces[1]
-    short = MortalitySurface(s.country, s.ages, s.years[:-1], s.m[:, :-1], s.log_m[:, :-1])
+    short = MortalitySurface(s.country, s.ages, s.years[:-1], s.m[:, :-1])
     with pytest.raises(StructureError, match="share ages and years"):
         ClusterDataset(surfaces=(small_cluster.surfaces[0], short))

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from mortlab import explain
+from mortlab.errors import RankError
 from mortlab.explain import (
-    EXACT_LIMIT,
     ShapReport,
     _kernel_coalitions,
     aggregate_country_influence,
@@ -105,7 +105,7 @@ class TestKernelShap:
         w = rng.standard_normal(L * F)
         x = rng.standard_normal((1, L, F))
         b = rng.standard_normal((1, L, F))
-        rep = kernel_shap(linear_model(w), b, x, mode="exact")
+        rep = kernel_shap(linear_model(w), b, x, n_coalitions=2**12 - 2)
         want = w * (x.reshape(-1) - b.reshape(-1))
         assert np.max(np.abs(rep.phi[0] - want)) <= 1e-8
 
@@ -114,7 +114,7 @@ class TestKernelShap:
         rng = np.random.default_rng(7)
         rep = kernel_shap(
             fn, rng.standard_normal((2, 2, 3)), rng.standard_normal((3, 2, 3)),
-            mode="exact",
+            n_coalitions=2**6 - 2,
         )
         assert np.max(np.abs(rep.phi)) <= 1e-10
         assert rep.base_value == pytest.approx(2.5)
@@ -127,14 +127,14 @@ class TestKernelShap:
 
         x = np.array([[[1.5, 1.5]]])
         b = np.array([[[0.5, 0.5]]])
-        rep = kernel_shap(fn, b, x, mode="exact")
+        rep = kernel_shap(fn, b, x, n_coalitions=2**2 - 2)
         assert rep.phi[0, 0] == pytest.approx(rep.phi[0, 1], abs=1e-8)
 
     def test_local_accuracy_exact(self, trained_model):
         model, _, windows, (_, val_idx) = trained_model
         X = windows.X[val_idx][:2, :3, :]  # d = 3*4 = 12
         bg = windows.X[val_idx][:, :3, :]
-        rep = kernel_shap(model.net, bg, X, output_index=0, mode="exact")
+        rep = kernel_shap(model.net, bg, X, output_index=0, n_coalitions=2**12 - 2)
         for t in range(X.shape[0]):
             assert rep.base_value + rep.phi[t].sum() == pytest.approx(
                 rep.fx[t], abs=1e-6
@@ -145,7 +145,7 @@ class TestKernelShap:
         X = windows.X[val_idx][:2]
         bg = windows.X[val_idx]
         rep = kernel_shap(
-            model.net, bg, X, output_index=0, mode="sampled", n_coalitions=500, seed=8
+            model.net, bg, X, output_index=0, n_coalitions=500, seed=8
         )
         for t in range(X.shape[0]):
             assert rep.base_value + rep.phi[t].sum() == pytest.approx(
@@ -162,17 +162,26 @@ class TestKernelShap:
         rng_w = rng.standard_normal(L * F)
         x = rng.standard_normal((2, L, F))
         b = rng.standard_normal((4, L, F))
-        exact = kernel_shap(fn, b, x, mode="exact")
-        sampled = kernel_shap(fn, b, x, mode="sampled", n_coalitions=2**8, seed=10)
+        exact = kernel_shap(fn, b, x, n_coalitions=2**8 - 2)
+        sampled = kernel_shap(fn, b, x, n_coalitions=2**8, seed=10)
         assert np.array_equal(sampled.phi, exact.phi)
 
     def test_multi_output_requires_index(self, trained_model):
         model, _, windows, (_, val_idx) = trained_model
         with pytest.raises(ValueError):
             kernel_shap(
-                model.net, windows.X[val_idx], windows.X[val_idx][:1],
-                mode="sampled", n_coalitions=50,
+                model.net, windows.X[val_idx], windows.X[val_idx][:1], n_coalitions=50,
             )
+
+    def test_budget_below_d_minus_1_raises_before_evaluating(self):
+        spy = RowSpy(12)
+        x = np.random.default_rng(13).standard_normal((1, 3, 4))  # d = 12
+        with pytest.raises(RankError, match="at least 11"):
+            kernel_shap(spy, x, x, n_coalitions=10)
+        assert spy.rows == []
+        rep = kernel_shap(spy, x + 1.0, x, n_coalitions=11, seed=3)
+        assert np.all(np.isfinite(rep.phi))
+        assert spy.rows.count(11) == 1
 
 
 def per_row_coalitions(d, n_coalitions, rng):
@@ -262,31 +271,30 @@ class TestCoalitionBlocks:
     them a single row, and the attributions do not depend on the split."""
 
     def test_sampled_d70_default_budget(self):
-        _, spy = spy_shap((10, 7), mode="sampled")  # d = 70: 2188 coalitions
+        _, spy = spy_shap((10, 7))  # d = 70: 2188 coalitions
         blocks = [r for r in spy.rows if r > 1]
         assert max(spy.rows) <= explain.BLOCK
         assert sum(blocks) == 2 * (2 * 70 + 2048)
         assert len(blocks) == 2 * 9  # ceil(2188 / 256) per window
 
     def test_exact_at_the_limit(self):
-        _, spy = spy_shap((4, 4), mode="exact")  # d = 16 = EXACT_LIMIT
-        assert 4 * 4 == EXACT_LIMIT
+        _, spy = spy_shap((4, 4), n_coalitions=2**16 - 2)  # d = 16: every coalition
         blocks = [r for r in spy.rows if r > 1]
         assert max(spy.rows) <= explain.BLOCK
-        assert sum(blocks) == 2 * 2**EXACT_LIMIT
+        assert sum(blocks) == 2 * 2**16
 
-    @pytest.mark.parametrize("shape, mode, budget", [
-        ((10, 7), "sampled", None),
-        ((10, 7), "sampled", 2 * 256 + 1),
-        ((5, 3), "sampled", 3 * 256 - 1),
-        ((3, 4), "exact", None),
+    @pytest.mark.parametrize("shape, budget", [
+        ((10, 7), None),
+        ((10, 7), 2 * 256 + 1),
+        ((5, 3), 3 * 256 - 1),
+        ((3, 4), 2**12 - 2),
     ], ids=["sampled-d70-default", "sampled-2B+1", "sampled-3B-1", "exact-d12"])
-    def test_equals_whole_batch_bitwise(self, monkeypatch, shape, mode, budget):
+    def test_equals_whole_batch_bitwise(self, monkeypatch, shape, budget):
         assert explain.BLOCK == 256
-        blocked, spy = spy_shap(shape, mode=mode, n_coalitions=budget)
+        blocked, spy = spy_shap(shape, n_coalitions=budget)
         assert spy.rows.count(1) == 1 + 2  # base value and f(x) per window only
         monkeypatch.setattr(explain, "BLOCK", 2**20)
-        whole, whole_spy = spy_shap(shape, mode=mode, n_coalitions=budget)
+        whole, whole_spy = spy_shap(shape, n_coalitions=budget)
         assert max(whole_spy.rows) > 256  # one batch per window
         assert len(spy.rows) > len(whole_spy.rows)
         assert np.array_equal(blocked.phi, whole.phi)
