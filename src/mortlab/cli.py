@@ -616,12 +616,6 @@ def cmd_explain(ctx: RunContext) -> None:
     )
 
     prof = explain.temporal_saliency(model.net, windows.X[val_idx], output_index=0)
-    ctx.write_csv(
-        "saliency.csv",
-        ["lag", "importance_pct"],
-        [[f"t-{model.lookback - i}", f"{v:.4f}"] for i, v in enumerate(prof)],
-    )
-
     focus = _focus_country(ctx, params.countries)
     out_index = 1 + params.country_index(focus)
     xc = ctx.cfg["explain"]
@@ -634,6 +628,13 @@ def cmd_explain(ctx: RunContext) -> None:
         seed=stream_seed(ctx.cfg["seed"], "explain"),
     )
     scores = explain.aggregate_country_influence(rep)
+    # both results exist before either file is written, so a refused budget
+    # leaves no file behind and no recorded file overwritten
+    ctx.write_csv(
+        "saliency.csv",
+        ["lag", "importance_pct"],
+        [[f"t-{model.lookback - i}", f"{v:.4f}"] for i, v in enumerate(prof)],
+    )
     ctx.write_csv(
         "influence.csv",
         ["factor", "score"],

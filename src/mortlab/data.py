@@ -413,14 +413,17 @@ def read_cluster_csv(
             # np.loadtxt takes one line at a time, so the last one taken is the bad one
             raise ParseError(f"{path}: bad row: {exc}", line_no) from None
     codes = rows["country"]
-    long = np.char.str_len(codes) >= CODE_WIDTH
-    if long.any():
-        raise ParseError(f"{path}: country code {str(codes[long][0])!r}... is longer than "
+    found = []  # the codes in order of first appearance, one pass over the rows each
+    left = np.ones(codes.size, dtype=bool)  # rows whose code is not found yet
+    while left.any():
+        found.append(str(codes[left.argmax()]))
+        left &= codes != found[-1]
+    if long := [code for code in found if len(code) >= CODE_WIDTH]:
+        raise ParseError(f"{path}: country code {long[0]!r}... is longer than "
                          f"{CODE_WIDTH - 1} characters")
-    found, first = np.unique(codes, return_index=True)
 
     surfaces = []
-    for code in found[np.argsort(first)].tolist() if country_order is None else country_order:
+    for code in found if country_order is None else country_order:
         own = rows[codes == code]
         if not own.size:
             raise DataGapError(f"{path}: no rows for country {code!r}")

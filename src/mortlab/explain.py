@@ -205,8 +205,13 @@ def _kernel_wls(fn, x_flat, b_flat, lookback, n_feat, fx, base, n_coalitions, rn
     # feature; the full and empty coalitions reduce to zero rows under this
     # substitution, which is why they never need to be sampled
     y_adj = y - Z[:, -1] * (fx - base)
-    Zt = Z[:, :-1] - Z[:, [-1]]
-    del Z  # so Z and Zt are never alive together
+    # Zt = Z[:, :-1] - Z[:, [-1]], written C-ordered over Z's own buffer one
+    # block at a time (a block's output ends before the next block's rows
+    # begin), so no second n x d array is ever alive; the strided view
+    # Z[:, :-1] would move the bits of rhs at d <= 4
+    Zt = Z.reshape(-1)[: n_coalitions * (d - 1)].reshape(n_coalitions, d - 1)
+    for lo in range(0, n_coalitions, BLOCK):
+        Zt[lo:lo + BLOCK] = Z[lo:lo + BLOCK, :-1] - Z[lo:lo + BLOCK, [-1]]
     # the sampled kernel weights are all one, so least squares is unweighted
     A = Zt.T @ Zt
     rhs = Zt.T @ y_adj

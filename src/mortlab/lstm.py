@@ -21,7 +21,10 @@ that to run its paths in blocks on worker threads, whatever the split.
 `predict`, `train` and `input_gradient` use plain 2-D products, so
 validation losses, the mean-bias correction and attributions see the bits
 training saw.  Only `train` and `input_gradient` ask the loop to keep the
-caches that backpropagation (`_backward`) reads.
+caches that backpropagation (`_backward`) reads: the windows, the mask and
+each step's gates, cell and hidden states.  Layer 2's masked inputs are
+rebuilt from them step by step, and only `input_gradient` asks for the
+windows' gradient, which `train` would discard.
 """
 
 from __future__ import annotations
@@ -153,14 +156,16 @@ def _cell(z, c, h):
     return z[:, 3 * h :] * np.tanh(c)
 
 
-def _layer_backward(dh_seq, X, hs, cs, gates, W, U):
+def _layer_backward(dh_seq, xs, hs, cs, gates, W, U, mask=None, input_grad=False):
     """BPTT through one layer.
 
     dh_seq is the gradient arriving at each step's hidden output, shaped
-    (L, n, h).  Returns (dX, dW, dU, db).
+    (L, n, h); xs[t] is the layer's (n, in) input at step t, times
+    mask[:, t] when a mask (n, L, in) is given.  Returns (dX, dW, dU, db),
+    dX shaped (L, n, in), or None without `input_grad`.
     """
     L, n, h = dh_seq.shape
-    dX = np.zeros_like(X)
+    dX = np.empty((L, n, W.shape[0])) if input_grad else None
     dW = np.zeros_like(W)
     dU = np.zeros_like(U)
     db = np.zeros(4 * h)
@@ -186,21 +191,24 @@ def _layer_backward(dh_seq, X, hs, cs, gates, W, U):
             ],
             axis=1,
         )
-        dW += X[:, t, :].T @ dz
+        x = xs[t] if mask is None else xs[t] * mask[:, t]
+        dW += x.T @ dz
         dU += h_prev.T @ dz
         db += dz.sum(axis=0)
-        dX[:, t, :] = dz @ W.T
+        if input_grad:
+            dX[t] = dz @ W.T
         dh_carry = dz @ U.T
         dc_carry = dc * f
     return dX, dW, dU, db
 
 
-def _backward(params: NetworkParams, cache, dpred: np.ndarray):
+def _backward(params: NetworkParams, cache, dpred: np.ndarray, input_grad: bool = False):
     """Gradients of a scalar loss with upstream dpred = dL/dprediction,
     from the cache of `_infer(..., keep=True)`.
 
-    Returns (grads dict keyed like weight_items, dX)."""
-    X, hs1, cs1, gates1, h1_in, hs2, cs2, gates2, mask = cache
+    Returns (grads dict keyed like weight_items, dX), dX the (L, n, in)
+    gradient of the windows with `input_grad` and None without."""
+    X, hs1, cs1, gates1, hs2, cs2, gates2, mask = cache
     n, L, _ = X.shape
     h2 = params.U2.shape[0]
 
@@ -210,15 +218,17 @@ def _backward(params: NetworkParams, cache, dpred: np.ndarray):
 
     dh2_seq = np.zeros((L, n, h2))
     dh2_seq[-1] = dpred @ params.Wh.T
-    dh1_in, dW2, dU2, db2 = _layer_backward(
-        dh2_seq, h1_in, hs2, cs2, gates2, params.W2, params.U2
+    # layer 2 read the masked layer-1 outputs, rebuilt step by step
+    dh1_seq, dW2, dU2, db2 = _layer_backward(
+        dh2_seq, hs1, hs2, cs2, gates2, params.W2, params.U2, mask, input_grad=True
     )
     grads["W2"], grads["U2"], grads["b2"] = dW2, dU2, db2
 
-    dh1 = dh1_in if mask is None else dh1_in * mask
-    dh1_seq = np.moveaxis(dh1, 0, 1)  # (L, n, h1)
+    if mask is not None:
+        dh1_seq *= np.moveaxis(mask, 1, 0)
     dX, dW1, dU1, db1 = _layer_backward(
-        dh1_seq, X, hs1, cs1, gates1, params.W1, params.U1
+        dh1_seq, np.moveaxis(X, 1, 0), hs1, cs1, gates1, params.W1, params.U1,
+        input_grad=input_grad,
     )
     grads["W1"], grads["U1"], grads["b1"] = dW1, dU1, db1
     return grads, dX
@@ -243,18 +253,17 @@ def _infer(params: NetworkParams, X: np.ndarray, mask: np.ndarray | None, produc
     `product(a, W)` computes every matrix product: `_rows` makes row p
     bit-identical to window p run alone, `np.matmul` takes plain 2-D
     products.  Returns the predictions; with `keep`, returns (predictions,
-    cache), the cache holding what `_backward` reads: each step's gates,
-    cell and hidden states of both layers, all (L, n, .), and the masked
-    layer-1 outputs as an (n, L, h1) view of an (L, n, h1) buffer, so a
-    step's block stays contiguous.
+    cache), the cache holding what `_backward` reads: the windows, each
+    step's gates, cell and hidden states of both layers, all (L, n, .), and
+    the mask, from which the backward rebuilds layer 2's masked inputs.
     """
     n, L, _ = X.shape
     h1, h2 = params.hidden
     h1_t, c1_t = np.zeros((n, h1)), np.zeros((n, h1))
     h2_t, c2_t = np.zeros((n, h2)), np.zeros((n, h2))
     if keep:
-        # gates, cell, hidden and masked output of layer 1; gates, cell, hidden of layer 2
-        steps = [np.empty((L, n, w)) for w in (4 * h1, h1, h1, h1, 4 * h2, h2, h2)]
+        # gates, cell and hidden state of layer 1, then of layer 2
+        steps = [np.empty((L, n, w)) for w in (4 * h1, h1, h1, 4 * h2, h2, h2)]
     for t in range(L):
         z1 = product(X[:, t, :], params.W1)
         z1 += product(h1_t, params.U1)
@@ -266,13 +275,13 @@ def _infer(params: NetworkParams, X: np.ndarray, mask: np.ndarray | None, produc
         z2 += params.b2
         h2_t = _cell(z2, c2_t, h2)
         if keep:
-            for buf, a in zip(steps, (z1, c1_t, h1_t, h1_in, z2, c2_t, h2_t)):
+            for buf, a in zip(steps, (z1, c1_t, h1_t, z2, c2_t, h2_t)):
                 buf[t] = a
     pred = product(h2_t, params.Wh) + params.bh
     if not keep:
         return pred
-    gates1, cs1, hs1, h1_in, gates2, cs2, hs2 = steps
-    return pred, (X, hs1, cs1, gates1, np.moveaxis(h1_in, 0, 1), hs2, cs2, gates2, mask)
+    gates1, cs1, hs1, gates2, cs2, hs2 = steps
+    return pred, (X, hs1, cs1, gates1, hs2, cs2, gates2, mask)
 
 
 def dropout_mask(params: NetworkParams, u: np.ndarray) -> np.ndarray:
@@ -344,8 +353,8 @@ def input_gradient(
     pred, cache = _infer(params, x[None, :, :], None, np.matmul, keep=True)
     dpred = np.zeros_like(pred)
     dpred[0, output_index] = 1.0
-    _, dX = _backward(params, cache, dpred)
-    return dX[0]
+    _, dX = _backward(params, cache, dpred, input_grad=True)
+    return dX[:, 0]
 
 
 def mse(pred: np.ndarray, target: np.ndarray) -> float:

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mortlab import cli, forecast, lstm
+from mortlab import cli, explain, forecast, lstm
 from mortlab.cli import STAGES, RunContext, main
 from mortlab.forecast import forecast_stochastic, parse_forecaster
 from mortlab.lilee import FactorPanel, parse_params
@@ -428,6 +428,33 @@ class TestExitCodes:
         out = tmp_path / "run"
         assert "explain" not in json.loads((out / "manifest.json").read_text())["stages"]
         assert not (out / "influence.csv").exists()
+
+    def test_refused_shap_budget_writes_no_saliency(self, tmp_path, monkeypatch):
+        """explain writes nothing until both attributions exist: a refused
+        budget leaves no saliency.csv in a fresh run directory, and over a
+        completed run it leaves the recorded file untouched."""
+        cfg = write_config(tmp_path, train={"max_epochs": 5})
+        for stage in ("synth", "fit", "train"):
+            assert main([stage, "--config", str(cfg), "--quiet"]) == 0
+        real = explain.kernel_shap
+
+        def refused(*args, **kwargs):  # d = 40: 3 coalitions exit 4
+            return real(*args, **{**kwargs, "n_coalitions": 3})
+
+        out = tmp_path / "run"
+        monkeypatch.setattr(explain, "kernel_shap", refused)
+        assert main(["explain", "--config", str(cfg), "--quiet"]) == 4
+        assert not (out / "saliency.csv").exists()
+
+        monkeypatch.undo()
+        assert main(["explain", "--config", str(cfg), "--quiet"]) == 0
+        os.utime(out / "saliency.csv", ns=(1, 1))
+        monkeypatch.setattr(explain, "kernel_shap", refused)
+        assert main(["explain", "--config", str(cfg), "--quiet"]) == 4
+        assert (out / "saliency.csv").stat().st_mtime_ns == 1
+        recorded = json.loads((out / "manifest.json").read_text())["stages"]["explain"]
+        data = (out / "saliency.csv").read_bytes()
+        assert hashlib.sha256(data).hexdigest() == recorded["files"]["saliency.csv"]
 
     def _stress_on_edited_ensemble(self, pipeline, tmp_path, edit, record_checksum=False):
         """Rerun stress on a copy of the pipeline whose ensemble.npy bytes

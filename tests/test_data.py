@@ -1,11 +1,13 @@
 import csv
 import io
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from mortlab.data import (
+    CLUSTER_ROW,
     EPS,
     ClusterDataset,
     MortalitySurface,
@@ -240,6 +242,36 @@ class TestCsvRoundTrip:
         path = tmp_path / "cluster.csv"
         write_cluster_csv(small_cluster, path)
         assert read_cluster_csv(path).countries == small_cluster.countries
+
+    def test_interleaved_rows_in_first_appearance_order(self, tmp_path, small_cluster):
+        def interleave(ls):
+            rows = ls[2:]
+            per = len(rows) // 3
+            return ls[:2] + [rows[c * per + i] for i in range(per) for c in (2, 0, 1)]
+
+        back = read_cluster_csv(self.edited(tmp_path, small_cluster, interleave))
+        order = [small_cluster.surfaces[c] for c in (2, 0, 1)]
+        assert back.countries == tuple(s.country for s in order)
+        for sa, sb in zip(back.surfaces, order):
+            assert np.array_equal(sa.m, sb.m)
+
+    def test_read_holds_the_rows_once(self, tmp_path):
+        # 6 countries x 91 ages x 100 years: the parsed rows (56 bytes a
+        # cell), the surfaces returned (m and log_m, 16 bytes a cell) and
+        # one country's copies (a sixth of the rows and its records) stay
+        # below 2 x the rows; np.unique over every row's code peaked at 2.34 x
+        truth = synthetic_truth(n_countries=6, year_range=(1921, 2020), seed=3)
+        path = tmp_path / "cluster.csv"
+        write_cluster_csv(synthesize_cluster(truth, noise_sd=0.01, seed=4), path)
+        read_cluster_csv(path)
+        tracemalloc.start()
+        try:
+            read_cluster_csv(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        rows_bytes = 6 * 91 * 100 * CLUSTER_ROW.itemsize
+        assert peak < 2 * rows_bytes, f"the read peaked at {peak / rows_bytes:.2f} x its rows"
 
     def test_missing_country_in_order(self, tmp_path, small_cluster):
         path = tmp_path / "cluster.csv"

@@ -219,6 +219,30 @@ class TestCoalitions:
             tracemalloc.stop()
         assert peak < 1.25 * Z.nbytes, f"the draw peaked at {peak / Z.nbytes:.2f} x Z"
 
+    def test_one_window_holds_z_and_one_block(self):
+        # one window at d = 70: the n x d coalitions Z, six n-vectors (the
+        # drawn sizes, the outputs, their targets and temporaries, each Z / 70)
+        # and one evaluation block (its mask, points and the model's product,
+        # each at most BLOCK x d); building Zt beside Z peaked at 2.05 x Z
+        d, n = 70, 50_000
+        w = np.random.default_rng(6).standard_normal(d)
+
+        def model(W):
+            return np.tanh(W.reshape(W.shape[0], d) @ w)
+
+        rng = np.random.default_rng(7)
+        x, background = rng.standard_normal((1, 10, 7)), rng.standard_normal((5, 10, 7))
+        kernel_shap(model, background, x, n_coalitions=2188)
+        tracemalloc.start()
+        try:
+            kernel_shap(model, background, x, n_coalitions=n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        z_bytes, block_bytes = n * d * 8, explain.BLOCK * d * 8
+        bound = z_bytes + 6 * n * 8 + 3 * block_bytes
+        assert peak < bound, f"one window peaked at {peak / z_bytes:.2f} x Z"
+
 
 class TestAggregate:
     def test_single_sample_unit_phi(self):

@@ -270,6 +270,25 @@ class TestTraining:
         train(X[:9], Y[:9], X[9:], Y[9:], cfg, hidden=(8, 4), dropout_rate=0.2)
         assert len(calls) == 5
 
+    def test_backward_allocates_no_input_gradient(self, monkeypatch):
+        """Only input_gradient reads the windows' gradient; train's backward
+        leaves it uncomputed."""
+        real, returned = lstm._backward, []
+
+        def watching_backward(*args, **kwargs):
+            grads, dX = real(*args, **kwargs)
+            returned.append(dX)
+            return grads, dX
+
+        monkeypatch.setattr(lstm, "_backward", watching_backward)
+        rng = np.random.default_rng(15)
+        X, Y = rng.standard_normal((12, 6, 3)), rng.standard_normal((12, 3))
+        cfg = TrainConfig(max_epochs=3, patience=3, seed=8)
+        train(X[:9], Y[:9], X[9:], Y[9:], cfg, hidden=(8, 4), dropout_rate=0.2)
+        assert len(returned) == 3 and all(dX is None for dX in returned)
+        assert input_gradient(toy_params(), X[0], 0).shape == (6, 3)
+        assert returned[-1].shape == (6, 1, 3)
+
     def test_records_gradient_norm_per_epoch(self):
         """Targets far from any initial output force clipped steps; small
         ones do not, and the trace keeps each epoch's norm either way."""
