@@ -23,9 +23,12 @@ One runner, `run_stage`, owns every stage's lifecycle: it loads the
 context, runs the body `cmd_<stage>(ctx)` and records in manifest.json the
 files the body wrote, the facts it returned (forecast: `path_blocks`,
 `path_workers`; train: `epochs_run`, `best_epoch`, `stopped_early`,
-`clipped_epochs`, `max_grad_norm`) and
-the stage process's peak RSS in MB (`peak_rss_mb`).  A
-stage that fails records nothing, so its previous record stays untouched.
+`clipped_epochs`, `max_grad_norm`), the stage process's peak RSS in MB
+before the body runs (`start_rss_mb`) and after it (`peak_rss_mb`), and
+the minor page faults the body took (`minor_faults`).  A stage that
+fails records nothing, so its previous record stays untouched.  `fit`
+refuses (exit 3) a data CSV whose bytes differ from those `synth`
+recorded for it.
 
 Exit codes: 0 ok, 1 usage/config, 2 data, 3 missing, mismatched,
 unparseable or invalid stage artifacts, 4 degenerate domain, 5 numeric
@@ -278,7 +281,11 @@ class RunContext:
         if name == MANIFEST:
             data = path.read_bytes()
         else:
-            stage, want = self._recorded(name)
+            recorded = self._recorded(name)
+            if recorded is None:
+                raise StageError(f"artifact {name} is not recorded in {MANIFEST}; run the "
+                                 "stage that writes it first")
+            stage, want = recorded
             data = path.read_bytes() if path.is_file() else None
             if data is None or hashlib.sha256(data).hexdigest() != want:
                 raise StageError(
@@ -312,13 +319,29 @@ class RunContext:
                 raise TypeError(f"stage {stage!r} does not map its files to SHA-256 digests")
         return doc
 
-    def _recorded(self, name: str) -> tuple[str, str]:
-        """The stage that wrote `name` and the SHA-256 it recorded."""
+    def check_data(self, path: Path) -> None:
+        """Refuse (exit 3) a data file outside the run directory whose bytes
+        differ from those a stage recorded under its absolute path (synth's
+        cluster CSV).  The file is hashed in chunks, never held whole; a
+        file no stage recorded passes as it is."""
+        recorded = self._recorded(str(path))
+        if recorded is None:
+            return
+        stage, want = recorded
+        digest = hashlib.sha256()
+        with path.open("rb") as fh:  # hashlib.file_digest needs Python 3.11
+            for chunk in iter(lambda: fh.read(1 << 18), b""):
+                digest.update(chunk)
+        if digest.hexdigest() != want:
+            raise StageError(f"data file {path} does not match its checksum in {MANIFEST}; "
+                             f"rerun {stage}")
+
+    def _recorded(self, name: str) -> tuple[str, str] | None:
+        """The stage that wrote `name` and the SHA-256 it recorded, or None."""
         for stage, record in self.manifest["stages"].items():
             if name in record["files"]:
                 return stage, record["files"][name]
-        raise StageError(f"artifact {name} is not recorded in {MANIFEST}; run the stage "
-                         "that writes it first")
+        return None
 
 
 def _json_object(data: bytes) -> dict:
@@ -352,12 +375,16 @@ def load_dataset(ctx: RunContext) -> ClusterDataset:
         if data["countries"] is not None:
             raise ConfigError("config data sets both 'cluster_csv' and 'countries'; "
                               "give one source")
-        return read_cluster_csv(
-            existing(data["cluster_csv"]),
+        path = existing(data["cluster_csv"])
+        # a file that does not parse keeps its own data error (exit 2)
+        dataset = read_cluster_csv(
+            path,
             country_order=data["country_order"],
             year_range=data["year_range"],
             age_max=data["age_max"],
         )
+        ctx.check_data(path)
+        return dataset
     if data["countries"] is None:
         raise ConfigError("config needs a 'data' section with 'cluster_csv' or 'countries'")
 
@@ -754,8 +781,11 @@ def build_parser() -> argparse.ArgumentParser:
 def run_stage(args) -> int:
     """Run stage `args.command`: build the RunContext from the config file
     and the command-line overrides, run the body `cmd_<stage>(ctx)`, then
-    record in manifest.json the files it wrote, the facts it returned and
-    the process's peak RSS (`ru_maxrss`, KiB on Linux) in MB.
+    record in manifest.json the files it wrote, the facts it returned, the
+    process's peak RSS (`ru_maxrss`) in MB just before the body runs
+    (`start_rss_mb`: interpreter, imports and config) and after it
+    (`peak_rss_mb`), and the minor page faults the body took
+    (`minor_faults`, the `ru_minflt` delta).
     The body is looked up in the module's globals at call time, so a
     wrapper bound to `cmd_<stage>` after import (perfbench's tracer) runs."""
     cfg_path = Path(args.config)
@@ -770,10 +800,17 @@ def run_stage(args) -> int:
     if args.out:
         cfg["out_dir"] = args.out
     ctx = RunContext(cfg, cfg_path.resolve().parent)
+    start = resource.getrusage(resource.RUSAGE_SELF)
     facts = globals()[f"cmd_{args.command}"](ctx) or {}
-    peak_kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    ctx.record_stage(args.command, **facts, peak_rss_mb=round(peak_kib * 1024 / 1e6, 2))
+    end = resource.getrusage(resource.RUSAGE_SELF)
+    ctx.record_stage(args.command, **facts, start_rss_mb=_mb(start.ru_maxrss),
+                     peak_rss_mb=_mb(end.ru_maxrss), minor_faults=end.ru_minflt - start.ru_minflt)
     return 0
+
+
+def _mb(kib: int) -> float:
+    """`ru_maxrss` (KiB on Linux) in MB of 10^6 bytes, perfbench's unit."""
+    return round(kib * 1024 / 1e6, 2)
 
 
 _EXIT_CODES = (

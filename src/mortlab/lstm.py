@@ -10,8 +10,10 @@ Conventions
 * Each LSTM layer holds an input kernel W (in, 4H), a recurrent kernel
   U (H, 4H) and a bias (4H,), with gates ordered [input, forget, cell, output]
   along the last axis.
-* Dropout is inverted (mask Bernoulli(keep)/keep) and applies to the first
-  layer's output sequence only; the mask is drawn per step and unit.
+* Dropout is inverted and applies to the first layer's output sequence
+  only.  Its mask is a bool keep-pattern (True = kept, Bernoulli(keep)),
+  drawn per step and unit; where it is used, a kept output is scaled by
+  `mask / keep`, so a kept unit counts 1/keep and a dropped one 0.
 * The training loss is the mean over samples of the squared error norm.
 
 One forward loop (`_infer`) runs both layers step by step, with two
@@ -88,6 +90,11 @@ class NetworkParams:
     def hidden(self) -> tuple[int, int]:
         return self.U1.shape[0], self.U2.shape[0]
 
+    @property
+    def keep_prob(self) -> float:
+        """Probability that dropout keeps a layer-1 output."""
+        return 1.0 - self.dropout_rate
+
     def copy(self) -> "NetworkParams":
         return NetworkParams(
             **{k: getattr(self, k).copy() for k in _WEIGHT_KEYS},
@@ -156,13 +163,15 @@ def _cell(z, c, h):
     return z[:, 3 * h :] * np.tanh(c)
 
 
-def _layer_backward(dh_seq, xs, hs, cs, gates, W, U, mask=None, input_grad=False):
+def _layer_backward(dh_seq, xs, hs, cs, gates, W, U, mask=None, keep_prob=1.0,
+                    input_grad=False):
     """BPTT through one layer.
 
     dh_seq is the gradient arriving at each step's hidden output, shaped
     (L, n, h); xs[t] is the layer's (n, in) input at step t, times
-    mask[:, t] when a mask (n, L, in) is given.  Returns (dX, dW, dU, db),
-    dX shaped (L, n, in), or None without `input_grad`.
+    mask[:, t] / keep_prob when a keep-pattern (n, L, in) is given.  Returns
+    (dX, dW, dU, db), dX the (L, n, in) gradient of xs, or None without
+    `input_grad`.
     """
     L, n, h = dh_seq.shape
     dX = np.empty((L, n, W.shape[0])) if input_grad else None
@@ -191,12 +200,13 @@ def _layer_backward(dh_seq, xs, hs, cs, gates, W, U, mask=None, input_grad=False
             ],
             axis=1,
         )
-        x = xs[t] if mask is None else xs[t] * mask[:, t]
+        scale = None if mask is None else mask[:, t] / keep_prob
+        x = xs[t] if scale is None else xs[t] * scale
         dW += x.T @ dz
         dU += h_prev.T @ dz
         db += dz.sum(axis=0)
         if input_grad:
-            dX[t] = dz @ W.T
+            dX[t] = dz @ W.T if scale is None else (dz @ W.T) * scale
         dh_carry = dz @ U.T
         dc_carry = dc * f
     return dX, dW, dU, db
@@ -218,14 +228,14 @@ def _backward(params: NetworkParams, cache, dpred: np.ndarray, input_grad: bool 
 
     dh2_seq = np.zeros((L, n, h2))
     dh2_seq[-1] = dpred @ params.Wh.T
-    # layer 2 read the masked layer-1 outputs, rebuilt step by step
+    # layer 2 read the masked layer-1 outputs, rebuilt step by step, so
+    # dh1_seq arrives masked too
     dh1_seq, dW2, dU2, db2 = _layer_backward(
-        dh2_seq, hs1, hs2, cs2, gates2, params.W2, params.U2, mask, input_grad=True
+        dh2_seq, hs1, hs2, cs2, gates2, params.W2, params.U2, mask, params.keep_prob,
+        input_grad=True,
     )
     grads["W2"], grads["U2"], grads["b2"] = dW2, dU2, db2
 
-    if mask is not None:
-        dh1_seq *= np.moveaxis(mask, 1, 0)
     dX, dW1, dU1, db1 = _layer_backward(
         dh1_seq, np.moveaxis(X, 1, 0), hs1, cs1, gates1, params.W1, params.U1,
         input_grad=input_grad,
@@ -248,7 +258,7 @@ def _rows(a, W):
 def _infer(params: NetworkParams, X: np.ndarray, mask: np.ndarray | None, product,
            keep: bool = False):
     """The forward pass over (n, L, in) windows, both layers step by step;
-    mask (n, L, h1) is the pre-scaled layer-1 dropout mask or None.
+    mask (n, L, h1) is the layer-1 dropout keep-pattern (bool) or None.
 
     `product(a, W)` computes every matrix product: `_rows` makes row p
     bit-identical to window p run alone, `np.matmul` takes plain 2-D
@@ -269,7 +279,11 @@ def _infer(params: NetworkParams, X: np.ndarray, mask: np.ndarray | None, produc
         z1 += product(h1_t, params.U1)
         z1 += params.b1
         h1_t = _cell(z1, c1_t, h1)
-        h1_in = h1_t if mask is None else h1_t * mask[:, t, :]
+        if mask is None:
+            h1_in = h1_t
+        else:  # scaled in place: one (n, h1) temporary a step, not two
+            h1_in = mask[:, t, :] / params.keep_prob
+            h1_in *= h1_t
         z2 = product(h1_in, params.W2)
         z2 += product(h2_t, params.U2)
         z2 += params.b2
@@ -284,26 +298,22 @@ def _infer(params: NetworkParams, X: np.ndarray, mask: np.ndarray | None, produc
     return pred, (X, hs1, cs1, gates1, hs2, cs2, gates2, mask)
 
 
-def dropout_mask(params: NetworkParams, u: np.ndarray) -> np.ndarray:
-    """Inverted-dropout mask from uniform draws u in [0, 1), written over u."""
-    keep = 1.0 - params.dropout_rate
-    return np.divide(u < keep, keep, out=u)
-
-
 def draw_mask(
     params: NetworkParams, rng: np.random.Generator, n: int, steps: int
 ) -> np.ndarray | None:
-    """Inverted-dropout mask for layer 1, or None when the rate is zero."""
+    """Layer-1 dropout keep-pattern, bool (n, steps, h1) with True where a
+    unit is kept (uniform draw < keep), or None when the rate is zero."""
     if params.dropout_rate == 0.0:
         return None
-    return dropout_mask(params, rng.random((n, steps, params.U1.shape[0])))
+    return rng.random((n, steps, params.U1.shape[0])) < params.keep_prob
 
 
 def forward(
     params: NetworkParams, x: np.ndarray, *, mask: np.ndarray | None = None
 ) -> np.ndarray:
     """Predict the next step from a stack of windows (n, steps, features),
-    with an optional layer-1 dropout mask (n, steps, h1) from `draw_mask`.
+    with an optional layer-1 dropout keep-pattern, bool (n, steps, h1) as
+    `draw_mask` gives it; kept outputs are scaled by 1/keep.
 
     Deterministic without `mask`.  Each row of a stack gives the same bits
     as that window run alone, because every product is taken row by row on
@@ -318,7 +328,7 @@ def forward(
     if not np.all(np.isfinite(X)):
         raise NumericError("non-finite input window")
     if mask is not None:
-        mask = np.asarray(mask, dtype=float)
+        mask = np.asarray(mask, dtype=bool)
         if mask.shape != (*X.shape[:2], params.hidden[0]):
             raise DimensionError(f"dropout mask shape {mask.shape} does not fit the windows")
     pred = _infer(params, X, mask, _rows)

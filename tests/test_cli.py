@@ -291,6 +291,26 @@ class TestArtifactRule:
         for stage, record in manifest["stages"].items():
             assert 0 < record["peak_rss_mb"] <= ceiling + 0.01, stage
 
+    def test_manifest_records_each_stage_memory_baseline(self, pipeline):
+        """Each record gives the RSS the body started from (interpreter,
+        imports, config) below its peak, and the body's minor page faults."""
+        root, _ = pipeline
+        manifest = json.loads((root / "run" / "manifest.json").read_text())
+        for stage, record in manifest["stages"].items():
+            assert 0 < record["start_rss_mb"] <= record["peak_rss_mb"], stage
+            assert type(record["minor_faults"]) is int and record["minor_faults"] >= 0, stage
+
+    def test_readme_names_every_recorded_fact(self, pipeline):
+        """Every key a stage record carries is named in README's manifest
+        paragraph, so the documented manifest cannot drift from the code."""
+        root, _ = pipeline
+        manifest = json.loads((root / "run" / "manifest.json").read_text())
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        paragraph = next(p for p in readme.split("\n\n") if "`manifest.json` carries" in p)
+        keys = {key for record in manifest["stages"].values() for key in record}
+        assert {"path_blocks", "max_grad_norm", "start_rss_mb", "minor_faults"} <= keys
+        assert not [key for key in sorted(keys) if f"`{key}`" not in paragraph]
+
     @pytest.mark.parametrize("damage", ["foreign", "cut-in-half", "flipped-byte", "deleted"])
     @pytest.mark.parametrize("stage, name", READS, ids=[f"{s}-{n}" for s, n in READS])
     def test_damaged_artifact_is_3(
@@ -393,6 +413,31 @@ class TestExitCodes:
         assert main(["fit", "--config", str(cfg), "--quiet"]) == 0
         # a different seed is a different config hash over the same out dir
         assert main(["fit", "--config", str(cfg), "--quiet", "--seed-override", "1"]) == 3
+
+    @staticmethod
+    def _scale_first_rate(path: Path, factor: float) -> None:
+        lines = path.read_bytes().split(b"\r\n")
+        row = 2 if lines[0].startswith(b"#") else 1  # after the hash and column lines
+        code, year, age, rate = lines[row].split(b",")
+        lines[row] = b",".join([code, year, age, repr(float(rate) * factor).encode()])
+        path.write_bytes(b"\r\n".join(lines))
+
+    def test_data_csv_edited_after_synth_is_3(self, tmp_path, caplog):
+        cfg = write_config(tmp_path)
+        assert main(["synth", "--config", str(cfg), "--quiet"]) == 0
+        self._scale_first_rate(tmp_path / "data" / "cluster.csv", 1.5)
+        assert main(["fit", "--config", str(cfg), "--quiet"]) == 3
+        assert "does not match its checksum" in caplog.text and "rerun synth" in caplog.text
+        assert not (tmp_path / "run" / "params.json").exists()
+
+    def test_data_csv_synth_never_recorded_is_read(self, tmp_path):
+        made, own = tmp_path / "made", tmp_path / "own"
+        made.mkdir()
+        assert main(["synth", "--config", str(write_config(made)), "--quiet"]) == 0
+        (own / "data").mkdir(parents=True)
+        shutil.copy(made / "data" / "cluster.csv", own / "data" / "cluster.csv")
+        self._scale_first_rate(own / "data" / "cluster.csv", 1.5)
+        assert main(["fit", "--config", str(write_config(own)), "--quiet"]) == 0
 
     def test_degenerate_scr_is_4(self, tmp_path):
         cfg = write_config(tmp_path)

@@ -364,6 +364,34 @@ class TestBlocks:
         assert large <= 1.25 * small, (small, large)
 
 
+    def test_block_holds_the_mask_as_a_keep_pattern(self):
+        """One 500-path block at lookback 10 and hidden (32, 16): the mask
+        is a bool keep-pattern, 1 byte an entry, with one DRAW_CHUNK-path
+        float scratch for its draws.  Held as pre-scaled float64 (8 bytes
+        an entry, built from a bool temporary), the same block peaked at
+        24.2 x the n * L * h1 entries; the keep-pattern takes 18.2 x."""
+        n, lookback, n_features = 500, 10, 4
+        net = init_params(n_features, hidden=(32, 16), dropout_rate=0.2, seed=1)
+        scaler = ScalerParams(mean=np.zeros(n_features), sd=np.ones(n_features),
+                              train_end_year=2000)
+        model = ForecastModel(net=net, scaler=scaler, mbc=np.zeros(n_features),
+                              lookback=lookback)
+        history = make_panel(np.random.default_rng(0).standard_normal((15, n_features)).cumsum(0))
+        out = np.empty((n, 4, n_features))
+
+        def run():
+            forecast._run_block(model, history, np.full(n_features, 0.1), 5, out, 0, n)
+
+        run()
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        entries = n * lookback * net.hidden[0]
+        assert peak < 20 * entries, f"a block peaked at {peak / entries:.1f} x n * L * h1 bytes"
+
 class TestQuantiles:
     def _flat_ensemble(self, paths):
         from mortlab.forecast import ForecastEnsemble

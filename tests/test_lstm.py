@@ -19,7 +19,7 @@ from mortlab.lstm import (
     predict,
     train,
 )
-from mortlab.lstm import _backward, _cell, _infer  # white-box checks
+from mortlab.lstm import _backward, _cell, _infer, _layer_backward, _rows  # white-box checks
 
 
 def toy_params(seed=0, input_dim=3, hidden=(4, 3), output_dim=2, dropout=0.0):
@@ -323,10 +323,10 @@ class TestTraining:
     def test_inverted_dropout_preserves_mean_activation(self):
         params = toy_params(dropout=0.2)
         rng = np.random.default_rng(13)
-        h_value = 0.8  # a fixed deterministic activation
-        masks = draw_mask(params, rng, 100_000, 1)[:, 0, 0]
-        masked_mean = float(np.mean(masks * h_value))
-        assert abs(masked_mean - h_value) / h_value < 0.01
+        kept = draw_mask(params, rng, 100_000, 1)[:, 0, 0]
+        # a kept unit counts 1/keep, so the mean activation is preserved
+        # when the kept share is keep
+        assert abs(float(np.mean(kept)) / params.keep_prob - 1.0) < 0.01
 
 
 def sigmoid_cell(z, c, h):
@@ -358,6 +358,70 @@ class TestCell:
         assert c.tobytes() == want_c.tobytes()
         assert got_h.tobytes() == want_h.tobytes()
 
+
+
+def prescaled_forward(params, X, fmask, product):
+    """The forward pass as it was written with the dropout mask pre-scaled
+    to float, fmask = (u < keep) / keep: layer 2 reads h1 * fmask."""
+    n, L, _ = X.shape
+    h1, h2 = params.hidden
+    h1_t, c1_t = np.zeros((n, h1)), np.zeros((n, h1))
+    h2_t, c2_t = np.zeros((n, h2)), np.zeros((n, h2))
+    for t in range(L):
+        z1 = product(X[:, t, :], params.W1)
+        z1 += product(h1_t, params.U1)
+        z1 += params.b1
+        h1_t = _cell(z1, c1_t, h1)
+        z2 = product(h1_t * fmask[:, t, :], params.W2)
+        z2 += product(h2_t, params.U2)
+        z2 += params.b2
+        h2_t = _cell(z2, c2_t, h2)
+    return product(h2_t, params.Wh) + params.bh
+
+
+def prescaled_weight_grads(params, cache, fmask, dpred):
+    """The weight gradients as they were computed with the float mask:
+    layer 2's backward reads the masked layer-1 outputs hs1 * fmask, and
+    the gradient it passes down is multiplied by fmask afterwards."""
+    X, hs1, cs1, gates1, hs2, cs2, gates2, _ = cache
+    n, L, _ = X.shape
+    fmask_t = np.moveaxis(fmask, 1, 0)
+    grads = {"Wh": hs2[-1].T @ dpred, "bh": dpred.sum(axis=0)}
+    dh2_seq = np.zeros((L, n, params.hidden[1]))
+    dh2_seq[-1] = dpred @ params.Wh.T
+    dh1_seq, grads["W2"], grads["U2"], grads["b2"] = _layer_backward(
+        dh2_seq, hs1 * fmask_t, hs2, cs2, gates2, params.W2, params.U2, input_grad=True
+    )
+    dh1_seq *= fmask_t
+    _, grads["W1"], grads["U1"], grads["b1"] = _layer_backward(
+        dh1_seq, np.moveaxis(X, 1, 0), hs1, cs1, gates1, params.W1, params.U1
+    )
+    return grads
+
+
+class TestKeepPattern:
+    @pytest.mark.parametrize("dropout", [0.2, 0.5])
+    def test_equals_prescaled_float_mask_bitwise(self, dropout):
+        """The bool keep-pattern, scaled by 1/keep where it is used, gives
+        the bits of the float mask (u < keep) / keep it replaced: forward
+        rows, the training forward and every weight gradient."""
+        params = init_params(7, hidden=(32, 16), dropout_rate=dropout, seed=3)
+        rng = np.random.default_rng(8)
+        X = rng.standard_normal((40, 10, 7))
+        mask = draw_mask(params, np.random.default_rng(9), 40, 10)
+        u = np.random.default_rng(9).random((40, 10, 32))  # the draws behind mask
+        fmask = np.divide(u < params.keep_prob, params.keep_prob)
+        assert mask.dtype == bool and np.array_equal(mask, fmask > 0)
+
+        want_rows = prescaled_forward(params, X, fmask, _rows)
+        assert forward(params, X, mask=mask).tobytes() == want_rows.tobytes()
+        pred, cache = _infer(params, X, mask, np.matmul, keep=True)
+        assert pred.tobytes() == prescaled_forward(params, X, fmask, np.matmul).tobytes()
+        dpred = rng.standard_normal(pred.shape)
+        grads, _ = _backward(params, cache, dpred)
+        want = prescaled_weight_grads(params, cache, fmask, dpred)
+        for key, _ in params.weight_items():
+            assert grads[key].tobytes() == want[key].tobytes(), key
 
 class TestSerialization:
     def test_round_trip(self):
