@@ -44,7 +44,6 @@ import io
 import json
 import logging
 import math
-import os
 import resource
 import sys
 from datetime import datetime, timezone
@@ -85,7 +84,7 @@ from .forecast import (
     HybridConfig,
 )
 from .lilee import FactorPanel, dump_params, fit_lilee, parse_params
-from .lstm import TrainConfig, dump_network, parse_network
+from .lstm import TrainConfig, dump_network, parse_network, predict
 from .windows import prepare_windows
 
 log = logging.getLogger("mortlab")
@@ -220,8 +219,7 @@ class RunContext:
         self.cfg, hashed = _checked(cfg)
         self.config_dir = config_dir
         self.hash = config_hash(hashed)
-        out = os.environ.get("MORTLAB_OUT") or self.cfg["out_dir"] or f"runs/{self.hash[:8]}"
-        out_path = Path(out)
+        out_path = Path(self.cfg["out_dir"] or f"runs/{self.hash[:8]}")
         self.out_dir = out_path if out_path.is_absolute() else config_dir / out_path
         self.out_dir.mkdir(parents=True, exist_ok=True)
         self.manifest = {"config_hash": self.hash, "stages": {}}
@@ -546,6 +544,9 @@ def _parse_ensemble(data: bytes, panel: FactorPanel, fdoc: dict) -> ForecastEnse
 
 def cmd_forecast(ctx: RunContext) -> dict:
     params, model, panel = _load_model_panel(ctx)
+    # everything that can refuse the run is read before the first write
+    focus = _focus_country(ctx, params.countries)
+    observed = ctx.load("observed_e0.csv", lambda data: _observed_e0(data, params.countries))
     fc = ctx.cfg["forecast"]
     horizon, n_paths, quantiles = fc["horizon"], fc["n_paths"], fc["quantiles"]
     seed = stream_seed(ctx.cfg["seed"], "forecast")
@@ -575,10 +576,7 @@ def cmd_forecast(ctx: RunContext) -> dict:
                 fan_rows.append([lab, int(ens.years[h]), q, repr(float(bands[qi, h, j]))])
     ctx.write_csv("fan_factors.csv", ["factor", "year", "quantile", "value"], fan_rows)
 
-    observed = ctx.load("observed_e0.csv", lambda data: _observed_e0(data, params.countries))
-
     # only the focus country's fan chart needs every horizon
-    focus = _focus_country(ctx, params.countries)
     summary_rows = []
     for code in params.countries:
         if code == focus:
@@ -647,10 +645,9 @@ def cmd_explain(ctx: RunContext) -> None:
     out_index = 1 + params.country_index(focus)
     xc = ctx.cfg["explain"]
     rep = explain.kernel_shap(
-        model.net,
+        lambda W: predict(model.net, W)[:, out_index],
         windows.X[train_idx],
         windows.X[val_idx][: xc["max_test_windows"]],  # null: every window
-        output_index=out_index,
         n_coalitions=xc["n_coalitions"],
         seed=stream_seed(ctx.cfg["seed"], "explain"),
     )
@@ -676,6 +673,7 @@ def cmd_stress(ctx: RunContext) -> None:
     params, model, panel = _load_model_panel(ctx)
     fdoc = ctx.load("forecast_manifest.json", _json_object)
     ens = ctx.load(ENSEMBLE, lambda data: _parse_ensemble(data, panel, fdoc))
+    focus = _focus_country(ctx, params.countries)
 
     risk_rows = []
     reports = {}
@@ -693,7 +691,6 @@ def cmd_stress(ctx: RunContext) -> None:
         risk_rows,
     )
 
-    focus = _focus_country(ctx, params.countries)
     rep = reports[focus]
     mean_k_term = float(ens.levels[:, -1, 0].mean())
     stress_res = risk.reverse_stress(
@@ -772,7 +769,6 @@ def build_parser() -> argparse.ArgumentParser:
     for name in STAGES:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="path to the run config JSON")
-        p.add_argument("--out", help="override the output directory")
         p.add_argument("--seed-override", type=int, help="replace the config seed")
         p.add_argument("--quiet", action="store_true", help="only warnings and errors")
     return parser
@@ -797,8 +793,6 @@ def run_stage(args) -> int:
         raise ConfigError(f"config is not a valid JSON object: {exc}") from exc
     if args.seed_override is not None:
         cfg["seed"] = args.seed_override
-    if args.out:
-        cfg["out_dir"] = args.out
     ctx = RunContext(cfg, cfg_path.resolve().parent)
     start = resource.getrusage(resource.RUSAGE_SELF)
     facts = globals()[f"cmd_{args.command}"](ctx) or {}
@@ -822,18 +816,12 @@ _EXIT_CODES = (
          InsufficientHistoryError, RegressionError)),
     (5, (TrainingError, NumericError, FloatingPointError, np.linalg.LinAlgError)),
 )
-LOG_LEVELS = ("DEBUG", "INFO", "WARNING", "ERROR", "CRITICAL")  # MORTLAB_LOG's values
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    level = os.environ.get("MORTLAB_LOG", "INFO")
-    known = level.upper() in LOG_LEVELS
-    logging.basicConfig(level=level.upper() if known and not args.quiet else "WARNING",
+    logging.basicConfig(level="WARNING" if args.quiet else "INFO",
                         format="%(levelname)s %(message)s")
-    if not known:
-        log.error("MORTLAB_LOG=%s is not a log level; use one of %s", level, ", ".join(LOG_LEVELS))
-        return 1
     try:
         return run_stage(args)
     except Exception as exc:  # noqa: BLE001 - translated to exit codes below

@@ -12,7 +12,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -105,7 +105,7 @@ class ClusterDataset:
         return tuple(s.country for s in self.surfaces)
 
 
-def parse_hmd_file(text: str | Iterable[str]) -> list[tuple[int, int, float | None]]:
+def parse_hmd_file(text: str) -> list[tuple[int, int, float | None]]:
     """Parse a 1x1 fixed-layout mortality file into (year, age, total) rows.
 
     Only the Total (both sexes) column is kept.  The "110+" age token maps
@@ -114,13 +114,11 @@ def parse_hmd_file(text: str | Iterable[str]) -> list[tuple[int, int, float | No
     block; anything else raises StructureError.  Malformed rows raise
     ParseError with their line number.
     """
-    lines = text.splitlines() if isinstance(text, str) else list(text)
-
     records: list[tuple[int, int, float | None]] = []
     in_body = False
     prev_year: int | None = None
     prev_age: int | None = None
-    for line_no, raw in enumerate(lines, start=1):
+    for line_no, raw in enumerate(text.splitlines(), start=1):
         tokens = raw.split()
         if not tokens:
             continue

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, RankError
-from .lstm import NetworkParams, input_gradient, predict
+from .lstm import NetworkParams, input_gradient
 
 BLOCK = 256  # most coalition rows handed to the model at once
 
@@ -71,42 +71,22 @@ def temporal_saliency(
     return 100.0 * per_lag / total
 
 
-def _as_predict_fn(model, output_index):
-    if isinstance(model, NetworkParams):
-        fn = lambda W: predict(model, W)  # noqa: E731
-    elif callable(model):
-        fn = model
-    else:
-        raise TypeError("model must be NetworkParams or a callable")
-
-    def scalar_fn(W):
-        out = np.asarray(fn(W), dtype=float)
-        if out.ndim == 1:
-            return out
-        if output_index is None:
-            raise ValueError("output_index required for multi-output models")
-        return out[:, output_index]
-
-    return scalar_fn
-
-
 def kernel_shap(
-    model,
+    fn,
     background: np.ndarray,
     X_test: np.ndarray,
     *,
-    output_index: int | None = None,
     n_coalitions: int | None = None,
     seed: int = 0,
 ) -> ShapReport:
     """Shapley attributions of one output over flattened input windows.
 
-    `model` is a NetworkParams or any callable mapping (n, L, F) windows to
-    outputs.  The default budget is 2*d + 2048 coalitions.  A budget of
-    2^d - 2 or more gives the exact values by enumeration and draws nothing
-    from the generator.  A smaller one is sampled and must be at least
-    d - 1, or the least-squares system is always singular: RankError,
-    raised before the model is evaluated.
+    `fn` maps (n, L, F) windows to (n,) outputs, one per window; for output
+    j of a network, pass `lambda W: predict(net, W)[:, j]`.  The default
+    budget is 2*d + 2048 coalitions.  A budget of 2^d - 2 or more gives the
+    exact values by enumeration and draws nothing from the generator.  A
+    smaller one is sampled and must be at least d - 1, or the least-squares
+    system is always singular: RankError, raised before `fn` is evaluated.
     """
     background = np.asarray(background, dtype=float)
     X_test = np.asarray(X_test, dtype=float)
@@ -116,7 +96,6 @@ def kernel_shap(
         raise ValueError("background must be non-empty")
     n_test, lookback, n_feat = X_test.shape
     d = lookback * n_feat
-    fn = _as_predict_fn(model, output_index)
     if n_coalitions is None:
         n_coalitions = 2 * d + 2048
     exact = n_coalitions >= 2**d - 2

@@ -43,11 +43,10 @@ class StationarityReport:
     adf_p: float
     kpss_stat: float
     kpss_p: float
-    verdict: str
 
-    def __post_init__(self):
-        if self.verdict != classify(self.adf_p, self.kpss_p):
-            raise ValueError("verdict inconsistent with the p-value pair")
+    @property
+    def verdict(self) -> str:
+        return classify(self.adf_p, self.kpss_p)
 
 
 def _norm_cdf(x: float) -> float:
@@ -226,5 +225,4 @@ def analyze(series: np.ndarray) -> StationarityReport:
         adf_p=adf_p,
         kpss_stat=kpss_stat,
         kpss_p=kpss_p,
-        verdict=classify(adf_p, kpss_p),
     )

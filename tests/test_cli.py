@@ -1,5 +1,6 @@
 import hashlib
 import importlib.util
+import inspect
 import io
 import json
 import os
@@ -12,10 +13,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mortlab import cli, explain, forecast, lstm
+from mortlab import cli, explain, forecast, lstm, risk
 from mortlab.cli import STAGES, RunContext, main
-from mortlab.forecast import forecast_stochastic, parse_forecaster
+from mortlab.forecast import HybridConfig, forecast_stochastic, parse_forecaster
 from mortlab.lilee import FactorPanel, parse_params
+from mortlab.lstm import TrainConfig
 
 
 def write_config(path: Path, **overrides) -> Path:
@@ -656,8 +658,11 @@ class TestExitCodes:
             path.unlink()
         else:
             path.write_text("".join(path.read_text().splitlines(keepends=True)[:-1]))
+        os.utime(copy / "run" / "ensemble.npy", ns=(1, 1))
         assert main(["forecast", "--config", str(copy / "config.json"), "--quiet"]) == 3
         assert "observed_e0.csv" in caplog.text
+        # refused before forecast's first write
+        assert (copy / "run" / "ensemble.npy").stat().st_mtime_ns == 1
 
     @pytest.mark.parametrize("keep", ["one-country", "header-only"])
     def test_cluster_of_fewer_than_two_countries_is_2(self, tmp_path, caplog, keep):
@@ -770,15 +775,53 @@ class TestExitCodes:
         assert "config seed must be an integer >= 0, got -1" in errors[0].getMessage()
         assert not (tmp_path / "run").exists()
 
-    def test_unknown_log_level_is_1(self, tmp_path, caplog, monkeypatch):
+    def test_environment_changes_no_run(self, tmp_path, monkeypatch):
+        """A run's settings are its config's: MORTLAB_OUT moves no artifact
+        and MORTLAB_LOG=verbose refuses no run."""
+        monkeypatch.setenv("MORTLAB_OUT", str(tmp_path / "elsewhere"))
         monkeypatch.setenv("MORTLAB_LOG", "verbose")
         cfg = write_config(tmp_path)
-        assert main(["fit", "--config", str(cfg)]) == 1
-        errors = [r for r in caplog.records if r.levelname == "ERROR"]
-        assert len(errors) == 1
-        assert errors[0].getMessage() == ("MORTLAB_LOG=verbose is not a log level; "
-                                          "use one of DEBUG, INFO, WARNING, ERROR, CRITICAL")
-        assert not (tmp_path / "run").exists()
+        assert main(["synth", "--config", str(cfg)]) == 0
+        assert "truth_params.json" in json.loads(
+            (tmp_path / "run" / "manifest.json").read_text())["stages"]["synth"]["files"]
+        assert not (tmp_path / "elsewhere").exists()
+
+    def test_out_option_is_1(self, tmp_path):
+        cfg = write_config(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(["synth", "--config", str(cfg), "--out", str(tmp_path / "other")])
+        assert exc.value.code == 1
+        assert not (tmp_path / "other").exists() and not (tmp_path / "run").exists()
+
+    def test_stage_options(self, capsys):
+        """Every stage takes the config, a seed override and --quiet, and
+        nothing else."""
+        for stage in STAGES:
+            with pytest.raises(SystemExit) as exc:
+                main([stage, "--help"])
+            assert exc.value.code == 0
+            options = set(re.findall(r"--[a-z-]+", capsys.readouterr().out))
+            assert options == {"--help", "--config", "--seed-override", "--quiet"}, stage
+
+    @pytest.mark.parametrize("stage", ["forecast", "stress"])
+    def test_focus_country_outside_cluster_writes_nothing(self, pipeline, tmp_path, caplog, stage):
+        """A focus_country outside the cluster exits 1 before the stage's
+        first write: every file of the run directory stays as it was."""
+        root, _ = pipeline
+        copy = shutil.copytree(root, tmp_path / "copy")
+        cfg = json.loads((copy / "config.json").read_text())
+        cfg["focus_country"] = "XXX"
+        (copy / "config.json").write_text(json.dumps(cfg))
+        manifest = json.loads((copy / "run" / "manifest.json").read_text())
+        manifest["config_hash"] = cli.config_hash(cli._checked(cfg)[1])
+        (copy / "run" / "manifest.json").write_text(json.dumps(manifest))
+        files = sorted((copy / "run").iterdir())
+        for path in files:
+            os.utime(path, ns=(1, 1))
+        assert main([stage, "--config", str(copy / "config.json"), "--quiet"]) == 1
+        assert "focus_country 'XXX' is not in the cluster" in caplog.text
+        assert sorted((copy / "run").iterdir()) == files
+        assert all(path.stat().st_mtime_ns == 1 for path in files)
 
 
 # config_hash of three configs, computed before the config table replaced
@@ -803,8 +846,7 @@ PINNED_HASHES = [
 
 class TestConfigHash:
     @pytest.mark.parametrize("cfg, digest", PINNED_HASHES, ids=["readme", "wide-6c", "tail-2k"])
-    def test_hash_is_pinned(self, tmp_path, monkeypatch, cfg, digest):
-        monkeypatch.delenv("MORTLAB_OUT", raising=False)
+    def test_hash_is_pinned(self, tmp_path, cfg, digest):
         assert RunContext(cfg, tmp_path).hash == digest
 
 
@@ -835,6 +877,16 @@ class TestConfigReference:
         for name, (default, rule, _) in table.items():
             want = "required" if default == "required" else f"`{json.dumps(default)}`"
             assert rows[name][:2] == [want, rule], name
+
+    def test_library_defaults_are_the_configs(self, tmp_path):
+        """The defaults the CLI and the library share agree, so README's
+        library example and the CLI train the same default model."""
+        ctx = RunContext({"seed": 0}, tmp_path)
+        seed = cli.stream_seed(0, "train")
+        assert cli._hybrid_config(ctx, "train") == HybridConfig(train=TrainConfig(seed=seed))
+        assert ctx.cfg["stress"]["shock_grid"] == risk.DEFAULT_SHOCK_GRID
+        n_paths = inspect.signature(forecast_stochastic).parameters["n_paths"].default
+        assert ctx.cfg["forecast"]["n_paths"] == n_paths
 
 
 class TestStageRunner:

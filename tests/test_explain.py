@@ -12,6 +12,7 @@ from mortlab.explain import (
     kernel_shap,
     temporal_saliency,
 )
+from mortlab.lstm import predict
 from tests.test_lstm import zero_params
 
 
@@ -134,7 +135,8 @@ class TestKernelShap:
         model, _, windows, (_, val_idx) = trained_model
         X = windows.X[val_idx][:2, :3, :]  # d = 3*4 = 12
         bg = windows.X[val_idx][:, :3, :]
-        rep = kernel_shap(model.net, bg, X, output_index=0, n_coalitions=2**12 - 2)
+        fn = lambda W: predict(model.net, W)[:, 0]  # noqa: E731
+        rep = kernel_shap(fn, bg, X, n_coalitions=2**12 - 2)
         for t in range(X.shape[0]):
             assert rep.base_value + rep.phi[t].sum() == pytest.approx(
                 rep.fx[t], abs=1e-6
@@ -144,9 +146,8 @@ class TestKernelShap:
         model, _, windows, (_, val_idx) = trained_model
         X = windows.X[val_idx][:2]
         bg = windows.X[val_idx]
-        rep = kernel_shap(
-            model.net, bg, X, output_index=0, n_coalitions=500, seed=8
-        )
+        fn = lambda W: predict(model.net, W)[:, 0]  # noqa: E731
+        rep = kernel_shap(fn, bg, X, n_coalitions=500, seed=8)
         for t in range(X.shape[0]):
             assert rep.base_value + rep.phi[t].sum() == pytest.approx(
                 rep.fx[t], abs=1e-8
@@ -165,13 +166,6 @@ class TestKernelShap:
         exact = kernel_shap(fn, b, x, n_coalitions=2**8 - 2)
         sampled = kernel_shap(fn, b, x, n_coalitions=2**8, seed=10)
         assert np.array_equal(sampled.phi, exact.phi)
-
-    def test_multi_output_requires_index(self, trained_model):
-        model, _, windows, (_, val_idx) = trained_model
-        with pytest.raises(ValueError):
-            kernel_shap(
-                model.net, windows.X[val_idx], windows.X[val_idx][:1], n_coalitions=50,
-            )
 
     def test_budget_below_d_minus_1_raises_before_evaluating(self):
         spy = RowSpy(12)

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from mortlab.errors import DegenerateSeriesError
 from mortlab.stationarity import (
-    StationarityReport,
     adf_test,
     analyze,
     classify,
@@ -128,7 +127,3 @@ def test_analyze_report_consistency():
     rng = np.random.default_rng(16)
     rep = analyze(rng.standard_normal(120))
     assert rep.verdict == classify(rep.adf_p, rep.kpss_p)
-    with pytest.raises(ValueError):
-        StationarityReport(
-            adf_stat=0.0, adf_p=0.5, kpss_stat=1.0, kpss_p=0.01, verdict="Stationary"
-        )
