@@ -19,7 +19,8 @@ Conventions
 One forward loop (`_infer`) runs both layers step by step, with two
 product rules.  `forward` multiplies row by row, so every row of a stack
 has the bits of its window run alone; the stochastic ensemble relies on
-that to run its paths in blocks on worker threads, whatever the split.
+that to run its paths in blocks on worker threads, whatever the split,
+and on layer 1 running the history its paths share once.
 `predict`, `train` and `input_gradient` use plain 2-D products, so
 validation losses, the mean-bias correction and attributions see the bits
 training saw.  Only `train` and `input_gradient` ask the loop to keep the
@@ -255,6 +256,14 @@ def _rows(a, W):
     return (a[:, None, :] @ W)[:, 0]
 
 
+def _shared_steps(X: np.ndarray) -> int:
+    """The leading steps at which every row of X (n, L, in) holds row 0's
+    input bit for bit; bits, not values, so 0.0 and -0.0 are not shared."""
+    bits = X.view(np.uint64)
+    same = (bits == bits[:1]).all(axis=(0, 2))
+    return int(np.logical_and.accumulate(same).sum())
+
+
 def _infer(params: NetworkParams, X: np.ndarray, mask: np.ndarray | None, product,
            keep: bool = False):
     """The forward pass over (n, L, in) windows, both layers step by step;
@@ -266,21 +275,34 @@ def _infer(params: NetworkParams, X: np.ndarray, mask: np.ndarray | None, produc
     cache), the cache holding what `_backward` reads: the windows, each
     step's gates, cell and hidden states of both layers, all (L, n, .), and
     the mask, from which the backward rebuilds layer 2's masked inputs.
+
+    With `_rows` only, layer 1 runs the shared prefix (`_shared_steps`: the
+    leading steps whose input is the same on every row) on row 0 alone and
+    keeps a (1, h1) state, which layer 2 reads broadcast over the rows; at
+    the first step that differs the state is copied out to every row.  A
+    1-row `_rows` product has the bits of each row of the stack, so every
+    bit is kept.  A 2-D product's rows change bits with the batch size, so
+    `np.matmul` never shares.
     """
     n, L, _ = X.shape
     h1, h2 = params.hidden
-    h1_t, c1_t = np.zeros((n, h1)), np.zeros((n, h1))
+    shared = _shared_steps(X) if product is _rows and n > 1 else 0
+    rows1 = 1 if shared else n  # rows layer 1 runs on
+    h1_t, c1_t = np.zeros((rows1, h1)), np.zeros((rows1, h1))
     h2_t, c2_t = np.zeros((n, h2)), np.zeros((n, h2))
     if keep:
         # gates, cell and hidden state of layer 1, then of layer 2
         steps = [np.empty((L, n, w)) for w in (4 * h1, h1, h1, 4 * h2, h2, h2)]
     for t in range(L):
-        z1 = product(X[:, t, :], params.W1)
+        if t == shared and rows1 < n:  # `_cell` updates c in place: copy out
+            rows1 = n
+            h1_t, c1_t = np.repeat(h1_t, n, axis=0), np.repeat(c1_t, n, axis=0)
+        z1 = product(X[:rows1, t, :], params.W1)
         z1 += product(h1_t, params.U1)
         z1 += params.b1
         h1_t = _cell(z1, c1_t, h1)
         if mask is None:
-            h1_in = h1_t
+            h1_in = h1_t if rows1 == n else np.repeat(h1_t, n, axis=0)
         else:  # scaled in place: one (n, h1) temporary a step, not two
             h1_in = mask[:, t, :] / params.keep_prob
             h1_in *= h1_t
@@ -318,7 +340,9 @@ def forward(
     Deterministic without `mask`.  Each row of a stack gives the same bits
     as that window run alone, because every product is taken row by row on
     a C-order copy (a strided row may take another BLAS path); the
-    stochastic ensemble relies on this.
+    stochastic ensemble relies on this.  Layer 1 runs the leading steps
+    whose input has the same bits on every row once, on one row, which
+    keeps those bits: an ensemble's windows share their history.
     """
     X = np.ascontiguousarray(x, dtype=float)
     if X.ndim != 3 or X.shape[2] != params.input_dim:

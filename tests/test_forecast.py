@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from mortlab import forecast
+from mortlab import forecast, lstm
 from mortlab.errors import InsufficientHistoryError, NumericError
 from mortlab.forecast import (
     ForecastModel,
@@ -33,6 +33,14 @@ def make_panel(values, first_year=1990):
         values=values,
         labels=tuple(f"f{i}" for i in range(values.shape[1])),
     )
+
+
+def tail_model(n_features=4, lookback=10):
+    """An untrained forecaster at tail-2k's shape: hidden (32, 16), dropout 0.2."""
+    net = init_params(n_features, hidden=(32, 16), dropout_rate=0.2, seed=1)
+    scaler = ScalerParams(mean=np.zeros(n_features), sd=np.ones(n_features),
+                          train_end_year=2000)
+    return ForecastModel(net=net, scaler=scaler, mbc=np.zeros(n_features), lookback=lookback)
 
 
 def zero_model(n_features=3, lookback=4, mean=None, dropout=0.0):
@@ -205,6 +213,14 @@ class TestStochastic:
         for p in range(ens.n_paths):
             assert np.array_equal(ens.levels[p, 1:], ext)
 
+    @pytest.mark.parametrize("n_paths", [0, -2])
+    def test_empty_ensemble_refused(self, n_paths):
+        model = zero_model(n_features=2, lookback=3)
+        history = make_panel(np.random.default_rng(2).standard_normal((6, 2)))
+        with pytest.raises(ValueError, match="n_paths must be >= 1"):
+            forecast_stochastic(model, history, horizon=2, n_paths=n_paths,
+                                sigma=np.ones(2), seed=1)
+
     def test_anchor_row_is_origin(self, trained_model, fitted_panel):
         model = trained_model[0]
         _, panel = fitted_panel
@@ -371,11 +387,8 @@ class TestBlocks:
         an entry, built from a bool temporary), the same block peaked at
         24.2 x the n * L * h1 entries; the keep-pattern takes 18.2 x."""
         n, lookback, n_features = 500, 10, 4
-        net = init_params(n_features, hidden=(32, 16), dropout_rate=0.2, seed=1)
-        scaler = ScalerParams(mean=np.zeros(n_features), sd=np.ones(n_features),
-                              train_end_year=2000)
-        model = ForecastModel(net=net, scaler=scaler, mbc=np.zeros(n_features),
-                              lookback=lookback)
+        model = tail_model(n_features, lookback)
+        net = model.net
         history = make_panel(np.random.default_rng(0).standard_normal((15, n_features)).cumsum(0))
         out = np.empty((n, 4, n_features))
 
@@ -391,6 +404,47 @@ class TestBlocks:
             tracemalloc.stop()
         entries = n * lookback * net.hidden[0]
         assert peak < 20 * entries, f"a block peaked at {peak / entries:.1f} x n * L * h1 bytes"
+
+    def test_tail_2k_ensemble_peak(self, monkeypatch):
+        """2,000 paths on 2 workers at tail-2k's shape.  In blocks of 512
+        paths, every row running layer 1 on every step, the traced peak
+        beyond `levels` was 5.85 MB; in blocks of 256 with the shared
+        history prefix it is 3.11 MB.  Horizon 12 passes lookback 10, so
+        the last steps share nothing."""
+        monkeypatch.setattr(forecast.os, "sched_getaffinity", lambda pid: {0, 1},
+                            raising=False)
+        model = tail_model()
+        history = make_panel(np.random.default_rng(0).standard_normal((15, 4)).cumsum(0))
+        tracemalloc.start()
+        try:
+            ens = forecast_stochastic(model, history, horizon=12, n_paths=2000,
+                                      sigma=np.full(4, 0.1), seed=1)
+            peak = tracemalloc.get_traced_memory()[1] - ens.levels.nbytes
+        finally:
+            tracemalloc.stop()
+        assert ens.workers == 2
+        assert peak < 4.5e6, f"{peak / 1e6:.2f} MB beyond levels"
+
+    def test_layer_1_runs_the_shared_history_once(self, monkeypatch):
+        """At horizon step h <= L the first L - h + 1 differences of every
+        window are history only, so a block's layer 1 takes
+        n L H - (n - 1) L (L + 1) / 2 rows instead of n L H."""
+        n, lookback, horizon = 7, 4, 6
+        model = zero_model(n_features=2, lookback=lookback, dropout=0.2)
+        history = make_panel(np.random.default_rng(9).standard_normal((8, 2)))
+        rows = lstm._rows
+        layer1 = []
+
+        def recording(a, W):
+            if W is model.net.W1:
+                layer1.append(a.shape[0])
+            return rows(a, W)
+
+        monkeypatch.setattr(lstm, "_rows", recording)
+        forecast_stochastic(model, history, horizon=horizon, n_paths=n, sigma=np.ones(2),
+                            seed=3)
+        shared = lookback * (lookback + 1) // 2
+        assert sum(layer1) == n * lookback * horizon - (n - 1) * shared
 
 class TestQuantiles:
     def _flat_ensemble(self, paths):

@@ -125,6 +125,59 @@ class TestForward:
             assert np.array_equal(plain[i], forward(params, X[i : i + 1])[0])
 
 
+def shared_stack(k, n=5, steps=6, seed=0):
+    """Random windows (n, steps, 3) whose first k steps are row 0's on every row."""
+    X = np.random.default_rng(seed).standard_normal((n, steps, 3))
+    X[:, :k] = X[0, :k]
+    return X
+
+
+class TestSharedPrefix:
+    """`forward` runs layer 1 once over the leading steps all rows share."""
+
+    @pytest.mark.parametrize("masked", [False, True])
+    @pytest.mark.parametrize("k", [0, 1, 5, 6])
+    def test_rows_equal_their_window_run_alone(self, k, masked):
+        params = toy_params(seed=2, hidden=(6, 5), dropout=0.3)
+        X = shared_stack(k)
+        assert lstm._shared_steps(X) == k
+        mask = draw_mask(params, np.random.default_rng(k), *X.shape[:2]) if masked else None
+        batch = forward(params, X, mask=mask)
+        for i in range(len(X)):
+            alone = forward(params, X[i : i + 1], mask=None if mask is None else mask[i : i + 1])
+            assert np.array_equal(batch[i], alone[0]), i
+
+    def test_signed_zeros_are_not_shared(self):
+        X = np.zeros((2, 4, 3))
+        assert lstm._shared_steps(X) == 4
+        X[1, 0, 0] = -0.0
+        assert lstm._shared_steps(X) == 0
+
+    def test_shared_steps_take_one_row_and_predict_never_shares(self, monkeypatch):
+        params = toy_params(seed=3, hidden=(6, 5), dropout=0.3)
+        X = shared_stack(3)
+        rows, matmul = lstm._rows, np.matmul
+        taken = []
+
+        def recording(product):
+            def run(a, W):
+                taken.append((W, a.shape[0]))
+                return product(a, W)
+            return run
+
+        monkeypatch.setattr(lstm, "_rows", recording(rows))
+        forward(params, X, mask=draw_mask(params, np.random.default_rng(1), 5, 6))
+        for W in (params.W1, params.U1):
+            assert [m for w, m in taken if w is W] == [1, 1, 1, 5, 5, 5]
+        assert {m for w, m in taken if w is not params.W1 and w is not params.U1} == {5}
+
+        taken.clear()
+        monkeypatch.setattr(np, "matmul", recording(matmul))
+        predict(params, X)
+        assert len(taken) == 4 * 6 + 1
+        assert {m for _, m in taken} == {5}
+
+
 class TestPredict:
     @pytest.mark.parametrize("hidden", [(32, 16), (4, 3)])
     def test_equals_training_forward_bitwise(self, hidden):
