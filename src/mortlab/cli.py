@@ -576,14 +576,9 @@ def cmd_forecast(ctx: RunContext) -> dict:
                 fan_rows.append([lab, int(ens.years[h]), q, repr(float(bands[qi, h, j]))])
     ctx.write_csv("fan_factors.csv", ["factor", "year", "quantile", "value"], fan_rows)
 
-    # only the focus country's fan chart needs every horizon
     summary_rows = []
     for code in params.countries:
-        if code == focus:
-            focus_paths = lifetable.e0_paths(ens, params, code)
-            terminal = focus_paths[:, -1]
-        else:
-            terminal = lifetable.e0_paths(ens, params, code, horizons=-1)
+        terminal = lifetable.e0_paths(ens, params, code, horizons=-1)
         origin_model = lifetable.e0_at(params, code, float(panel.values[-1, 0]))
         mean_term = float(terminal.mean())
         ci_low, ci_high = risk.sorted_quantiles(np.sort(terminal), (0.025, 0.975))
@@ -605,11 +600,16 @@ def cmd_forecast(ctx: RunContext) -> dict:
         summary_rows,
     )
 
-    bands_e0 = risk.sorted_quantiles(np.sort(focus_paths, axis=0), quantiles)
+    # the focus country's fan, one horizon's (paths,) e0 sample at a time
+    bands_e0 = [
+        risk.sorted_quantiles(np.sort(lifetable.e0_paths(ens, params, focus, horizons=h)),
+                              quantiles)
+        for h in range(ens.horizon)
+    ]
     fan_e0_rows = [
-        [int(ens.years[h + 1]), q, f"{bands_e0[qi, h]:.4f}"]
+        [int(ens.years[h + 1]), q, f"{bands_e0[h][qi]:.4f}"]
         for qi, q in enumerate(quantiles)
-        for h in range(focus_paths.shape[1])
+        for h in range(ens.horizon)
     ]
     ctx.write_csv(f"fan_e0_{focus}.csv", ["year", "quantile", "e0"], fan_e0_rows)
 

@@ -63,8 +63,10 @@ MODEL_SCHEMA = "mortlab/forecaster-v1"
 # memory for about a tenth more forecast time
 BLOCK = 256
 # paths whose uniforms share one float scratch before they become a block's
-# bool keep-pattern; the scratch is 8x the bytes of their part of the pattern
-DRAW_CHUNK = 64
+# bool keep-pattern; the scratch is 8x the bytes of their part of the pattern:
+# 41 KB a worker at lookback 10 and h1 32.  Each path's draw order does not
+# depend on it
+DRAW_CHUNK = 16
 
 
 @dataclass(frozen=True)

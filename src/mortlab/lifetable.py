@@ -117,10 +117,12 @@ def e0_paths(
 
     Returns (paths, horizon); the anchor row at horizon 0 is excluded.
     `horizons` indexes that horizon axis, so only the selected curves are
-    evaluated: `horizons=-1` gives the terminal year as (paths,), bit for
-    bit equal to `e0_paths(...)[:, -1]`.  Curves are evaluated E0_BLOCK at
-    a time, so the rate matrix and its temporaries stay bounded whatever
-    the ensemble size; each curve's e0 depends on that curve alone.
+    evaluated: an integer h gives that year as (paths,), bit for bit equal
+    to `e0_paths(...)[:, h]` (-1 is the terminal year), so a caller that
+    reads one horizon at a time never holds the (paths, horizon) matrix.
+    Curves are evaluated E0_BLOCK at a time, so the rate matrix and its
+    temporaries stay bounded whatever the ensemble size; each curve's e0
+    depends on that curve alone.
     """
     k_vals = ensemble.levels[:, 1:, 0][:, horizons]
     k_flat = k_vals.ravel()

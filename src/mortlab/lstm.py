@@ -153,7 +153,9 @@ def _gate_affine(h: int):
 
 def _cell(z, c, h):
     """One LSTM step from the pre-activations z (n, 4h), in place: z becomes
-    the gates [i, f, g, o], c the new cell state; returns the hidden state."""
+    the gates [i, f, g, o], c the new cell state; returns the hidden state,
+    tanh(c) scaled in place by the o-gate: one temporary, not two, and the
+    bits of o * tanh(c), as IEEE multiplication commutes."""
     scale, shift = _gate_affine(h)
     z *= scale
     np.tanh(z, out=z)
@@ -161,7 +163,9 @@ def _cell(z, c, h):
     z *= scale
     c *= z[:, h : 2 * h]
     c += z[:, :h] * z[:, 2 * h : 3 * h]
-    return z[:, 3 * h :] * np.tanh(c)
+    hidden = np.tanh(c)
+    hidden *= z[:, 3 * h :]
+    return hidden
 
 
 def _layer_backward(dh_seq, xs, hs, cs, gates, W, U, mask=None, keep_prob=1.0,
@@ -276,6 +280,12 @@ def _infer(params: NetworkParams, X: np.ndarray, mask: np.ndarray | None, produc
     step's gates, cell and hidden states of both layers, all (L, n, .), and
     the mask, from which the backward rebuilds layer 2's masked inputs.
 
+    A step holds each buffer only while something still reads it: layer
+    1's pre-activations go once its cell has run (with `keep`, after its
+    gates, cell and hidden state are written to the cache), layer 2's
+    input once it has fed layer 2's product, and layer 2's
+    pre-activations once its cell has run.
+
     With `_rows` only, layer 1 runs the shared prefix (`_shared_steps`: the
     leading steps whose input is the same on every row) on row 0 alone and
     keeps a (1, h1) state, which layer 2 reads broadcast over the rows; at
@@ -291,8 +301,8 @@ def _infer(params: NetworkParams, X: np.ndarray, mask: np.ndarray | None, produc
     h1_t, c1_t = np.zeros((rows1, h1)), np.zeros((rows1, h1))
     h2_t, c2_t = np.zeros((n, h2)), np.zeros((n, h2))
     if keep:
-        # gates, cell and hidden state of layer 1, then of layer 2
-        steps = [np.empty((L, n, w)) for w in (4 * h1, h1, h1, 4 * h2, h2, h2)]
+        gates1, cs1, hs1, gates2, cs2, hs2 = (
+            np.empty((L, n, w)) for w in (4 * h1, h1, h1, 4 * h2, h2, h2))
     for t in range(L):
         if t == shared and rows1 < n:  # `_cell` updates c in place: copy out
             rows1 = n
@@ -301,22 +311,25 @@ def _infer(params: NetworkParams, X: np.ndarray, mask: np.ndarray | None, produc
         z1 += product(h1_t, params.U1)
         z1 += params.b1
         h1_t = _cell(z1, c1_t, h1)
+        if keep:
+            gates1[t], cs1[t], hs1[t] = z1, c1_t, h1_t
+        del z1  # each buffer goes once its last reader has run
         if mask is None:
             h1_in = h1_t if rows1 == n else np.repeat(h1_t, n, axis=0)
         else:  # scaled in place: one (n, h1) temporary a step, not two
             h1_in = mask[:, t, :] / params.keep_prob
             h1_in *= h1_t
         z2 = product(h1_in, params.W2)
+        del h1_in
         z2 += product(h2_t, params.U2)
         z2 += params.b2
         h2_t = _cell(z2, c2_t, h2)
         if keep:
-            for buf, a in zip(steps, (z1, c1_t, h1_t, z2, c2_t, h2_t)):
-                buf[t] = a
+            gates2[t], cs2[t], hs2[t] = z2, c2_t, h2_t
+        del z2
     pred = product(h2_t, params.Wh) + params.bh
     if not keep:
         return pred
-    gates1, cs1, hs1, gates2, cs2, hs2 = steps
     return pred, (X, hs1, cs1, gates1, hs2, cs2, gates2, mask)
 
 

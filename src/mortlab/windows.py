@@ -77,7 +77,12 @@ def fit_scaler(panel: FactorPanel, train_end_year: int) -> ScalerParams:
 
 
 def transform(scaler: ScalerParams, V: np.ndarray) -> np.ndarray:
-    return (np.asarray(V, dtype=float) - scaler.mean) / scaler.sd
+    """(V - mean) / sd as a new float array: the difference is the one
+    result-sized allocation, divided in place, with the bits of the
+    two-temporary form."""
+    out = np.subtract(V, scaler.mean, dtype=float)
+    out /= scaler.sd
+    return out
 
 
 def inverse_transform(scaler: ScalerParams, V: np.ndarray) -> np.ndarray:

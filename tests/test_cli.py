@@ -13,9 +13,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mortlab import cli, explain, forecast, lstm, risk
+from mortlab import cli, explain, forecast, lifetable, lstm, risk
 from mortlab.cli import STAGES, RunContext, main
-from mortlab.forecast import HybridConfig, forecast_stochastic, parse_forecaster
+from mortlab.forecast import ForecastEnsemble, HybridConfig, forecast_stochastic, parse_forecaster
 from mortlab.lilee import FactorPanel, parse_params
 from mortlab.lstm import TrainConfig
 
@@ -193,6 +193,53 @@ class TestPipeline:
         assert 0 <= record["clipped_epochs"] <= record["epochs_run"]
         assert record["max_grad_norm"] > 0
         assert (record["max_grad_norm"] > lstm.CLIP_NORM) == (record["clipped_epochs"] > 0)
+
+
+class TestE0Fan:
+    def test_equals_the_sorted_full_matrix(self, pipeline):
+        """The fan read one horizon at a time has the bits of the (paths x
+        horizon) e0 matrix sorted along its paths."""
+        root, _ = pipeline
+        out = root / "run"
+        params = parse_params((out / "params.json").read_text())
+        fdoc = json.loads((out / "forecast_manifest.json").read_text())
+        years = fdoc["origin_year"] + np.arange(fdoc["horizon"] + 1)
+        ens = ForecastEnsemble(levels=np.load(out / "ensemble.npy"), years=years)
+        focus = params.countries[0]
+        full = lifetable.e0_paths(ens, params, focus)
+        assert full.shape == (fdoc["n_paths"], fdoc["horizon"])
+        bands = risk.sorted_quantiles(np.sort(full, axis=0), fdoc["quantiles"])
+        want = [
+            [int(years[h + 1]), q, f"{bands[qi, h]:.4f}"]
+            for qi, q in enumerate(fdoc["quantiles"])
+            for h in range(fdoc["horizon"])
+        ]
+        lines = (out / f"fan_e0_{focus}.csv").read_text().splitlines()
+        assert lines[1] == "year,quantile,e0"
+        got = [[int(y), float(q), e0] for y, q, e0 in (line.split(",") for line in lines[2:])]
+        assert got == want
+
+    def test_forecast_asks_for_at_most_n_paths_curves_at_once(
+        self, pipeline, tmp_path, monkeypatch
+    ):
+        """One terminal call per country and one per fan horizon, each of
+        n_paths curves: the stage never holds the (paths x horizon) matrix."""
+        root, _ = pipeline
+        copy = shutil.copytree(root, tmp_path / "copy")
+        e0_paths = lifetable.e0_paths
+        sizes = []
+
+        def recording(*args, **kwargs):
+            e0 = e0_paths(*args, **kwargs)
+            sizes.append(e0.size)
+            return e0
+
+        monkeypatch.setattr(lifetable, "e0_paths", recording)
+        assert main(["forecast", "--config", str(copy / "config.json"), "--quiet"]) == 0
+        assert sizes == [120] * (3 + 6)
+        focus = parse_params((root / "run" / "params.json").read_text()).countries[0]
+        for name in ("e0_summary.csv", f"fan_e0_{focus}.csv"):
+            assert (copy / "run" / name).read_bytes() == (root / "run" / name).read_bytes()
 
 
 class TestDeterminism:

@@ -425,6 +425,25 @@ class TestBlocks:
         assert ens.workers == 2
         assert peak < 4.5e6, f"{peak / 1e6:.2f} MB beyond levels"
 
+    def test_tail_2k_ensemble_frees_dead_buffers(self, monkeypatch):
+        """The ensemble above: 3.11 MB beyond `levels` while each forward
+        step held its buffers to the step's end and a block drew through a
+        64-path float scratch; 2.48 MB with each buffer freed after its last
+        read and a DRAW_CHUNK-path scratch."""
+        monkeypatch.setattr(forecast.os, "sched_getaffinity", lambda pid: {0, 1},
+                            raising=False)
+        model = tail_model()
+        history = make_panel(np.random.default_rng(0).standard_normal((15, 4)).cumsum(0))
+        tracemalloc.start()
+        try:
+            ens = forecast_stochastic(model, history, horizon=12, n_paths=2000,
+                                      sigma=np.full(4, 0.1), seed=1)
+            peak = tracemalloc.get_traced_memory()[1] - ens.levels.nbytes
+        finally:
+            tracemalloc.stop()
+        assert ens.workers == 2
+        assert peak < 2.8e6, f"{peak / 1e6:.2f} MB beyond levels"
+
     def test_layer_1_runs_the_shared_history_once(self, monkeypatch):
         """At horizon step h <= L the first L - h + 1 differences of every
         window are history only, so a block's layer 1 takes

@@ -188,3 +188,15 @@ class TestE0Paths:
         terminal = e0_paths(ens, params, 0, horizons=-1)
         assert full.shape == (2100, 30) and terminal.shape == (2100,)
         assert np.array_equal(terminal, full[:, -1])
+
+    def test_every_horizon_equals_its_column_bitwise(self):
+        # the forecast stage builds its e0 fan from one horizon at a time
+        rng = np.random.default_rng(5)
+        params = make_params([np.linspace(-9, -2, 91)])
+        k = np.cumsum(rng.normal(-0.3, 0.5, size=(300, 13)), axis=1)
+        ens = self._ensemble(k)
+        assert ens.n_paths > E0_BLOCK
+        full = e0_paths(ens, params, 0)
+        for h in range(-full.shape[1], full.shape[1]):
+            one = e0_paths(ens, params, 0, horizons=h)
+            assert one.shape == (300,) and np.array_equal(one, full[:, h]), h

@@ -124,6 +124,24 @@ class TestForward:
         for i in range(9):
             assert np.array_equal(plain[i], forward(params, X[i : i + 1])[0])
 
+    def test_masked_forward_frees_each_steps_dead_buffers(self):
+        """One masked forward on a (256, 10, 4) stack at hidden (32, 16).
+        Holding each step's pre-activations and layer-2 input to the end of
+        the step, with the hidden state built from two temporaries, it
+        peaked at 920 KB traced; freed after their last read, 722 KB."""
+        params = init_params(4, hidden=(32, 16), dropout_rate=0.2, seed=1)
+        rng = np.random.default_rng(3)
+        X = rng.standard_normal((256, 10, 4))
+        mask = draw_mask(params, rng, 256, 10)
+        forward(params, X, mask=mask)
+        tracemalloc.start()
+        try:
+            forward(params, X, mask=mask)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 820e3, f"a masked forward peaked at {peak / 1e3:.0f} KB"
+
 
 def shared_stack(k, n=5, steps=6, seed=0):
     """Random windows (n, steps, 3) whose first k steps are row 0's on every row."""
