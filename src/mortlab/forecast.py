@@ -56,11 +56,9 @@ from .windows import (
 
 MODEL_SCHEMA = "mortlab/forecaster-v1"
 
-# paths per block, the unit of work and of transient memory.  2,000 paths,
-# horizon 30, on 2 cores (medians of alternated runs): 0.80 s at 512 before
-# layer 1 shared the history prefix, 0.77 s at 512 and 0.89 s at 256 with it;
-# on one thread 256 is no slower than 512.  256 buys half the in-flight
-# memory for about a tenth more forecast time
+# paths per block, the unit of work and of transient memory.  256 paths
+# halve the in-flight memory of 512 for time: 2,000 paths, horizon 30, on 2
+# workers (medians of 8 alternated runs), 1.30 s at 256 against 1.21 s at 512
 BLOCK = 256
 # paths whose uniforms share one float scratch before they become a block's
 # bool keep-pattern; the scratch is 8x the bytes of their part of the pattern:

@@ -34,8 +34,6 @@ _ADF_LARGE_P = (1.7339, 0.93202, -0.12745, -0.010368)
 # KPSS level-stationarity critical values: (statistic, tail probability).
 _KPSS_TABLE = ((0.347, 0.10), (0.463, 0.05), (0.574, 0.025), (0.739, 0.01))
 
-VERDICTS = ("Stationary", "UnitRoot", "Conflict-Persistent", "Conflict-Inertial")
-
 
 @dataclass(frozen=True)
 class StationarityReport:

@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from mortlab import forecast, lstm
+from mortlab import forecast
 from mortlab.errors import InsufficientHistoryError, NumericError
 from mortlab.forecast import (
     ForecastModel,
@@ -407,10 +407,8 @@ class TestBlocks:
 
     def test_tail_2k_ensemble_peak(self, monkeypatch):
         """2,000 paths on 2 workers at tail-2k's shape.  In blocks of 512
-        paths, every row running layer 1 on every step, the traced peak
-        beyond `levels` was 5.85 MB; in blocks of 256 with the shared
-        history prefix it is 3.11 MB.  Horizon 12 passes lookback 10, so
-        the last steps share nothing."""
+        paths the traced peak beyond `levels` was 5.85 MB; in blocks of 256
+        it was 3.11 MB."""
         monkeypatch.setattr(forecast.os, "sched_getaffinity", lambda pid: {0, 1},
                             raising=False)
         model = tail_model()
@@ -444,26 +442,6 @@ class TestBlocks:
         assert ens.workers == 2
         assert peak < 2.8e6, f"{peak / 1e6:.2f} MB beyond levels"
 
-    def test_layer_1_runs_the_shared_history_once(self, monkeypatch):
-        """At horizon step h <= L the first L - h + 1 differences of every
-        window are history only, so a block's layer 1 takes
-        n L H - (n - 1) L (L + 1) / 2 rows instead of n L H."""
-        n, lookback, horizon = 7, 4, 6
-        model = zero_model(n_features=2, lookback=lookback, dropout=0.2)
-        history = make_panel(np.random.default_rng(9).standard_normal((8, 2)))
-        rows = lstm._rows
-        layer1 = []
-
-        def recording(a, W):
-            if W is model.net.W1:
-                layer1.append(a.shape[0])
-            return rows(a, W)
-
-        monkeypatch.setattr(lstm, "_rows", recording)
-        forecast_stochastic(model, history, horizon=horizon, n_paths=n, sigma=np.ones(2),
-                            seed=3)
-        shared = lookback * (lookback + 1) // 2
-        assert sum(layer1) == n * lookback * horizon - (n - 1) * shared
 
 class TestQuantiles:
     def _flat_ensemble(self, paths):
