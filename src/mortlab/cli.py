@@ -24,11 +24,16 @@ context, runs the body `cmd_<stage>(ctx)` and records in manifest.json the
 files the body wrote, the facts it returned (forecast: `path_blocks`,
 `path_workers`; train: `epochs_run`, `best_epoch`, `stopped_early`,
 `clipped_epochs`, `max_grad_norm`), the stage process's peak RSS in MB
-before the body runs (`start_rss_mb`) and after it (`peak_rss_mb`), and
-the minor page faults the body took (`minor_faults`).  A stage that
-fails records nothing, so its previous record stays untouched.  `fit`
-refuses (exit 3) a data CSV whose bytes differ from those `synth`
-recorded for it.
+before the body runs (`start_rss_mb`) and after it (`peak_rss_mb`), the
+minor page faults the body took (`minor_faults`) and the Python, numpy
+and BLAS it ran on (`env`).  A stage that fails records nothing, so its
+previous record stays untouched.  `fit` refuses (exit 3) a data CSV whose
+bytes differ from those `synth` recorded for it.
+
+A stage process holds only what its body runs: this module imports at
+top level the modules every stage uses, and a body imports the rest
+(`data`, `stationarity`, `explain`, `benchmark`) itself, so `forecast`
+and `stress` never compile them.
 
 Exit codes: 0 ok, 1 usage/config, 2 data, 3 missing, mismatched,
 unparseable or invalid stage artifacts, 4 degenerate domain, 5 numeric
@@ -39,6 +44,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import ctypes
 import hashlib
 import io
 import json
@@ -51,9 +57,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import benchmark, explain, lifetable, risk, stationarity
-from .data import cluster_csv_chunks, read_cluster_csv, synthesize_cluster
-from .data import ClusterDataset, build_surface, parse_hmd_file, synthetic_truth
+from . import lifetable, risk
 from .errors import (
     ConfigError,
     DataGapError,
@@ -85,7 +89,6 @@ from .forecast import (
 )
 from .lilee import FactorPanel, dump_params, fit_lilee, parse_params
 from .lstm import TrainConfig, dump_network, parse_network, predict
-from .windows import prepare_windows
 
 log = logging.getLogger("mortlab")
 
@@ -209,6 +212,18 @@ MANIFEST = "manifest.json"
 HEX = set("0123456789abcdef")
 
 
+def _malloc_trim():
+    """glibc's `malloc_trim`, which hands the heap's free pages back to the
+    OS, or None where libc.so.6 or the symbol is missing."""
+    try:
+        return ctypes.CDLL("libc.so.6").malloc_trim
+    except (OSError, AttributeError):
+        return None
+
+
+_trim = _malloc_trim()
+
+
 class RunContext:
     """Resolved configuration plus the run directory's one writer and one
     reader: every file a stage writes goes through `write`, which records
@@ -274,7 +289,9 @@ class RunContext:
         bytes, or bytes whose SHA-256 is not the one manifest.json records
         for them, and bytes that do not parse into a complete, valid object
         are refused (exit 3).  manifest.json itself is bound to the run by
-        its config_hash instead."""
+        its config_hash instead.  After a parse the bytes are dropped (an
+        object that views them keeps them) and the heap's free pages, the
+        parse's and the imports' garbage, go back to the OS."""
         path = self.path(name)
         if name == MANIFEST:
             data = path.read_bytes()
@@ -291,12 +308,16 @@ class RunContext:
                     f"{MANIFEST}; rerun {stage}"
                 )
         try:
-            return parse(data)
+            parsed = parse(data)
         except (ValueError, KeyError, TypeError, AttributeError, EOFError,
                 DimensionError, ScalingError) as exc:
             raise StageError(
                 f"artifact {name} does not parse: {type(exc).__name__}: {exc}"
             ) from exc
+        del data
+        if _trim is not None:
+            _trim(0)
+        return parsed
 
     def _parse_manifest(self, data: bytes) -> dict:
         """manifest.json's document, refused unless it carries this run's
@@ -361,6 +382,8 @@ def _observed_e0(data: bytes, countries) -> dict[str, float]:
 
 
 def load_dataset(ctx: RunContext) -> ClusterDataset:
+    from .data import ClusterDataset, build_surface, parse_hmd_file, read_cluster_csv
+
     data = ctx.cfg["data"]
 
     def existing(rel: str) -> Path:
@@ -426,6 +449,8 @@ def _hybrid_config(ctx: RunContext, stream: str) -> HybridConfig:
 
 
 def cmd_synth(ctx: RunContext) -> None:
+    from .data import cluster_csv_chunks, synthesize_cluster, synthetic_truth
+
     synth = ctx.cfg["synth"]
     regime = synth["regime"]
     seed = stream_seed(ctx.cfg["seed"], "synth")
@@ -441,6 +466,8 @@ def cmd_synth(ctx: RunContext) -> None:
 
 
 def cmd_fit(ctx: RunContext) -> None:
+    from . import stationarity
+
     dataset = load_dataset(ctx)
     params, _resid = fit_lilee(dataset)
     ctx.write("params.json", dump_params(params))
@@ -618,6 +645,8 @@ def cmd_forecast(ctx: RunContext) -> dict:
 
 
 def cmd_validate(ctx: RunContext) -> None:
+    from . import benchmark
+
     params, model, panel = _load_model_panel(ctx)
     rows = benchmark.validate(panel, model, ctx.cfg["split_year"])
     ctx.write_csv(
@@ -635,6 +664,9 @@ def cmd_validate(ctx: RunContext) -> None:
 
 
 def cmd_explain(ctx: RunContext) -> None:
+    from . import explain
+    from .windows import prepare_windows
+
     params, model, panel = _load_model_panel(ctx)
     _, windows, (train_idx, val_idx) = prepare_windows(
         panel, ctx.cfg["split_year"], model.lookback, model.scaler
@@ -719,6 +751,8 @@ def cmd_stress(ctx: RunContext) -> None:
 
 
 def cmd_ablate(ctx: RunContext) -> None:
+    from . import benchmark
+
     params = ctx.load("params.json", parse_params)
     panel = FactorPanel.from_params(params)
     cfg = _hybrid_config(ctx, "ablate")
@@ -779,9 +813,10 @@ def run_stage(args) -> int:
     and the command-line overrides, run the body `cmd_<stage>(ctx)`, then
     record in manifest.json the files it wrote, the facts it returned, the
     process's peak RSS (`ru_maxrss`) in MB just before the body runs
-    (`start_rss_mb`: interpreter, imports and config) and after it
-    (`peak_rss_mb`), and the minor page faults the body took
-    (`minor_faults`, the `ru_minflt` delta).
+    (`start_rss_mb`: the interpreter, numpy, the modules every stage
+    imports and the config) and after it (`peak_rss_mb`: the body's own
+    imports too), the minor page faults the body took (`minor_faults`,
+    the `ru_minflt` delta) and the environment (`env`).
     The body is looked up in the module's globals at call time, so a
     wrapper bound to `cmd_<stage>` after import (perfbench's tracer) runs."""
     cfg_path = Path(args.config)
@@ -798,8 +833,17 @@ def run_stage(args) -> int:
     facts = globals()[f"cmd_{args.command}"](ctx) or {}
     end = resource.getrusage(resource.RUSAGE_SELF)
     ctx.record_stage(args.command, **facts, start_rss_mb=_mb(start.ru_maxrss),
-                     peak_rss_mb=_mb(end.ru_maxrss), minor_faults=end.ru_minflt - start.ru_minflt)
+                     peak_rss_mb=_mb(end.ru_maxrss), minor_faults=end.ru_minflt - start.ru_minflt,
+                     env=_environment())
     return 0
+
+
+def _environment() -> dict:
+    """The Python, numpy and BLAS (name and version, as numpy was built
+    with it) the stage ran on."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {"python": sys.version.split()[0], "numpy": np.__version__,
+            "blas": {"name": blas.get("name"), "version": blas.get("version")}}
 
 
 def _mb(kib: int) -> float:

@@ -4,6 +4,7 @@ import inspect
 import io
 import json
 import os
+import platform
 import re
 import resource
 import shutil
@@ -337,8 +338,14 @@ class TestArtifactRule:
         manifest = json.loads((root / "run" / "manifest.json").read_text())
         # the stages ran in this process, so none can exceed its peak so far
         ceiling = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024 / 1e6
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        env = {"python": platform.python_version(), "numpy": np.__version__,
+               "blas": {"name": blas["name"], "version": blas["version"]}}
         for stage, record in manifest["stages"].items():
+            assert {"completed", "files", "start_rss_mb", "peak_rss_mb", "minor_faults",
+                    "env"} <= record.keys(), stage
             assert 0 < record["peak_rss_mb"] <= ceiling + 0.01, stage
+            assert record["env"] == env, stage
 
     def test_manifest_records_each_stage_memory_baseline(self, pipeline):
         """Each record gives the RSS the body started from (interpreter,
@@ -357,7 +364,7 @@ class TestArtifactRule:
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
         paragraph = next(p for p in readme.split("\n\n") if "`manifest.json` carries" in p)
         keys = {key for record in manifest["stages"].values() for key in record}
-        assert {"path_blocks", "max_grad_norm", "start_rss_mb", "minor_faults"} <= keys
+        assert {"path_blocks", "max_grad_norm", "start_rss_mb", "minor_faults", "env"} <= keys
         assert not [key for key in sorted(keys) if f"`{key}`" not in paragraph]
 
     @pytest.mark.parametrize("damage", ["foreign", "cut-in-half", "flipped-byte", "deleted"])
@@ -952,6 +959,61 @@ class TestStageRunner:
         record = json.loads((tmp_path / "run" / "manifest.json").read_text())["stages"]["synth"]
         assert record["probe"] == 1
         assert "truth_params.json" in record["files"]
+
+    def test_each_load_trims_once_after_its_parse(self, pipeline, tmp_path, monkeypatch):
+        """Every successful `load` (the manifest's included) hands the heap
+        back exactly once, after its parse; a refused one does not."""
+        root, _ = pipeline
+        copy = shutil.copytree(root, tmp_path / "copy")
+        events = []
+        real_load = RunContext.load
+
+        def recording_load(self, name, parse):
+            def recorded_parse(data):
+                events.append(("parse", name))
+                return parse(data)
+            return real_load(self, name, recorded_parse)
+
+        monkeypatch.setattr(cli, "_trim", lambda pad: events.append(("trim", pad)))
+        monkeypatch.setattr(RunContext, "load", recording_load)
+        for stage in ("forecast", "stress"):
+            events.clear()
+            assert main([stage, "--config", str(copy / "config.json"), "--quiet"]) == 0, stage
+            parsed = [name for kind, name in events if kind == "parse"]
+            assert "manifest.json" in parsed and "params.json" in parsed, stage
+            assert events == [e for name in parsed for e in (("parse", name), ("trim", 0))], stage
+        ctx = RunContext(json.loads((copy / "config.json").read_text()), copy)
+        events.clear()
+        with pytest.raises(cli.StageError, match="does not parse"):
+            ctx.load("params.json", lambda data: json.loads(b"{" + data))
+        assert events == [("parse", "params.json")]
+
+    def test_without_malloc_trim_forecast_and_stress_give_the_same_bytes(
+        self, pipeline, tmp_path, monkeypatch
+    ):
+        """Where glibc's malloc_trim is missing the reads skip the trim,
+        and the run's artifacts keep their bytes."""
+        root, _ = pipeline
+        copy = shutil.copytree(root, tmp_path / "copy")
+        for name in ("ensemble.npy", "risk.csv", "stress.json"):
+            (copy / "run" / name).unlink()
+        monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: object())
+        assert cli._malloc_trim() is None
+        monkeypatch.setattr(cli, "_trim", cli._malloc_trim())
+        for stage in ("forecast", "stress"):
+            assert main([stage, "--config", str(copy / "config.json"), "--quiet"]) == 0, stage
+        files = sorted(p.name for p in (root / "run").iterdir() if p.name != "manifest.json")
+        assert files == sorted(p.name for p in (copy / "run").iterdir()
+                               if p.name != "manifest.json")
+        for name in files:
+            assert (copy / "run" / name).read_bytes() == (root / "run" / name).read_bytes(), name
+
+    def test_malloc_trim_is_none_without_libc(self, monkeypatch):
+        def missing(name):
+            raise OSError(f"{name}: cannot open shared object file")
+
+        monkeypatch.setattr(cli.ctypes, "CDLL", missing)
+        assert cli._malloc_trim() is None
 
     def test_tracer_targets_resolve(self, monkeypatch):
         """Every function perfbench's tracer wraps by name exists, and the
