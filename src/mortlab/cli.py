@@ -469,6 +469,10 @@ def cmd_fit(ctx: RunContext) -> None:
     from . import stationarity
 
     dataset = load_dataset(ctx)
+    # hand back the data parse's and the body's imports' garbage before the
+    # SVD and the stationarity tests allocate
+    if _trim is not None:
+        _trim(0)
     params, _resid = fit_lilee(dataset)
     ctx.write("params.json", dump_params(params))
 

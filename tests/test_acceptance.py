@@ -3,13 +3,20 @@
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 report.  Criterion 16 (real six-country data) is optional and skipped
 unless MORTLAB_HMD_DIR points at a directory of <CODE>.Mx_1x1.txt files.
+
+The criteria that judge trained forecasters share one set of fits: the
+champion architecture on seeds 0-19 of each synthetic regime, built once
+per regime on first use, and one scorecard row per fit (`fits` and
+`scorecard` below).
 """
 
 import dataclasses
+import functools
 import json
 import os
 import time
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -21,9 +28,11 @@ from mortlab.benchmark import (
     rmse,
     validate,
 )
+from mortlab.cli import SYNTH_REGIMES
 from mortlab.data import synthesize_cluster, synthetic_truth
 from mortlab.explain import kernel_shap
 from mortlab.forecast import (
+    ForecastModel,
     HybridConfig,
     compute_mbc,
     ensemble_quantiles,
@@ -33,7 +42,7 @@ from mortlab.forecast import (
     historical_diff_sd,
 )
 from mortlab.lifetable import life_table, monotonicity_check
-from mortlab.lilee import FactorPanel, fit_lilee, leading_singular_pair
+from mortlab.lilee import FactorPanel, LiLeeParams, fit_lilee, leading_singular_pair
 from mortlab.lstm import TrainConfig, init_params, input_gradient, mse, predict, train
 from mortlab.lstm import _backward, _infer
 from mortlab.risk import delta_star_from, es, reverse_stress, var
@@ -49,16 +58,6 @@ def report(num: int, name: str, ok: bool, detail: str = ""):
     assert ok, f"criterion {num} failed: {detail}"
 
 
-UNIT_ROOT = dict(
-    specific="unit_root", specific_drift=0.35, specific_sigma=0.25,
-    common_drift=-1.0, common_sigma=0.3,
-)
-NEAR_STATIONARY = dict(
-    specific="stationary", specific_phi=0.75, specific_sigma=0.2,
-    common_drift=-1.0, common_sigma=0.15,
-)
-
-
 def build_run(seed: int, regime: dict, *, n_countries=3, noise=0.01):
     truth = synthetic_truth(
         n_countries=n_countries, year_range=(1956, 2020), seed=seed, **regime
@@ -68,18 +67,84 @@ def build_run(seed: int, regime: dict, *, n_countries=3, noise=0.01):
     return truth, cluster, params, FactorPanel.from_params(params)
 
 
-@pytest.fixture(scope="module")
-def fixture_model():
-    """Champion-architecture model trained on the unit-root acceptance
-    fixture; shared by the ensemble criteria."""
-    _, _, params, panel = build_run(0, UNIT_ROOT)
-    model, _, windows, split = fit_forecaster(
-        panel, 2011, HybridConfig(
-            lookback=10, hidden=(32, 16), dropout_rate=0.2,
-            train=TrainConfig(max_epochs=600, patience=15, seed=2000),
-        ),
+class ChampionFit(NamedTuple):
+    truth: LiLeeParams  # the synthetic truth the panel was drawn from
+    panel: FactorPanel
+    cfg: HybridConfig
+    fit: tuple  # fit_forecaster's (model, trace, windows, split)
+
+
+def _champion_fit(seed: int, regime: dict) -> ChampionFit:
+    """The champion architecture on acceptance run `seed` of `regime`."""
+    truth, _, _, panel = build_run(seed, regime)
+    cfg = HybridConfig(
+        lookback=10, hidden=(32, 16), dropout_rate=0.2,
+        train=TrainConfig(max_epochs=600, patience=15, seed=seed + 2000),
     )
-    return params, panel, model, windows, split
+    return ChampionFit(truth, panel, cfg, fit_forecaster(panel, 2011, cfg))
+
+
+@pytest.fixture(scope="module")
+def fits():
+    """`fits(regime)`: the champion fits of seeds 0-19 (C14's, fixed before
+    any criterion looked at them) of `cli.SYNTH_REGIMES[regime]`, built on
+    first use and then shared."""
+    return functools.cache(
+        lambda regime: [_champion_fit(seed, SYNTH_REGIMES[regime]) for seed in range(20)]
+    )
+
+
+def _network_off(model: ForecastModel) -> ForecastModel:
+    """`model` with its head `Wh`, `bh` zeroed: each step then adds
+    `scaler.mean + mbc * sd`, a random walk with the training drift plus the
+    shared bias (the classical mortality-index forecast of Lee & Carter,
+    1992)."""
+    net = model.net.copy()
+    net.Wh[...] = 0.0
+    net.bh[...] = 0.0
+    return dataclasses.replace(model, net=net)
+
+
+def _gain(reference: float, contender: float) -> float:
+    """Percent RMSE improvement of `contender` over `reference`."""
+    return (reference - contender) / reference * 100.0
+
+
+class Score(NamedTuple):
+    """One fit's pooled specific-factor RMSEs over the validation years,
+    its mean per-country improvement over Li-Lee and its kept epoch."""
+    lilee: float
+    hybrid: float
+    network_off: float
+    per_country: float
+    best_epoch: int
+
+    @property
+    def pooled(self) -> float:  # hybrid over Li-Lee
+        return _gain(self.lilee, self.hybrid)
+
+
+def _score(run: ChampionFit) -> Score:
+    panel, (model, trace, _, _) = run.panel, run.fit
+    actual = panel.values[panel.years > 2011]
+    ll = linear_benchmark_forecast(panel, 2011, bias=model.mbc * model.scaler.sd)
+    hy = hybrid_validation_forecast(model, panel, 2011)
+    off = hybrid_validation_forecast(_network_off(model), panel, 2011)
+    rows = validate(panel, model, 2011)
+    return Score(
+        lilee=rmse(ll[:, 1:], actual[:, 1:]),
+        hybrid=rmse(hy[:, 1:], actual[:, 1:]),
+        network_off=rmse(off[:, 1:], actual[:, 1:]),
+        per_country=float(np.mean([r.improvement_pct for r in rows])),
+        best_epoch=trace.best_epoch,
+    )
+
+
+@pytest.fixture(scope="module")
+def scorecard(fits):
+    """`scorecard(regime)`: one `Score` per fit of `fits(regime)`, computed
+    on first use."""
+    return functools.cache(lambda regime: [_score(run) for run in fits(regime)])
 
 
 def test_c01_lilee_recovery():
@@ -211,8 +276,9 @@ def test_c06_mbc_algebra():
     report(6, "mbc-algebra", residual <= 1e-10, f"(residual bias {residual:.2e})")
 
 
-def test_c07_degenerate_ensemble(fixture_model):
-    _, panel, model, _, _ = fixture_model
+def test_c07_degenerate_ensemble(fits):
+    run = fits("unit_root")[0]
+    panel, model = run.panel, run.fit[0]
     det_net = model.net.copy()
     det_net.dropout_rate = 0.0
     det_model = dataclasses.replace(model, net=det_net)
@@ -226,8 +292,9 @@ def test_c07_degenerate_ensemble(fixture_model):
     report(7, "degenerate-ensemble", identical, "(1000 paths bit-identical)")
 
 
-def test_c08_uncertainty_dominance(fixture_model):
-    _, panel, model, _, _ = fixture_model
+def test_c08_uncertainty_dominance(fits):
+    run = fits("unit_root")[0]
+    panel, model = run.panel, run.fit[0]
     sigma = historical_diff_sd(panel)
     full = forecast_stochastic(model, panel, 30, n_paths=1000, sigma=sigma, seed=808)
     drop = forecast_stochastic(
@@ -336,47 +403,13 @@ def test_c13_monotonicity_checker():
     )
 
 
-def _champion_fit(seed: int, regime: dict):
-    """(panel, config, fit_forecaster result) of the champion architecture
-    on acceptance run `seed` of `regime`."""
-    panel = build_run(seed, regime)[3]
-    cfg = HybridConfig(
-        lookback=10, hidden=(32, 16), dropout_rate=0.2,
-        train=TrainConfig(max_epochs=600, patience=15, seed=seed + 2000),
-    )
-    return panel, cfg, fit_forecaster(panel, 2011, cfg)
-
-
-@pytest.fixture(scope="module")
-def unit_root_fits():
-    """The 20 unit-root champion fits C14 and C15 both judge."""
-    return [_champion_fit(seed, UNIT_ROOT) for seed in range(20)]
-
-
-def _selectivity_run(panel, model):
-    actual = panel.values[panel.years > 2011]
-    bias = model.mbc * model.scaler.sd
-    ll = linear_benchmark_forecast(panel, 2011, bias=bias)
-    hy = hybrid_validation_forecast(model, panel, 2011)
-    pooled_ll = rmse(ll[:, 1:], actual[:, 1:])
-    pooled_hy = rmse(hy[:, 1:], actual[:, 1:])
-    pooled = (pooled_ll - pooled_hy) / pooled_ll * 100.0
-    rows = validate(panel, model, 2011)
-    per_country_mean = float(np.mean([r.improvement_pct for r in rows]))
-    return pooled, per_country_mean
-
-
-def test_c14_regime_selectivity(unit_root_fits):
+def test_c14_regime_selectivity(scorecard):
     t0 = time.time()
-    ur = np.array([_selectivity_run(panel, fit[0]) for panel, _, fit in unit_root_fits])
-    st = np.array([
-        _selectivity_run(panel, fit[0])
-        for panel, _, fit in (_champion_fit(s, NEAR_STATIONARY) for s in range(20))
-    ])
-    wins_pooled = int(np.sum(ur[:, 0] > 0))
-    wins_country = int(np.sum(ur[:, 1] > 0))
-    stat_mean_pooled = float(st[:, 0].mean())
-    stat_mean_country = float(st[:, 1].mean())
+    ur, st = scorecard("unit_root"), scorecard("stationary")
+    wins_pooled = sum(s.pooled > 0 for s in ur)
+    wins_country = sum(s.per_country > 0 for s in ur)
+    stat_mean_pooled = float(np.mean([s.pooled for s in st]))
+    stat_mean_country = float(np.mean([s.per_country for s in st]))
     elapsed = time.time() - t0
     ok = (
         wins_pooled >= 16
@@ -393,10 +426,10 @@ def test_c14_regime_selectivity(unit_root_fits):
     )
 
 
-def test_c15_ablation_ordering(unit_root_fits):
+def test_c15_ablation_ordering(fits):
     holds = 0
-    for panel, cfg, fit in unit_root_fits:
-        res = ablate(panel, 2011, cfg, baseline=fit)
+    for run in fits("unit_root"):
+        res = ablate(run.panel, 2011, run.cfg, baseline=run.fit)
         lv = res["no_differences"].degradation_pct
         nm = res["no_mbc"].degradation_pct
         if lv > nm > 0:
@@ -460,3 +493,32 @@ def test_c16_hmd_tier(tmp_path):
         scr_es[c] > 0 for c in HMD_CODES
     )
     report(16, "hmd-tier", ok, "(e0 2050 in [82, 88], SCR_ES positive)")
+
+
+def test_c17_network_off_contender(fits, scorecard):
+    """Does the network earn its place?  Scores the hybrid and its
+    network-off contender against Li-Lee and each other, per regime, and
+    prints the table; it asserts only the contender's construction."""
+    exact = True
+    print("[acceptance] C17 pooled specific-factor RMSE gain, wins/20 and median:")
+    for regime in ("unit_root", "stationary"):
+        for run in fits(regime):
+            model = run.fit[0]
+            off = hybrid_validation_forecast(_network_off(model), run.panel, 2011)
+            previous = np.vstack([run.panel.values[run.panel.years <= 2011][-1], off[:-1]])
+            step = model.scaler.mean + model.mbc * model.scaler.sd
+            exact &= np.array_equal(off, previous + step)
+        cards = scorecard(regime)
+        cells = []
+        for name, gains in (
+            ("hybrid vs Li-Lee", [s.pooled for s in cards]),
+            ("network-off vs Li-Lee", [_gain(s.lilee, s.network_off) for s in cards]),
+            ("hybrid vs network-off", [_gain(s.network_off, s.hybrid) for s in cards]),
+        ):
+            cells.append(f"{name} {sum(g > 0 for g in gains)}/20 {np.median(gains):+.1f}%")
+        epoch_1 = sum(s.best_epoch == 1 for s in cards)
+        print(f"    {regime}: {'; '.join(cells)}; epoch-1 fits {epoch_1}/20")
+    report(
+        17, "network-off-contender", exact,
+        "(each network-off step adds scaler.mean + mbc*sd; the gains above are not asserted)",
+    )

@@ -961,12 +961,14 @@ class TestStageRunner:
         assert "truth_params.json" in record["files"]
 
     def test_each_load_trims_once_after_its_parse(self, pipeline, tmp_path, monkeypatch):
-        """Every successful `load` (the manifest's included) hands the heap
-        back exactly once, after its parse; a refused one does not."""
+        """Every successful `load` (the manifest's included) and `fit`'s data
+        read hand the heap back exactly once, after their parse; a refused
+        load does not."""
         root, _ = pipeline
         copy = shutil.copytree(root, tmp_path / "copy")
         events = []
         real_load = RunContext.load
+        real_load_dataset = cli.load_dataset
 
         def recording_load(self, name, parse):
             def recorded_parse(data):
@@ -974,13 +976,20 @@ class TestStageRunner:
                 return parse(data)
             return real_load(self, name, recorded_parse)
 
+        def recording_load_dataset(ctx):
+            dataset = real_load_dataset(ctx)
+            events.append(("parse", "data"))
+            return dataset
+
         monkeypatch.setattr(cli, "_trim", lambda pad: events.append(("trim", pad)))
         monkeypatch.setattr(RunContext, "load", recording_load)
-        for stage in ("forecast", "stress"):
+        monkeypatch.setattr(cli, "load_dataset", recording_load_dataset)
+        for stage, read in (("fit", "data"), ("forecast", "params.json"),
+                            ("stress", "params.json")):
             events.clear()
             assert main([stage, "--config", str(copy / "config.json"), "--quiet"]) == 0, stage
             parsed = [name for kind, name in events if kind == "parse"]
-            assert "manifest.json" in parsed and "params.json" in parsed, stage
+            assert "manifest.json" in parsed and read in parsed, stage
             assert events == [e for name in parsed for e in (("parse", name), ("trim", 0))], stage
         ctx = RunContext(json.loads((copy / "config.json").read_text()), copy)
         events.clear()

@@ -280,16 +280,6 @@ class TestGradients:
 
 
 class TestTraining:
-    def test_overfit_single_sample(self):
-        rng = np.random.default_rng(9)
-        x = rng.standard_normal((1, 10, 4))
-        y = rng.standard_normal((1, 4))
-        cfg = TrainConfig(max_epochs=2000, patience=2000, seed=3)
-        params, trace = train(x, y, x, y, cfg, hidden=(32, 16), dropout_rate=0.2)
-        final = mse(predict(params, x), y)
-        assert final < 1e-4
-        assert trace.epochs_run <= 2000
-
     def test_patience_one_stops_after_two_epochs(self):
         # validation target opposite the training target: moving toward the
         # training label strictly worsens validation from the first step
