@@ -449,6 +449,10 @@ def _hybrid_config(ctx: RunContext, stream: str) -> HybridConfig:
 
 
 def cmd_synth(ctx: RunContext) -> None:
+    data = ctx.cfg["data"]
+    if data["cluster_csv"] is None or data["countries"] is not None:
+        raise ConfigError("synth needs data.cluster_csv, the CSV it writes for fit, "
+                          "and no data.countries")
     from .data import cluster_csv_chunks, synthesize_cluster, synthetic_truth
 
     synth = ctx.cfg["synth"]
@@ -457,7 +461,7 @@ def cmd_synth(ctx: RunContext) -> None:
     truth = synthetic_truth(n_countries=synth["n_countries"], year_range=synth["year_range"],
                             seed=seed, **SYNTH_REGIMES[regime])
     cluster = synthesize_cluster(truth, noise_sd=synth["noise_sd"], seed=seed + 1)
-    target = ctx.data_path(ctx.cfg["data"]["cluster_csv"] or "data/cluster.csv")
+    target = ctx.data_path(data["cluster_csv"])
     target.parent.mkdir(parents=True, exist_ok=True)
     # outside the run directory, the data CSV is recorded by its absolute path
     ctx.write(str(target), *cluster_csv_chunks(cluster, [f"config_hash={ctx.hash}"]))
@@ -807,20 +811,18 @@ def build_parser() -> argparse.ArgumentParser:
     for name in STAGES:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="path to the run config JSON")
-        p.add_argument("--seed-override", type=int, help="replace the config seed")
         p.add_argument("--quiet", action="store_true", help="only warnings and errors")
     return parser
 
 
 def run_stage(args) -> int:
-    """Run stage `args.command`: build the RunContext from the config file
-    and the command-line overrides, run the body `cmd_<stage>(ctx)`, then
-    record in manifest.json the files it wrote, the facts it returned, the
-    process's peak RSS (`ru_maxrss`) in MB just before the body runs
-    (`start_rss_mb`: the interpreter, numpy, the modules every stage
-    imports and the config) and after it (`peak_rss_mb`: the body's own
-    imports too), the minor page faults the body took (`minor_faults`,
-    the `ru_minflt` delta) and the environment (`env`).
+    """Run stage `args.command`: build the RunContext from the config file,
+    run the body `cmd_<stage>(ctx)`, then record in manifest.json the files
+    it wrote, the facts it returned, the process's peak RSS (`ru_maxrss`) in
+    MB just before the body runs (`start_rss_mb`: the interpreter, numpy, the
+    modules every stage imports and the config) and after it (`peak_rss_mb`:
+    the body's own imports too), the minor page faults the body took
+    (`minor_faults`, the `ru_minflt` delta) and the environment (`env`).
     The body is looked up in the module's globals at call time, so a
     wrapper bound to `cmd_<stage>` after import (perfbench's tracer) runs."""
     cfg_path = Path(args.config)
@@ -830,8 +832,6 @@ def run_stage(args) -> int:
         cfg = _json_object(cfg_path.read_bytes())
     except (json.JSONDecodeError, TypeError) as exc:
         raise ConfigError(f"config is not a valid JSON object: {exc}") from exc
-    if args.seed_override is not None:
-        cfg["seed"] = args.seed_override
     ctx = RunContext(cfg, cfg_path.resolve().parent)
     start = resource.getrusage(resource.RUSAGE_SELF)
     facts = globals()[f"cmd_{args.command}"](ctx) or {}

@@ -463,12 +463,26 @@ class TestExitCodes:
         assert main(["synth", "--config", str(cfg), "--quiet"]) == 0
         assert main(["train", "--config", str(cfg), "--quiet"]) == 3
 
+    @pytest.mark.parametrize("data", [
+        {"year_range": [1980, 2020]},
+        {"cluster_csv": "data/cluster.csv", "countries": [{"code": "A", "rates": "a"}]},
+    ], ids=["no-cluster-csv", "both-sources"])
+    def test_synth_without_the_csv_fit_reads_is_1(self, tmp_path, caplog, data):
+        """synth writes the CSV that fit reads, so before it writes a file it
+        refuses a config that names no cluster_csv or names countries too."""
+        cfg = write_config(tmp_path, data=data)
+        assert main(["synth", "--config", str(cfg), "--quiet"]) == 1
+        errors = [r for r in caplog.records if r.levelname == "ERROR"]
+        assert len(errors) == 1 and "data.cluster_csv" in errors[0].getMessage()
+        assert [p for p in tmp_path.rglob("*") if p.is_file()] == [cfg]
+
     def test_mixed_hashes_refused_with_3(self, tmp_path):
         cfg = write_config(tmp_path)
         assert main(["synth", "--config", str(cfg), "--quiet"]) == 0
         assert main(["fit", "--config", str(cfg), "--quiet"]) == 0
         # a different seed is a different config hash over the same out dir
-        assert main(["fit", "--config", str(cfg), "--quiet", "--seed-override", "1"]) == 3
+        write_config(tmp_path, seed=1)
+        assert main(["fit", "--config", str(cfg), "--quiet"]) == 3
 
     @staticmethod
     def _scale_first_rate(path: Path, factor: float) -> None:
@@ -821,12 +835,13 @@ class TestExitCodes:
         errors = [r for r in caplog.records if r.levelname == "ERROR"]
         assert len(errors) == 1 and message in errors[0].getMessage()
 
-    def test_negative_seed_override_is_1(self, tmp_path, caplog):
+    def test_negative_seed_override_is_1(self, tmp_path):
+        """The config's seed is the only seed: the removed --seed-override
+        is an unknown option."""
         cfg = write_config(tmp_path)
-        assert main(["fit", "--config", str(cfg), "--quiet", "--seed-override", "-1"]) == 1
-        errors = [r for r in caplog.records if r.levelname == "ERROR"]
-        assert len(errors) == 1
-        assert "config seed must be an integer >= 0, got -1" in errors[0].getMessage()
+        with pytest.raises(SystemExit) as exc:
+            main(["synth", "--config", str(cfg), "--quiet", "--seed-override", "-1"])
+        assert exc.value.code == 1
         assert not (tmp_path / "run").exists()
 
     def test_environment_changes_no_run(self, tmp_path, monkeypatch):
@@ -848,14 +863,13 @@ class TestExitCodes:
         assert not (tmp_path / "other").exists() and not (tmp_path / "run").exists()
 
     def test_stage_options(self, capsys):
-        """Every stage takes the config, a seed override and --quiet, and
-        nothing else."""
+        """Every stage takes the config and --quiet, and nothing else."""
         for stage in STAGES:
             with pytest.raises(SystemExit) as exc:
                 main([stage, "--help"])
             assert exc.value.code == 0
             options = set(re.findall(r"--[a-z-]+", capsys.readouterr().out))
-            assert options == {"--help", "--config", "--seed-override", "--quiet"}, stage
+            assert options == {"--help", "--config", "--quiet"}, stage
 
     @pytest.mark.parametrize("stage", ["forecast", "stress"])
     def test_focus_country_outside_cluster_writes_nothing(self, pipeline, tmp_path, caplog, stage):

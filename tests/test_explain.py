@@ -89,27 +89,7 @@ class TestSaliency:
         )
 
 
-def linear_model(weights):
-    w = np.asarray(weights, dtype=float)
-
-    def fn(W):
-        flat = W.reshape(W.shape[0], -1)
-        return flat @ w
-
-    return fn
-
-
 class TestKernelShap:
-    def test_linear_model_exact(self):
-        rng = np.random.default_rng(6)
-        L, F = 3, 4  # d = 12
-        w = rng.standard_normal(L * F)
-        x = rng.standard_normal((1, L, F))
-        b = rng.standard_normal((1, L, F))
-        rep = kernel_shap(linear_model(w), b, x, n_coalitions=2**12 - 2)
-        want = w * (x.reshape(-1) - b.reshape(-1))
-        assert np.max(np.abs(rep.phi[0] - want)) <= 1e-8
-
     def test_constant_model_zero_phi(self):
         fn = lambda W: np.full(W.shape[0], 2.5)  # noqa: E731
         rng = np.random.default_rng(7)

@@ -212,17 +212,6 @@ class TestPredict:
 
 
 class TestGradients:
-    def test_weight_gradients_match_finite_differences(self):
-        rng = np.random.default_rng(4)
-        params = toy_params(seed=11)
-        X = rng.standard_normal((2, 4, 3))
-        Y = rng.standard_normal((2, 2))
-        pred, cache = _infer(params, X, None, np.matmul, keep=True)
-        grads, _ = _backward(params, cache, 2.0 * (pred - Y) / X.shape[0])
-        numeric = numeric_weight_grads(params, X, Y, None)
-        for key, _ in params.weight_items():
-            assert_close_grads(grads[key], numeric[key])
-
     def test_weight_gradients_with_fixed_dropout_mask(self):
         rng = np.random.default_rng(5)
         params = toy_params(seed=12, dropout=0.25)

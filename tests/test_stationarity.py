@@ -26,19 +26,6 @@ class TestAdf:
         assert mackinnon_p(-25.0) == 0.0
         assert mackinnon_p(5.0) == 1.0
 
-    def test_white_noise_power(self):
-        rng = np.random.default_rng(10)
-        hits = sum(adf_test(rng.standard_normal(200))[1] < 0.05 for _ in range(200))
-        assert hits >= 180
-
-    def test_random_walk_size(self):
-        rng = np.random.default_rng(11)
-        hits = sum(
-            adf_test(np.cumsum(rng.standard_normal(200)))[1] > 0.05
-            for _ in range(200)
-        )
-        assert hits >= 180
-
     def test_deterministic_trend_fails_to_reject(self):
         stat, p = adf_test(np.arange(200, dtype=float))
         assert p > 0.05
