@@ -478,6 +478,14 @@ def cmd_fit(ctx: RunContext) -> None:
     if _trim is not None:
         _trim(0)
     params, _resid = fit_lilee(dataset)
+    # the stationarity tests run first, so a series too short for them writes nothing
+    rows = []
+    for i, code in enumerate(params.countries):
+        rep = stationarity.analyze(params.k[i])
+        rows.append(
+            [code, f"{rep.adf_stat:.4f}", f"{rep.adf_p:.4f}",
+             f"{rep.kpss_stat:.4f}", f"{rep.kpss_p:.4f}", rep.verdict]
+        )
     ctx.write("params.json", dump_params(params))
 
     panel = FactorPanel.from_params(params)
@@ -486,14 +494,6 @@ def cmd_fit(ctx: RunContext) -> None:
         ["year", *panel.labels],
         [[int(y), *map(float, row)] for y, row in zip(panel.years, panel.values)],
     )
-
-    rows = []
-    for i, code in enumerate(params.countries):
-        rep = stationarity.analyze(params.k[i])
-        rows.append(
-            [code, f"{rep.adf_stat:.4f}", f"{rep.adf_p:.4f}",
-             f"{rep.kpss_stat:.4f}", f"{rep.kpss_p:.4f}", rep.verdict]
-        )
     ctx.write_csv(
         "stationarity.csv",
         ["country", "adf_stat", "adf_p", "kpss_stat", "kpss_p", "verdict"],

@@ -15,12 +15,9 @@ factorial weights instead, since Kernel SHAP over all coalitions gives the
 exact Shapley values (Lundberg & Lee 2017); its 2^d outputs cost less than
 the n x d draw of that budget.
 
-Both paths evaluate the coalitions in the fewest contiguous, near-equal
-blocks of at most `BLOCK` rows (`forecast_stochastic`'s split, so no block
-is a single row, whose matrix-vector product may round differently), so
-the model's working set is bounded whatever the budget or 2^d is.  The
-enumeration at d = 16 took 265 MB more for one window as one batch and
-9.4 MB in blocks; the wide-6c explain stage peaked at 53.0 against 43.7 MB.
+Both paths evaluate the coalitions in the blocks of
+`lstm.row_blocks(n, BLOCK)`, so the model's working set is bounded
+whatever the budget or 2^d is.
 """
 
 from __future__ import annotations
@@ -31,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, RankError
-from .lstm import NetworkParams, input_gradient
+from .lstm import NetworkParams, input_gradient, row_blocks
 
 BLOCK = 256  # most coalition rows handed to the model at once
 
@@ -126,10 +123,8 @@ def _eval_masked(fn, n, mask_rows, x_flat, b_flat, lookback, n_feat):
     """Model outputs at `n` coalitions, `mask_rows(lo, hi)` giving the
     boolean masks of rows [lo, hi): present features from x, absent ones
     from the background mean, built and evaluated one block at a time."""
-    blocks = max(1, -(-n // BLOCK))
     out = np.empty(n)
-    for k in range(blocks):
-        lo, hi = n * k // blocks, n * (k + 1) // blocks
+    for lo, hi in row_blocks(n, BLOCK):
         points = np.where(mask_rows(lo, hi), x_flat, b_flat)
         out[lo:hi] = fn(points.reshape(hi - lo, lookback, n_feat))
     return out

@@ -14,13 +14,14 @@ to parallelize.
 
 Contract: path p depends only on (seed, p), bit for bit, whatever
 `n_paths` is, and the ensemble with zero dropout and zero sigma equals the
-deterministic path bit for bit.  Paths run in contiguous blocks of at most
-`BLOCK` paths on min(usable cores, blocks) worker threads; a block's paths
-advance together through one batched network forward per step, so the
-transient memory is bounded by workers x `BLOCK` paths whatever `n_paths`
-is.  The LSTM kernel multiplies row by row (`lstm._rows`) and all else is
-elementwise, so a row gets exactly the arithmetic of a single window and
-any split into blocks gives the same bits.
+deterministic path bit for bit.  Paths run in the blocks of
+`lstm.row_blocks`, at most `BLOCK` paths each, on min(usable cores,
+blocks) worker threads; a block's paths advance together through one
+batched network forward per step, so the transient memory is bounded by
+workers x `BLOCK` paths whatever `n_paths` is.  The LSTM kernel
+multiplies row by row (`lstm._rows`) and all else is elementwise, so a row
+gets exactly the arithmetic of a single window and any split into blocks
+gives the same bits.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ from .lstm import (
     TrainTrace,
     forward,
     predict,
+    row_blocks,
     train,
 )
 from .risk import sorted_quantiles
@@ -210,10 +212,9 @@ def forecast_stochastic(
     A path with zero dropout and zero sigma reproduces the deterministic
     forecast exactly.  Per step, each path's own stream draws its mask and
     then its noise, as if the paths ran one after another.  The paths are
-    cut into `_block_count(n_paths)` contiguous, near-equal blocks of at
-    most BLOCK paths, run by min(usable cores, blocks) worker threads (a
-    single block on the calling thread), so the memory beyond `levels` is
-    bounded by workers x BLOCK paths; the bits do not depend on the split.
+    cut into the blocks of `row_blocks(n_paths, BLOCK)`, run by
+    min(usable cores, blocks) worker threads, so the memory beyond `levels`
+    is bounded by workers x BLOCK paths; the bits do not depend on the split.
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
@@ -230,24 +231,15 @@ def forecast_stochastic(
 
     out = np.empty((n_paths, horizon + 1, history.values.shape[1]))
     out[:, 0, :] = history.values[-1]
-    blocks = _block_count(n_paths)
-    workers = min(_cores(), blocks)
-    bounds = [n_paths * k // blocks for k in range(blocks + 1)]
+    bounds = row_blocks(n_paths, BLOCK)
+    workers = min(_cores(), len(bounds))
     run = functools.partial(_run_block, model, history, sigma, seed, out)
-    if blocks == 1:
-        run(0, n_paths)
-    else:
-        # copies of the caller's context carry numpy's errstate into the workers
-        ctxs = [contextvars.copy_context() for _ in range(blocks)]
-        with ThreadPoolExecutor(workers) as pool:
-            list(pool.map(contextvars.Context.run, ctxs, [run] * blocks, bounds[:-1], bounds[1:]))
+    # copies of the caller's context carry numpy's errstate into the workers
+    ctxs = [contextvars.copy_context() for _ in bounds]
+    with ThreadPoolExecutor(workers) as pool:
+        list(pool.map(contextvars.Context.run, ctxs, [run] * len(bounds), *zip(*bounds)))
     years = history.years[-1] + np.arange(horizon + 1)
-    return ForecastEnsemble(levels=out, years=years, blocks=blocks, workers=workers)
-
-
-def _block_count(n_paths: int) -> int:
-    """Path blocks for `n_paths`: the fewest of at most BLOCK paths each."""
-    return max(1, -(-n_paths // BLOCK))
+    return ForecastEnsemble(levels=out, years=years, blocks=len(bounds), workers=workers)
 
 
 def _cores() -> int:

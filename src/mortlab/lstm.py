@@ -259,6 +259,15 @@ def _rows(a, W):
     return (a[:, None, :] @ W)[:, 0]
 
 
+def row_blocks(n: int, most: int) -> list[tuple[int, int]]:
+    """(lo, hi) bounds of the fewest contiguous, near-equal blocks of at
+    most `most` rows covering rows [0, n).  Near-equal, so no block of a
+    larger stack is a single row, whose plain product (gemv) may round
+    differently from the same row in a matrix-matrix product (gemm)."""
+    blocks = max(1, -(-n // most))
+    return [(n * k // blocks, n * (k + 1) // blocks) for k in range(blocks)]
+
+
 def _infer(params: NetworkParams, X: np.ndarray, mask: np.ndarray | None, product,
            keep: bool = False):
     """The forward pass over (n, L, in) windows, both layers step by step;

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateSeriesError, RegressionError
+from .errors import DegenerateSeriesError, InsufficientHistoryError, RegressionError
 
 # MacKinnon response-surface coefficients, constant-only regression, one
 # series.  Small-p polynomial applies for stat <= TAU_STAR, large-p above;
@@ -69,7 +69,8 @@ def adf_test(series: np.ndarray) -> tuple[float, float]:
     n = y.size
     max_lag = default_adf_max_lag(n)
     if n < max_lag + 10:
-        raise ValueError(f"series too short: need at least max_lag + 10 = {max_lag + 10}")
+        raise InsufficientHistoryError(
+            f"series too short: need at least max_lag + 10 = {max_lag + 10}")
 
     dy = np.diff(y)
     best = None  # (aic, lag)
@@ -166,7 +167,7 @@ def kpss_test(series: np.ndarray) -> tuple[float, float]:
     y = np.asarray(series, dtype=float)
     n = y.size
     if n < 10:
-        raise ValueError("need at least 10 observations")
+        raise InsufficientHistoryError("need at least 10 observations")
     bw = int(math.floor(4.0 * (n / 100.0) ** 0.25))
 
     resid = y - y.mean()

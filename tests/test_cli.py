@@ -267,7 +267,7 @@ class TestDeterminism:
         root, _ = pipeline
         copy = shutil.copytree(root, tmp_path / "copy")
         (copy / "run" / "ensemble.npy").unlink()
-        monkeypatch.setattr(forecast, "_block_count", lambda n_paths: 3)
+        monkeypatch.setattr(forecast, "row_blocks", lambda n, most: lstm.row_blocks(n, -(-n // 3)))
         monkeypatch.setattr(forecast.os, "sched_getaffinity", lambda pid: {0, 1},
                             raising=False)
         assert main(["forecast", "--config", str(copy / "config.json"), "--quiet"]) == 0
@@ -509,6 +509,21 @@ class TestExitCodes:
         self._scale_first_rate(own / "data" / "cluster.csv", 1.5)
         assert main(["fit", "--config", str(write_config(own)), "--quiet"]) == 0
 
+    def test_fit_on_a_cluster_too_short_for_the_tests_is_4(self, tmp_path, caplog):
+        """16 years leave a factor series too short for the ADF lag rule:
+        fit exits 4 before its first write."""
+        years = {"year_range": [2005, 2020]}
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({
+            "seed": 1, "out_dir": "run", "split_year": 2016, "lookback": 3, "synth": years,
+            "data": {"cluster_csv": "data/cluster.csv", **years},
+        }))
+        assert main(["synth", "--config", str(cfg), "--quiet"]) == 0
+        assert main(["fit", "--config", str(cfg), "--quiet"]) == 4
+        errors = [r for r in caplog.records if r.levelname == "ERROR"]
+        assert len(errors) == 1 and "series too short" in errors[0].getMessage()
+        assert not (tmp_path / "run" / "params.json").exists()
+
     def test_degenerate_scr_is_4(self, tmp_path):
         cfg = write_config(tmp_path)
         for stage in ("synth", "fit", "train", "forecast"):
@@ -600,31 +615,6 @@ class TestExitCodes:
         assert self._stress_on_edited_ensemble(
             pipeline, tmp_path, drop_paths, record_checksum=True) == 3
 
-    def test_byte_truncated_ensemble_is_3(self, pipeline, tmp_path, caplog):
-        assert self._stress_on_edited_ensemble(pipeline, tmp_path, lambda d: d[:-200]) == 3
-        assert "checksum" in caplog.text
-
-    def test_flipped_payload_byte_is_3(self, pipeline, tmp_path, caplog):
-        def flip(data):
-            edited = bytearray(data)
-            edited[-100] ^= 0x01
-            return bytes(edited)
-
-        assert self._stress_on_edited_ensemble(pipeline, tmp_path, flip) == 3
-        assert "checksum" in caplog.text
-
-    def test_foreign_hash_ensemble_is_3(self, pipeline, foreign_run, tmp_path, caplog):
-        # a complete, well-formed ensemble.npy from another seed's run
-        foreign = (foreign_run / "ensemble.npy").read_bytes()
-        assert self._stress_on_edited_ensemble(pipeline, tmp_path, lambda d: foreign) == 3
-        assert "checksum" in caplog.text
-
-    def test_missing_ensemble_is_3(self, pipeline, tmp_path):
-        root, _ = pipeline
-        copy = shutil.copytree(root, tmp_path / "copy")
-        (copy / "run" / "ensemble.npy").unlink()
-        assert main(["stress", "--config", str(copy / "config.json"), "--quiet"]) == 3
-
     @pytest.mark.parametrize("key, value", [
         ("n_paths", 119), ("horizon", 5), ("origin_year", 2019),
     ])
@@ -701,19 +691,6 @@ class TestExitCodes:
             rehash(copy / "run", name)
         assert main([stage, "--config", str(copy / "config.json"), "--quiet"]) == 3
         assert f"artifact {name} does not parse" in caplog.text
-
-    @pytest.mark.parametrize("stage, name", [
-        ("forecast", "model.json"), ("stress", "forecast_manifest.json"),
-    ])
-    def test_json_artifact_without_hash_is_3(self, pipeline, tmp_path, caplog, stage, name):
-        root, _ = pipeline
-        copy = shutil.copytree(root, tmp_path / "copy")
-        path = copy / "run" / name
-        doc = json.loads(path.read_text())
-        del doc["config_hash"]
-        path.write_text(json.dumps(doc))
-        assert main([stage, "--config", str(copy / "config.json"), "--quiet"]) == 3
-        assert f"artifact {name} is missing or does not match its checksum" in caplog.text
 
     @pytest.mark.parametrize("edit", ["foreign", "deleted", "last-row-cut"])
     def test_bad_observed_e0_is_3(self, pipeline, foreign_run, tmp_path, caplog, edit):
@@ -834,15 +811,6 @@ class TestExitCodes:
         assert main(["fit", "--config", str(bad), "--quiet"]) == 1
         errors = [r for r in caplog.records if r.levelname == "ERROR"]
         assert len(errors) == 1 and message in errors[0].getMessage()
-
-    def test_negative_seed_override_is_1(self, tmp_path):
-        """The config's seed is the only seed: the removed --seed-override
-        is an unknown option."""
-        cfg = write_config(tmp_path)
-        with pytest.raises(SystemExit) as exc:
-            main(["synth", "--config", str(cfg), "--quiet", "--seed-override", "-1"])
-        assert exc.value.code == 1
-        assert not (tmp_path / "run").exists()
 
     def test_environment_changes_no_run(self, tmp_path, monkeypatch):
         """A run's settings are its config's: MORTLAB_OUT moves no artifact

@@ -1,7 +1,6 @@
 import dataclasses
 import json
 import sys
-import threading
 import tracemalloc
 
 import numpy as np
@@ -20,7 +19,9 @@ from mortlab.forecast import (
     parse_forecaster,
 )
 from mortlab.lilee import FactorPanel
-from mortlab.lstm import draw_mask, dump_network, forward, init_params, parse_network, predict
+from mortlab.lstm import (
+    draw_mask, dump_network, forward, init_params, parse_network, predict, row_blocks,
+)
 from mortlab.risk import quantile
 from mortlab.windows import ScalerParams
 from tests.test_lstm import zero_params
@@ -267,7 +268,8 @@ class TestStochastic:
 
 
 def forced_blocks(monkeypatch, blocks):
-    monkeypatch.setattr(forecast, "_block_count", lambda n_paths: blocks)
+    """Split ensembles into blocks of at most ceil(n / blocks) rows."""
+    monkeypatch.setattr(forecast, "row_blocks", lambda n, most: row_blocks(n, -(-n // blocks)))
 
 
 class TestBlocks:
@@ -296,23 +298,6 @@ class TestBlocks:
             sys.setswitchinterval(interval)
         assert len(set(runs.values())) == 1
 
-    def test_degenerate_ensemble_over_blocks_equals_deterministic_bitwise(
-        self, trained_model, fitted_panel, monkeypatch
-    ):
-        model = trained_model[0]
-        _, panel = fitted_panel
-        det_net = model.net.copy()
-        det_net.dropout_rate = 0.0
-        det_model = dataclasses.replace(model, net=det_net)
-        det = forecast_deterministic(det_model, panel, horizon=8).values[-8:]
-        forced_blocks(monkeypatch, 3)
-        ens = forecast_stochastic(
-            det_model, panel, horizon=8, n_paths=50, sigma=np.zeros(panel.n_factors), seed=5
-        )
-        assert ens.blocks == 3
-        for p in range(ens.n_paths):
-            assert np.array_equal(ens.levels[p, 1:], det)
-
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_worker_error_reaches_caller_with_its_type(self, monkeypatch):
         # the bias overflows the first step to inf; the next forward refuses it
@@ -325,27 +310,11 @@ class TestBlocks:
         with np.errstate(over="raise"), pytest.raises(FloatingPointError):
             forecast_stochastic(model, history, horizon=3, n_paths=4, sigma=np.ones(2), seed=1)
 
-    def test_small_ensemble_runs_on_the_calling_thread(self, monkeypatch):
-        monkeypatch.setattr(forecast.os, "sched_getaffinity", lambda pid: set(range(64)),
-                            raising=False)
-        n_paths = forecast.BLOCK
-        assert forecast._block_count(n_paths) == 1
-        assert forecast._block_count(n_paths + 1) == 2
-        threads = []
-        run_block = forecast._run_block
-
-        def recording(*args):
-            threads.append(threading.get_ident())
-            run_block(*args)
-
-        monkeypatch.setattr(forecast, "_run_block", recording)
-        model = zero_model(n_features=2, lookback=3)
-        history = make_panel(np.random.default_rng(4).standard_normal((6, 2)))
-        ens = forecast_stochastic(
-            model, history, horizon=2, n_paths=n_paths, sigma=np.ones(2), seed=2
-        )
-        assert ens.blocks == 1
-        assert threads == [threading.get_ident()]
+    def test_row_blocks_split_at_block_boundary(self):
+        assert row_blocks(forecast.BLOCK, forecast.BLOCK) == [(0, forecast.BLOCK)]
+        half = (forecast.BLOCK + 1) // 2
+        assert row_blocks(forecast.BLOCK + 1, forecast.BLOCK) == [
+            (0, half), (half, forecast.BLOCK + 1)]
 
     def test_transient_memory_does_not_grow_with_n_paths(self, monkeypatch):
         # with 2 workers at most 2 blocks are alive at once, whatever n_paths

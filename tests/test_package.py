@@ -1,7 +1,9 @@
 """The package imports only what every stage runs: `data`, `stationarity`,
 `explain` and `benchmark` load when a stage body (or a caller) first
-needs them, and every name `mortlab` has always exported still resolves."""
+needs them, and every name `mortlab` has always exported still resolves.
+Its modules import nothing outside the standard library, numpy and itself."""
 
+import ast
 import importlib
 import json
 import os
@@ -66,3 +68,17 @@ def test_every_export_is_its_submodules_object(module):
 def test_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         mortlab.no_such_name  # noqa: B018
+
+
+def test_numpy_is_the_only_runtime_requirement():
+    allowed = {*sys.stdlib_module_names, "numpy", "mortlab"}
+    for path in sorted((SRC / "mortlab").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:  # relative imports name the package itself
+                continue
+            for name in names:
+                assert name.split(".")[0] in allowed, f"{path.name} imports {name}"

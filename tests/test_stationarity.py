@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mortlab.errors import DegenerateSeriesError
+from mortlab.errors import DegenerateSeriesError, InsufficientHistoryError
 from mortlab.stationarity import (
     adf_test,
     analyze,
@@ -38,7 +38,7 @@ class TestAdf:
         assert abs(s1 - s2) <= 1e-8
 
     def test_too_short_series(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InsufficientHistoryError):
             adf_test(np.random.default_rng(0).standard_normal(12))
 
     def test_default_lag_rule(self):
@@ -78,7 +78,7 @@ class TestKpss:
                 assert p == pytest.approx(want, abs=1e-12)
 
     def test_short_series_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InsufficientHistoryError):
             kpss_test(np.arange(5, dtype=float))
 
 
