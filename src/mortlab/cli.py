@@ -26,9 +26,13 @@ files the body wrote, the facts it returned (forecast: `path_blocks`,
 `clipped_epochs`, `max_grad_norm`), the stage process's peak RSS in MB
 before the body runs (`start_rss_mb`) and after it (`peak_rss_mb`), the
 minor page faults the body took (`minor_faults`) and the Python, numpy
-and BLAS it ran on (`env`).  A stage that fails records nothing, so its
-previous record stays untouched.  `fit` refuses (exit 3) a data CSV whose
-bytes differ from those `synth` recorded for it.
+and BLAS it ran on (`env`).  A stage commits all or nothing: `write` keeps
+each file under a hidden pending name, and only `record_stage`, holding an
+exclusive lock on the run directory, moves them into place and replaces
+the stage's record in the manifest it re-reads, so overlapping stages keep
+each other's records and a stage that raises leaves every file as it was.
+`fit` refuses (exit 3) a data CSV whose bytes differ from those `synth`
+recorded for it.
 
 A stage process holds only what its body runs: this module imports at
 top level the modules every stage uses, and a body imports the rest
@@ -45,11 +49,13 @@ from __future__ import annotations
 import argparse
 import csv
 import ctypes
+import fcntl
 import hashlib
 import io
 import json
 import logging
 import math
+import os
 import resource
 import sys
 from datetime import datetime, timezone
@@ -58,25 +64,7 @@ from pathlib import Path
 import numpy as np
 
 from . import lifetable, risk
-from .errors import (
-    ConfigError,
-    DataGapError,
-    DegenerateRiskError,
-    DegenerateSeriesError,
-    DimensionError,
-    DomainError,
-    ExposureError,
-    InsufficientHistoryError,
-    MortlabError,
-    NumericError,
-    ParseError,
-    RankError,
-    RegressionError,
-    ScalingError,
-    StageError,
-    StructureError,
-    TrainingError,
-)
+from .errors import ConfigError, DimensionError, MortlabError, ScalingError, StageError
 from .forecast import (
     dump_forecaster,
     ensemble_quantiles,
@@ -226,9 +214,10 @@ _trim = _malloc_trim()
 
 class RunContext:
     """Resolved configuration plus the run directory's one writer and one
-    reader: every file a stage writes goes through `write`, which records
-    its SHA-256 for `manifest.json`, and every file a stage reads goes
-    through `load`, which refuses bytes other than the recorded ones."""
+    reader: every file a stage writes goes through `write`, which keeps it
+    under a pending name until `record_stage` commits the stage, and every
+    file a stage reads goes through `load`, which refuses bytes other than
+    the recorded ones."""
 
     def __init__(self, cfg: dict, config_dir: Path):
         self.cfg, hashed = _checked(cfg)
@@ -237,10 +226,13 @@ class RunContext:
         out_path = Path(self.cfg["out_dir"] or f"runs/{self.hash[:8]}")
         self.out_dir = out_path if out_path.is_absolute() else config_dir / out_path
         self.out_dir.mkdir(parents=True, exist_ok=True)
-        self.manifest = {"config_hash": self.hash, "stages": {}}
-        if self.path(MANIFEST).exists():
-            self.manifest = self.load(MANIFEST, self._parse_manifest)
-        self.written: dict[str, str] = {}  # name -> SHA-256 of this stage's files
+        self.manifest = self._read_manifest()
+        self.written = {}  # name -> SHA-256 object of this stage's pending file
+
+    def _read_manifest(self) -> dict:
+        if not self.path(MANIFEST).exists():
+            return {"config_hash": self.hash, "stages": {}}
+        return self.load(MANIFEST, self._parse_manifest)
 
     def path(self, name: str) -> Path:
         return self.out_dir / name
@@ -250,28 +242,46 @@ class RunContext:
         return p if p.is_absolute() else self.config_dir / p
 
     def record_stage(self, stage: str, **facts):
-        """Record the stage in manifest.json with the checksums of the files
-        it wrote."""
-        self.manifest["stages"][stage] = {
-            "completed": datetime.now(timezone.utc).isoformat(timespec="seconds"),
-            "files": self.written,
-            **facts,
-        }
-        self.path(MANIFEST).write_text(json.dumps(self.manifest, indent=2))
+        """Commit the stage, the one place its files move into place: under
+        an exclusive lock on the run directory, re-read manifest.json, replace
+        only this stage's record, with the checksums of its files, and move
+        the stage's pending files, then the manifest, to their final names."""
+        lock = os.open(self.out_dir, os.O_RDONLY)
+        try:
+            fcntl.flock(lock, fcntl.LOCK_EX)
+            self.manifest = self._read_manifest()
+            self.manifest["stages"][stage] = {
+                "completed": datetime.now(timezone.utc).isoformat(timespec="seconds"),
+                "files": {name: digest.hexdigest() for name, digest in self.written.items()},
+                **facts,
+            }
+            self.write(MANIFEST, json.dumps(self.manifest, indent=2))
+            for name in self.written:
+                os.replace(self._pending(name), self.path(name))
+        finally:
+            os.close(lock)  # and with it the lock
+
+    def discard(self) -> None:
+        """Delete the pending files of a stage that does not commit."""
+        for name in self.written:
+            self._pending(name).unlink(missing_ok=True)
+
+    def _pending(self, name: str) -> Path:
+        """File `name`'s hidden name, unique to the process, until its stage commits."""
+        path = self.path(name)
+        return path.with_name(f".{path.name}.{os.getpid()}.pending")
 
     # -- artifact io ---------------------------------------------------------
-    def write(self, name: str, *chunks) -> str:
-        """Write the chunks (text is UTF-8 encoded) as file `name` and return
-        the SHA-256 of the bytes written, which record_stage will record."""
-        digest = hashlib.sha256()
-        with self.path(name).open("wb") as fh:
+    def write(self, name: str, *chunks) -> None:
+        """Write the chunks (text is UTF-8 encoded) under file `name`'s
+        pending name, hashing the bytes for record_stage to record."""
+        digest = self.written[name] = hashlib.sha256()
+        with self._pending(name).open("wb") as fh:
             for chunk in chunks:
                 if isinstance(chunk, str):
                     chunk = chunk.encode()
                 fh.write(chunk)
                 digest.update(chunk)
-        self.written[name] = digest.hexdigest()
-        return self.written[name]
 
     def write_csv(self, name: str, header, rows):
         buf = io.StringIO()
@@ -478,7 +488,6 @@ def cmd_fit(ctx: RunContext) -> None:
     if _trim is not None:
         _trim(0)
     params, _resid = fit_lilee(dataset)
-    # the stationarity tests run first, so a series too short for them writes nothing
     rows = []
     for i, code in enumerate(params.countries):
         rep = stationarity.analyze(params.k[i])
@@ -579,7 +588,6 @@ def _parse_ensemble(data: bytes, panel: FactorPanel, fdoc: dict) -> ForecastEnse
 
 def cmd_forecast(ctx: RunContext) -> dict:
     params, model, panel = _load_model_panel(ctx)
-    # everything that can refuse the run is read before the first write
     focus = _focus_country(ctx, params.countries)
     observed = ctx.load("observed_e0.csv", lambda data: _observed_e0(data, params.countries))
     fc = ctx.cfg["forecast"]
@@ -692,8 +700,6 @@ def cmd_explain(ctx: RunContext) -> None:
         seed=stream_seed(ctx.cfg["seed"], "explain"),
     )
     scores = explain.aggregate_country_influence(rep)
-    # both results exist before either file is written, so a refused budget
-    # leaves no file behind and no recorded file overwritten
     ctx.write_csv(
         "saliency.csv",
         ["lag", "importance_pct"],
@@ -817,14 +823,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def run_stage(args) -> int:
     """Run stage `args.command`: build the RunContext from the config file,
-    run the body `cmd_<stage>(ctx)`, then record in manifest.json the files
-    it wrote, the facts it returned, the process's peak RSS (`ru_maxrss`) in
-    MB just before the body runs (`start_rss_mb`: the interpreter, numpy, the
-    modules every stage imports and the config) and after it (`peak_rss_mb`:
-    the body's own imports too), the minor page faults the body took
-    (`minor_faults`, the `ru_minflt` delta) and the environment (`env`).
-    The body is looked up in the module's globals at call time, so a
-    wrapper bound to `cmd_<stage>` after import (perfbench's tracer) runs."""
+    run the body `cmd_<stage>(ctx)`, then commit the stage, recording the
+    files it wrote, the facts it returned, the process's peak RSS (`ru_maxrss`)
+    in MB just before the body runs (`start_rss_mb`: the interpreter, numpy,
+    the modules every stage imports and the config) and after it
+    (`peak_rss_mb`: the body's own imports too), the minor page faults the
+    body took (`minor_faults`, the `ru_minflt` delta) and the environment
+    (`env`).  If the body or the commit raises, the pending files go.  The
+    body is looked up in the module's globals at call time, so a wrapper
+    bound to `cmd_<stage>` after import (perfbench's tracer) runs."""
     cfg_path = Path(args.config)
     if not cfg_path.exists():
         raise FileNotFoundError(f"config file not found: {cfg_path}")
@@ -834,11 +841,15 @@ def run_stage(args) -> int:
         raise ConfigError(f"config is not a valid JSON object: {exc}") from exc
     ctx = RunContext(cfg, cfg_path.resolve().parent)
     start = resource.getrusage(resource.RUSAGE_SELF)
-    facts = globals()[f"cmd_{args.command}"](ctx) or {}
-    end = resource.getrusage(resource.RUSAGE_SELF)
-    ctx.record_stage(args.command, **facts, start_rss_mb=_mb(start.ru_maxrss),
-                     peak_rss_mb=_mb(end.ru_maxrss), minor_faults=end.ru_minflt - start.ru_minflt,
-                     env=_environment())
+    try:
+        facts = globals()[f"cmd_{args.command}"](ctx) or {}
+        end = resource.getrusage(resource.RUSAGE_SELF)
+        ctx.record_stage(args.command, **facts, start_rss_mb=_mb(start.ru_maxrss),
+                         peak_rss_mb=_mb(end.ru_maxrss),
+                         minor_faults=end.ru_minflt - start.ru_minflt, env=_environment())
+    except BaseException:
+        ctx.discard()
+        raise
     return 0
 
 
@@ -855,32 +866,16 @@ def _mb(kib: int) -> float:
     return round(kib * 1024 / 1e6, 2)
 
 
-_EXIT_CODES = (
-    (1, (ConfigError,)),
-    (2, (FileNotFoundError, ParseError, StructureError, DataGapError,
-         ExposureError, DomainError)),
-    (3, (StageError,)),
-    (4, (DegenerateRiskError, DegenerateSeriesError, RankError, ScalingError,
-         InsufficientHistoryError, RegressionError)),
-    (5, (TrainingError, NumericError, FloatingPointError, np.linalg.LinAlgError)),
-)
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     logging.basicConfig(level="WARNING" if args.quiet else "INFO",
                         format="%(levelname)s %(message)s")
     try:
         return run_stage(args)
-    except Exception as exc:  # noqa: BLE001 - translated to exit codes below
-        for code, types in _EXIT_CODES:
-            if isinstance(exc, types):
-                log.error("%s", exc)
-                return code
-        if isinstance(exc, MortlabError):
-            log.error("%s", exc)
-            return 5
-        raise
+    except (MortlabError, FileNotFoundError, FloatingPointError, np.linalg.LinAlgError) as exc:
+        log.error("%s", exc)
+        # a package error carries its code; a missing file is 2, a numeric failure 5
+        return getattr(exc, "exit_code", 2 if isinstance(exc, FileNotFoundError) else 5)
 
 
 if __name__ == "__main__":

@@ -324,11 +324,12 @@ def parse_forecaster(text: str | bytes, net: NetworkParams) -> ForecastModel:
         raise DimensionError(
             f"unsupported forecaster schema {doc.get('schema')!r}; expected {MODEL_SCHEMA}"
         )
+    lookback = int(doc["lookback"])
+    if lookback < 1:
+        raise ValueError(f"lookback must be >= 1, got {lookback}")
     scaler = ScalerParams(
         mean=np.asarray(doc["scaler"]["mean"]),
         sd=np.asarray(doc["scaler"]["sd"]),
         train_end_year=int(doc["scaler"]["train_end_year"]),
     )
-    return ForecastModel(
-        net=net, scaler=scaler, mbc=np.asarray(doc["mbc"]), lookback=int(doc["lookback"])
-    )
+    return ForecastModel(net=net, scaler=scaler, mbc=np.asarray(doc["mbc"]), lookback=lookback)

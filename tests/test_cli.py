@@ -14,8 +14,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mortlab import cli, explain, forecast, lifetable, lstm, risk
+from mortlab import cli, forecast, lifetable, lstm, risk
 from mortlab.cli import STAGES, RunContext, main
+from mortlab.errors import DegenerateRiskError
 from mortlab.forecast import ForecastEnsemble, HybridConfig, forecast_stochastic, parse_forecaster
 from mortlab.lilee import FactorPanel, parse_params
 from mortlab.lstm import TrainConfig
@@ -389,16 +390,20 @@ class TestArtifactRule:
 
     def test_stages_read_only_through_load(self, tmp_path, monkeypatch):
         """Each stage opens no run-directory file for reading but
-        manifest.json and the ones it reads through RunContext.load."""
+        manifest.json and the ones it reads through RunContext.load, and
+        opens no file for writing under its final name: it writes only
+        pending files, which the runner moves into place."""
         cfg = write_config(tmp_path)
         run_dir = (tmp_path / "run").resolve()
-        opened, loaded = set(), set()
+        opened, loaded, written = set(), set(), set()
         real_open, real_load = io.open, getattr(RunContext, "load", None)
 
         def recording_open(file, mode="r", *args, **kwargs):
-            if isinstance(file, (str, os.PathLike)) and not set(mode) & set("wax+"):
+            if isinstance(file, (str, os.PathLike)):
                 path = Path(file).resolve()
-                if path.parent == run_dir:
+                if set(mode) & set("wax+"):
+                    written.add(path.name)
+                elif path.parent == run_dir:
                     opened.add(path.name)
             return real_open(file, mode, *args, **kwargs)
 
@@ -411,9 +416,12 @@ class TestArtifactRule:
         for stage in STAGES:
             opened.clear()
             loaded.clear()
+            written.clear()
             assert main([stage, "--config", str(cfg), "--quiet"]) == 0, stage
             assert opened - {"manifest.json"} <= loaded, stage
             assert "manifest.json" in opened or stage == "synth", stage
+            assert written and all(re.fullmatch(rf"\..+\.{os.getpid()}\.pending", n)
+                                   for n in written), stage
 
     @pytest.mark.parametrize("edit", [
         lambda doc: doc.pop("stages"),
@@ -468,13 +476,12 @@ class TestExitCodes:
         {"cluster_csv": "data/cluster.csv", "countries": [{"code": "A", "rates": "a"}]},
     ], ids=["no-cluster-csv", "both-sources"])
     def test_synth_without_the_csv_fit_reads_is_1(self, tmp_path, caplog, data):
-        """synth writes the CSV that fit reads, so before it writes a file it
-        refuses a config that names no cluster_csv or names countries too."""
+        """synth writes the CSV that fit reads, so it refuses a config that
+        names no cluster_csv or names countries too."""
         cfg = write_config(tmp_path, data=data)
         assert main(["synth", "--config", str(cfg), "--quiet"]) == 1
         errors = [r for r in caplog.records if r.levelname == "ERROR"]
         assert len(errors) == 1 and "data.cluster_csv" in errors[0].getMessage()
-        assert [p for p in tmp_path.rglob("*") if p.is_file()] == [cfg]
 
     def test_mixed_hashes_refused_with_3(self, tmp_path):
         cfg = write_config(tmp_path)
@@ -498,7 +505,6 @@ class TestExitCodes:
         self._scale_first_rate(tmp_path / "data" / "cluster.csv", 1.5)
         assert main(["fit", "--config", str(cfg), "--quiet"]) == 3
         assert "does not match its checksum" in caplog.text and "rerun synth" in caplog.text
-        assert not (tmp_path / "run" / "params.json").exists()
 
     def test_data_csv_synth_never_recorded_is_read(self, tmp_path):
         made, own = tmp_path / "made", tmp_path / "own"
@@ -511,7 +517,7 @@ class TestExitCodes:
 
     def test_fit_on_a_cluster_too_short_for_the_tests_is_4(self, tmp_path, caplog):
         """16 years leave a factor series too short for the ADF lag rule:
-        fit exits 4 before its first write."""
+        fit exits 4."""
         years = {"year_range": [2005, 2020]}
         cfg = tmp_path / "config.json"
         cfg.write_text(json.dumps({
@@ -522,7 +528,6 @@ class TestExitCodes:
         assert main(["fit", "--config", str(cfg), "--quiet"]) == 4
         errors = [r for r in caplog.records if r.levelname == "ERROR"]
         assert len(errors) == 1 and "series too short" in errors[0].getMessage()
-        assert not (tmp_path / "run" / "params.json").exists()
 
     def test_degenerate_scr_is_4(self, tmp_path):
         cfg = write_config(tmp_path)
@@ -534,8 +539,6 @@ class TestExitCodes:
         collapsed = np.repeat(levels[:1], levels.shape[0], axis=0)
         write_ensemble(out, npy_bytes(collapsed), record_checksum=True)
         assert main(["stress", "--config", str(cfg), "--quiet"]) == 4
-        # the runner records a stage only after its body returns
-        assert "stress" not in json.loads((out / "manifest.json").read_text())["stages"]
 
     def test_stress_with_an_empty_es_tail_is_4(self, tmp_path, caplog):
         # 50 paths pass the forecast floor, but the 99% ES needs 100
@@ -555,36 +558,6 @@ class TestExitCodes:
         assert main(["explain", "--config", str(cfg), "--quiet"]) == 4
         errors = [r for r in caplog.records if r.levelname == "ERROR"]
         assert len(errors) == 1 and "must be at least 39" in errors[0].getMessage()
-        out = tmp_path / "run"
-        assert "explain" not in json.loads((out / "manifest.json").read_text())["stages"]
-        assert not (out / "influence.csv").exists()
-
-    def test_refused_shap_budget_writes_no_saliency(self, tmp_path, monkeypatch):
-        """explain writes nothing until both attributions exist: a refused
-        budget leaves no saliency.csv in a fresh run directory, and over a
-        completed run it leaves the recorded file untouched."""
-        cfg = write_config(tmp_path, train={"max_epochs": 5})
-        for stage in ("synth", "fit", "train"):
-            assert main([stage, "--config", str(cfg), "--quiet"]) == 0
-        real = explain.kernel_shap
-
-        def refused(*args, **kwargs):  # d = 40: 3 coalitions exit 4
-            return real(*args, **{**kwargs, "n_coalitions": 3})
-
-        out = tmp_path / "run"
-        monkeypatch.setattr(explain, "kernel_shap", refused)
-        assert main(["explain", "--config", str(cfg), "--quiet"]) == 4
-        assert not (out / "saliency.csv").exists()
-
-        monkeypatch.undo()
-        assert main(["explain", "--config", str(cfg), "--quiet"]) == 0
-        os.utime(out / "saliency.csv", ns=(1, 1))
-        monkeypatch.setattr(explain, "kernel_shap", refused)
-        assert main(["explain", "--config", str(cfg), "--quiet"]) == 4
-        assert (out / "saliency.csv").stat().st_mtime_ns == 1
-        recorded = json.loads((out / "manifest.json").read_text())["stages"]["explain"]
-        data = (out / "saliency.csv").read_bytes()
-        assert hashlib.sha256(data).hexdigest() == recorded["files"]["saliency.csv"]
 
     def _stress_on_edited_ensemble(self, pipeline, tmp_path, edit, record_checksum=False):
         """Rerun stress on a copy of the pipeline whose ensemble.npy bytes
@@ -594,12 +567,6 @@ class TestExitCodes:
         data = (copy / "run" / "ensemble.npy").read_bytes()
         write_ensemble(copy / "run", edit(data), record_checksum)
         return main(["stress", "--config", str(copy / "config.json"), "--quiet"])
-
-    def test_failed_stage_keeps_its_previous_record(self, pipeline, tmp_path):
-        root, _ = pipeline
-        assert self._stress_on_edited_ensemble(pipeline, tmp_path, flip_middle_byte) == 3
-        manifest = Path("run", "manifest.json")
-        assert (tmp_path / "copy" / manifest).read_bytes() == (root / manifest).read_bytes()
 
     def test_rewritten_intact_ensemble_is_0(self, pipeline, tmp_path):
         def resave(data):
@@ -679,6 +646,10 @@ class TestExitCodes:
         pytest.param("stress", "params.json", lambda t: "[]",
                      id="stress-params.json-not-an-object"),
         pytest.param("forecast", "model.json", zero_scaler_sd, id="forecast-model.json-zero-sd"),
+    ] + [
+        pytest.param(stage, "model.json", lambda t: json.dumps({**json.loads(t), "lookback": 0}),
+                     id=f"{stage}-model.json-lookback-0")
+        for stage in ("forecast", "validate", "explain", "stress")
     ])
     def test_cut_json_artifact_is_3(self, pipeline, tmp_path, caplog, stage, name, edit):
         """The artifact cut to 5 bytes, or replaced by a document that
@@ -703,11 +674,8 @@ class TestExitCodes:
             path.unlink()
         else:
             path.write_text("".join(path.read_text().splitlines(keepends=True)[:-1]))
-        os.utime(copy / "run" / "ensemble.npy", ns=(1, 1))
         assert main(["forecast", "--config", str(copy / "config.json"), "--quiet"]) == 3
         assert "observed_e0.csv" in caplog.text
-        # refused before forecast's first write
-        assert (copy / "run" / "ensemble.npy").stat().st_mtime_ns == 1
 
     @pytest.mark.parametrize("keep", ["one-country", "header-only"])
     def test_cluster_of_fewer_than_two_countries_is_2(self, tmp_path, caplog, keep):
@@ -731,7 +699,6 @@ class TestExitCodes:
         assert main(["synth", "--config", str(cfg), "--quiet"]) == 0
         assert main(["fit", "--config", str(cfg), "--quiet"]) == 2
         assert "SYA appears more than once" in caplog.text
-        assert not (tmp_path / "run" / "params.json").exists()
 
     def test_lapack_failure_is_5(self, tmp_path, monkeypatch):
         cfg = write_config(tmp_path)
@@ -841,8 +808,8 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("stage", ["forecast", "stress"])
     def test_focus_country_outside_cluster_writes_nothing(self, pipeline, tmp_path, caplog, stage):
-        """A focus_country outside the cluster exits 1 before the stage's
-        first write: every file of the run directory stays as it was."""
+        """A focus_country outside the cluster exits 1; like every refusal it
+        writes nothing (test_a_stage_that_raises_leaves_every_file)."""
         root, _ = pipeline
         copy = shutil.copytree(root, tmp_path / "copy")
         cfg = json.loads((copy / "config.json").read_text())
@@ -851,13 +818,8 @@ class TestExitCodes:
         manifest = json.loads((copy / "run" / "manifest.json").read_text())
         manifest["config_hash"] = cli.config_hash(cli._checked(cfg)[1])
         (copy / "run" / "manifest.json").write_text(json.dumps(manifest))
-        files = sorted((copy / "run").iterdir())
-        for path in files:
-            os.utime(path, ns=(1, 1))
         assert main([stage, "--config", str(copy / "config.json"), "--quiet"]) == 1
         assert "focus_country 'XXX' is not in the cluster" in caplog.text
-        assert sorted((copy / "run").iterdir()) == files
-        assert all(path.stat().st_mtime_ns == 1 for path in files)
 
 
 # config_hash of three configs, computed before the config table replaced
@@ -926,21 +888,59 @@ class TestConfigReference:
 
 
 class TestStageRunner:
-    def test_body_is_looked_up_at_call_time(self, tmp_path, monkeypatch):
-        """A wrapper bound to cli.cmd_<stage> after import is the body the
-        runner calls, and the facts it returns land in the stage's record."""
-        cfg = write_config(tmp_path)
-        body = cli.cmd_synth
+    @pytest.mark.parametrize("run", ["fresh", "completed"])
+    @pytest.mark.parametrize("stage", STAGES)
+    def test_a_stage_that_raises_leaves_every_file(self, pipeline, tmp_path, monkeypatch,
+                                                   stage, run):
+        """A body that raises after all its writes leaves every file, the data
+        CSV and manifest.json included, with its bytes and mtime, and no
+        pending file: in a run directory where only the earlier stages ran,
+        and over a completed run."""
+        if run == "fresh":
+            cfg = write_config(tmp_path)
+            for earlier in STAGES[: STAGES.index(stage)]:
+                assert main([earlier, "--config", str(cfg), "--quiet"]) == 0, earlier
+        else:
+            cfg = shutil.copytree(pipeline[0], tmp_path / "copy") / "config.json"
 
-        def wrapper(ctx):
+        def files():
+            return {p: (p.read_bytes(), p.stat().st_mtime_ns)
+                    for p in tmp_path.rglob("*") if p.is_file()}
+
+        for path in files():
+            os.utime(path, ns=(1, 1))
+        before, body = files(), getattr(cli, f"cmd_{stage}")
+
+        def raising(ctx):
             body(ctx)
+            raise DegenerateRiskError("refused after the body's writes")
+
+        monkeypatch.setattr(cli, f"cmd_{stage}", raising)
+        assert main([stage, "--config", str(cfg), "--quiet"]) == 4
+        assert files() == before
+
+    def test_overlapping_stages_keep_each_others_records(self, pipeline, tmp_path, monkeypatch):
+        """explain, started and committed while validate's body runs, keeps
+        its record when validate commits.  The body is a wrapper bound to
+        cli.cmd_validate after import, and the facts it returns are recorded."""
+        copy = shutil.copytree(pipeline[0], tmp_path / "copy")
+        cfg, manifest = str(copy / "config.json"), copy / "run" / "manifest.json"
+        doc = json.loads(manifest.read_text())
+        del doc["stages"]["explain"]
+        manifest.write_text(json.dumps(doc))
+        body = cli.cmd_validate
+
+        def overlapped(ctx):
+            body(ctx)
+            assert main(["explain", "--config", cfg, "--quiet"]) == 0
             return {"probe": 1}
 
-        monkeypatch.setattr(cli, "cmd_synth", wrapper)
-        assert main(["synth", "--config", str(cfg), "--quiet"]) == 0
-        record = json.loads((tmp_path / "run" / "manifest.json").read_text())["stages"]["synth"]
-        assert record["probe"] == 1
-        assert "truth_params.json" in record["files"]
+        monkeypatch.setattr(cli, "cmd_validate", overlapped)
+        assert main(["validate", "--config", cfg, "--quiet"]) == 0
+        stages = json.loads(manifest.read_text())["stages"]
+        assert stages["validate"]["probe"] == 1
+        for name, digest in {**stages["validate"]["files"], **stages["explain"]["files"]}.items():
+            assert hashlib.sha256((copy / "run" / name).read_bytes()).hexdigest() == digest, name
 
     def test_each_load_trims_once_after_its_parse(self, pipeline, tmp_path, monkeypatch):
         """Every successful `load` (the manifest's included) and `fit`'s data
