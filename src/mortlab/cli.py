@@ -15,9 +15,10 @@ from that checksum, or that does not parse into a complete, valid object.
 A manifest in any other form does not parse either (exit 3).
 The binary ensemble (`ensemble.npy`, little-endian float64, paths x
 (horizon + 1) x factors, origin row included) is also refused unless its
-header, shape and origin row are exactly what forecast wrote.  All
-randomness flows from the single config seed through named substreams, so
-reruns, the ensemble's bytes included, are bit-reproducible.
+header, shape and origin row are exactly what forecast wrote and every
+level is finite.  All randomness flows from the single config seed through
+named substreams, so reruns, the ensemble's bytes included, are
+bit-reproducible.
 
 One runner, `run_stage`, owns every stage's lifecycle: it loads the
 context, runs the body `cmd_<stage>(ctx)` and records in manifest.json the
@@ -31,6 +32,7 @@ each file under a hidden pending name, and only `record_stage`, holding an
 exclusive lock on the run directory, moves them into place and replaces
 the stage's record in the manifest it re-reads, so overlapping stages keep
 each other's records and a stage that raises leaves every file as it was.
+The commit also deletes the pending files a killed stage process left.
 `fit` refuses (exit 3) a data CSV whose bytes differ from those `synth`
 recorded for it.
 
@@ -138,7 +140,8 @@ SOURCES = ("a non-empty list of {code, rates} or {code, deaths, exposures} objec
 # object of its own keys.  Only a key whose default is null may be null, which
 # leaves the choice to the stage, and seed's "required" fails its own test.
 # The stages read each value as its default's type: a float default reads 1
-# as 1.0, a list default gives a tuple.
+# as 1.0, a list default gives a tuple.  A default the library owns is read
+# from its owner.
 CONFIG = {
     "seed": ("required", *_at_least(0)), "out_dir": (None, *STRING),
     "focus_country": (None, *STRING),
@@ -146,16 +149,21 @@ CONFIG = {
              "year_range": (None, *YEARS), "age_max": (90, *_at_least(0)),
              "impute_gaps": (False, "true or false", lambda v: type(v) is bool),
              "country_order": (None, "a non-empty list of strings", _list(STRING[1]))},
-    "split_year": (2011, "an integer", lambda v: type(v) is int), "lookback": (10, *COUNT),
-    "hidden": ([32, 16], "a list of 2 integers >= 1", _list(COUNT[1], 2)),
-    "dropout": (0.2, "a number in [0, 1)", lambda v: type(v) in NUM and 0 <= v < 1),
-    "train": {"learning_rate": (1e-3, "a number > 0", lambda v: type(v) in NUM and v > 0),
-              "max_epochs": (500, *COUNT), "patience": (15, *COUNT)},
+    "split_year": (2011, "an integer", lambda v: type(v) is int),
+    "lookback": (HybridConfig.lookback, *COUNT),
+    "hidden": (list(HybridConfig.hidden), "a list of 2 integers >= 1", _list(COUNT[1], 2)),
+    "dropout": (HybridConfig.dropout_rate, "a number in [0, 1)",
+                lambda v: type(v) in NUM and 0 <= v < 1),
+    "train": {"learning_rate": (TrainConfig.learning_rate, "a number > 0",
+                                lambda v: type(v) in NUM and v > 0),
+              "max_epochs": (TrainConfig.max_epochs, *COUNT),
+              "patience": (TrainConfig.patience, *COUNT)},
     "forecast": {"horizon": (30, *COUNT), "n_paths": (1000, *_at_least(2)),
                  "quantiles": ([0.025, 0.10, 0.50, 0.90, 0.975],
                                "a non-empty list of numbers in [0, 1]",
                                _list(lambda v: type(v) in NUM and 0 <= v <= 1))},
-    "stress": {"shock_grid": ([0.05, 0.10, 0.15, 0.20], "a non-empty list of numbers in (0, 1)",
+    "stress": {"shock_grid": (list(risk.DEFAULT_SHOCK_GRID),
+                              "a non-empty list of numbers in (0, 1)",
                               _list(lambda v: type(v) in NUM and 0 < v < 1))},
     "explain": {"n_coalitions": (None, *COUNT), "max_test_windows": (None, *COUNT)},
     "ablate": {"lookbacks": ([5, 10, 15], "a non-empty list of integers >= 1", _list(COUNT[1]))},
@@ -243,12 +251,21 @@ class RunContext:
 
     def record_stage(self, stage: str, **facts):
         """Commit the stage, the one place its files move into place: under
-        an exclusive lock on the run directory, re-read manifest.json, replace
-        only this stage's record, with the checksums of its files, and move
-        the stage's pending files, then the manifest, to their final names."""
+        an exclusive lock on the run directory, delete the pending files of
+        stage processes that died before they committed, re-read
+        manifest.json, replace only this stage's record, with the checksums
+        of its files, and move the stage's pending files, then the manifest,
+        to their final names."""
         lock = os.open(self.out_dir, os.O_RDONLY)
         try:
             fcntl.flock(lock, fcntl.LOCK_EX)
+            for pending in self.out_dir.glob(".*.*.pending"):
+                try:
+                    os.kill(int(pending.name.split(".")[-2]), 0)
+                except ProcessLookupError:  # no process holds this pid
+                    pending.unlink(missing_ok=True)
+                except (ValueError, OverflowError, PermissionError):  # no pid, or a live one
+                    pass
             self.manifest = self._read_manifest()
             self.manifest["stages"][stage] = {
                 "completed": datetime.now(timezone.utc).isoformat(timespec="seconds"),
@@ -563,8 +580,8 @@ def _write_ensemble(ctx: RunContext, ens: ForecastEnsemble) -> None:
 def _parse_ensemble(data: bytes, panel: FactorPanel, fdoc: dict) -> ForecastEnsemble:
     """The ensemble in the .npy bytes forecast wrote, refused unless their
     header is exactly the one forecast writes with forecast_manifest.json's
-    shape, their payload is complete and their row 0 is the panel's last
-    year on every path."""
+    shape, their payload is complete and finite and their row 0 is the
+    panel's last year on every path."""
     shape = (int(fdoc["n_paths"]), int(fdoc["horizon"]) + 1, panel.n_factors)
     buf = io.BytesIO(data)
     if np.lib.format.read_magic(buf) != (1, 0):
@@ -580,6 +597,8 @@ def _parse_ensemble(data: bytes, panel: FactorPanel, fdoc: dict) -> ForecastEnse
         raise ValueError(f"payload is {payload} bytes, not {shape} doubles")
     # a read-only view of the bytes already read, not a second copy
     levels = np.frombuffer(data, ENSEMBLE_DTYPE, offset=buf.tell()).reshape(shape)
+    if not np.isfinite(levels).all():
+        raise ValueError("it holds a NaN or infinite level")
     origin_year = int(fdoc["origin_year"])
     if origin_year != int(panel.years[-1]) or np.any(levels[:, 0, :] != panel.values[-1]):
         raise ValueError(f"it does not start from the panel's last year {int(panel.years[-1])}")

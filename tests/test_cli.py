@@ -1,3 +1,4 @@
+import fcntl
 import hashlib
 import importlib.util
 import inspect
@@ -8,7 +9,9 @@ import platform
 import re
 import resource
 import shutil
+import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -613,6 +616,24 @@ class TestExitCodes:
         assert self._stress_on_edited_ensemble(
             pipeline, tmp_path, edit, record_checksum=True) == 3
 
+    @pytest.mark.parametrize("path, step, factor, value", [
+        (0, -1, 0, np.nan), (5, 3, 1, np.inf),
+    ], ids=["nan-terminal-level", "inf-mid-path-level"])
+    def test_non_finite_ensemble_is_3(self, pipeline, tmp_path, caplog, path, step, factor,
+                                      value):
+        """One NaN or infinite level, its checksum recorded, is refused before
+        stress writes risk.csv or stress.json."""
+        copy = shutil.copytree(pipeline[0], tmp_path / "copy")
+        run = copy / "run"
+        for name in ("risk.csv", "stress.json"):
+            (run / name).unlink()
+        levels = np.load(run / "ensemble.npy", allow_pickle=False)
+        levels[path, step, factor] = value
+        write_ensemble(run, npy_bytes(levels), record_checksum=True)
+        assert main(["stress", "--config", str(copy / "config.json"), "--quiet"]) == 3
+        assert "NaN or infinite" in caplog.text
+        assert not (run / "risk.csv").exists() and not (run / "stress.json").exists()
+
     @pytest.mark.parametrize("edit, refusal", [
         (lambda d: npy_bytes(np.load(io.BytesIO(d)).reshape(-1, 4)),
          "header (shape, fortran_order, dtype)"),
@@ -941,6 +962,59 @@ class TestStageRunner:
         assert stages["validate"]["probe"] == 1
         for name, digest in {**stages["validate"]["files"], **stages["explain"]["files"]}.items():
             assert hashlib.sha256((copy / "run" / name).read_bytes()).hexdigest() == digest, name
+
+    def test_a_commit_deletes_the_pending_files_of_dead_processes(self, tmp_path):
+        """A pending file named for a process that has exited is gone after
+        the next commit; one named for a live process stays."""
+        exited = subprocess.Popen([sys.executable, "-c", "pass"])
+        exited.wait()
+        live = subprocess.Popen([sys.executable, "-c", "import time; time.sleep(60)"])
+        try:
+            ctx = RunContext({"seed": 0, "out_dir": "run"}, tmp_path)
+            dead_file = ctx.path(f".ensemble.npy.{exited.pid}.pending")
+            live_file = ctx.path(f".ensemble.npy.{live.pid}.pending")
+            for path in (dead_file, live_file):
+                path.write_bytes(b"left by a stage")
+            ctx.write("probe.txt", "committed")
+            ctx.record_stage("probe")
+            assert not dead_file.exists() and live_file.exists()
+            assert ctx.path("probe.txt").read_text() == "committed"
+        finally:
+            live.kill()
+            live.wait()
+
+    def test_a_stage_commits_only_under_the_run_directory_lock(self, tmp_path, monkeypatch):
+        """While another holder keeps the run directory locked, a finished
+        stage's files stay pending and manifest.json has no record of it;
+        once the lock is released, both appear."""
+        cfg = write_config(tmp_path)
+        run = tmp_path / "run"
+        run.mkdir()
+        body, finished, codes = cli.cmd_synth, threading.Event(), []
+
+        def signalling(ctx):
+            facts = body(ctx)
+            finished.set()
+            return facts
+
+        monkeypatch.setattr(cli, "cmd_synth", signalling)
+        lock = os.open(run, os.O_RDONLY)
+        try:
+            fcntl.flock(lock, fcntl.LOCK_EX)
+            stage = threading.Thread(
+                target=lambda: codes.append(main(["synth", "--config", str(cfg), "--quiet"])))
+            stage.start()
+            assert finished.wait(60)
+            stage.join(0.5)
+            assert stage.is_alive()
+            assert [p.name for p in run.iterdir()] == [
+                f".truth_params.json.{os.getpid()}.pending"]
+        finally:
+            os.close(lock)  # and with it the lock
+        stage.join(60)
+        assert codes == [0]
+        assert sorted(p.name for p in run.iterdir()) == ["manifest.json", "truth_params.json"]
+        assert "synth" in json.loads((run / "manifest.json").read_text())["stages"]
 
     def test_each_load_trims_once_after_its_parse(self, pipeline, tmp_path, monkeypatch):
         """Every successful `load` (the manifest's included) and `fit`'s data

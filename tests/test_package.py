@@ -1,10 +1,9 @@
-"""The package imports only what every stage runs: `data`, `stationarity`,
-`explain` and `benchmark` load when a stage body (or a caller) first
-needs them, and every name `mortlab` has always exported still resolves.
-Its modules import nothing outside the standard library, numpy and itself."""
+"""The package root imports none of its modules, a CLI stage process imports
+only what every stage runs (`data`, `stationarity`, `explain` and `benchmark`
+load when a stage body or a caller first needs them), and the modules import
+nothing outside the standard library, numpy and the package."""
 
 import ast
-import importlib
 import json
 import os
 import subprocess
@@ -17,21 +16,6 @@ import mortlab
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-# every name `mortlab` exports, by the submodule that defines it
-EXPORTS = {
-    "data": ("ClusterDataset", "MortalitySurface", "build_surface", "parse_hmd_file",
-             "read_cluster_csv", "synthesize_cluster", "synthetic_truth", "write_cluster_csv"),
-    "forecast": ("ForecastEnsemble", "ForecastModel", "HybridConfig", "compute_mbc",
-                 "ensemble_quantiles", "fit_forecaster", "forecast_deterministic",
-                 "forecast_stochastic", "historical_diff_sd"),
-    "lilee": ("FactorPanel", "LiLeeParams", "fit_ar1", "fit_lilee", "fit_rwd",
-              "leading_singular_pair"),
-    "lifetable": ("e0_at", "e0_paths", "life_table", "monotonicity_check",
-                  "reconstruct_surface"),
-    "lstm": ("NetworkParams", "TrainConfig", "forward", "input_gradient", "predict", "train"),
-    "risk": ("es", "reverse_stress", "scr", "var"),
-    "stationarity": ("adf_test", "classify", "kpss_test"),
-}
 STAGE_ONLY = {"mortlab.data", "mortlab.stationarity", "mortlab.explain", "mortlab.benchmark"}
 
 
@@ -46,23 +30,14 @@ def fresh_modules(code: str) -> set[str]:
     return {name for name in json.loads(out) if name.startswith("mortlab")}
 
 
+def test_package_import_loads_no_module():
+    assert fresh_modules("import mortlab") == {"mortlab"}
+
+
 def test_cli_import_leaves_stage_modules_unloaded():
     loaded = fresh_modules("import mortlab.cli")
     assert "mortlab.cli" in loaded
     assert not loaded & STAGE_ONLY
-
-
-def test_a_lazy_name_loads_only_its_module():
-    loaded = fresh_modules("from mortlab import kpss_test")
-    assert "mortlab.stationarity" in loaded
-    assert "mortlab.data" not in loaded
-
-
-@pytest.mark.parametrize("module", sorted(EXPORTS))
-def test_every_export_is_its_submodules_object(module):
-    defining = importlib.import_module(f"mortlab.{module}")
-    for name in EXPORTS[module]:
-        assert getattr(mortlab, name) is getattr(defining, name), name
 
 
 def test_unknown_name_raises_attribute_error():
