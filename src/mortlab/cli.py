@@ -11,8 +11,13 @@ carries another hash.  One rule binds every artifact to the run:
 in manifest.json under the stage that wrote it (each stage's `files` maps
 file names to digests, the one manifest format), and `RunContext.load` is
 the only reader and refuses a file that is missing, whose bytes differ
-from that checksum, or that does not parse into a complete, valid object.
-A manifest in any other form does not parse either (exit 3).
+from that checksum, or that does not parse into a complete, valid object;
+any package error its parser raises, a non-finite weight included, counts
+as unparseable (exit 3).  Neither does a manifest in any other form, a
+`model.json` split at another year than the config's `split_year`, or an
+observed e0 that is not a finite positive number.  `forecast` and `stress`
+refuse (exit 4) an e0 or risk figure that is NaN or infinite rather than
+write it.
 The binary ensemble (`ensemble.npy`, little-endian float64, paths x
 (horizon + 1) x factors, origin row included) is also refused unless its
 header, shape and origin row are exactly what forecast wrote and every
@@ -66,7 +71,7 @@ from pathlib import Path
 import numpy as np
 
 from . import lifetable, risk
-from .errors import ConfigError, DimensionError, MortlabError, ScalingError, StageError
+from .errors import ConfigError, DegenerateError, MortlabError, StageError
 from .forecast import (
     dump_forecaster,
     ensemble_quantiles,
@@ -240,7 +245,13 @@ class RunContext:
     def _read_manifest(self) -> dict:
         if not self.path(MANIFEST).exists():
             return {"config_hash": self.hash, "stages": {}}
-        return self.load(MANIFEST, self._parse_manifest)
+        doc = self.load(MANIFEST, _parse_manifest)
+        if doc.get("config_hash") != self.hash:
+            raise StageError(
+                f"{MANIFEST} in {self.out_dir} holds artifacts for config "
+                f"{doc.get('config_hash')}, current config is {self.hash}; refusing to mix"
+            )
+        return doc
 
     def path(self, name: str) -> Path:
         return self.out_dir / name
@@ -315,8 +326,10 @@ class RunContext:
         """`parse(data)` of the bytes of file `name`, read once.  Missing
         bytes, or bytes whose SHA-256 is not the one manifest.json records
         for them, and bytes that do not parse into a complete, valid object
-        are refused (exit 3).  manifest.json itself is bound to the run by
-        its config_hash instead.  After a parse the bytes are dropped (an
+        (the parser raises any package error, or Python's for a missing key
+        or a wrong type or value) are refused (exit 3).  manifest.json itself
+        is bound to the run by its config_hash instead, which
+        `_read_manifest` checks.  After a parse the bytes are dropped (an
         object that views them keeps them) and the heap's free pages, the
         parse's and the imports' garbage, go back to the OS."""
         path = self.path(name)
@@ -336,8 +349,7 @@ class RunContext:
                 )
         try:
             parsed = parse(data)
-        except (ValueError, KeyError, TypeError, AttributeError, EOFError,
-                DimensionError, ScalingError) as exc:
+        except (ValueError, KeyError, TypeError, AttributeError, EOFError, MortlabError) as exc:
             raise StageError(
                 f"artifact {name} does not parse: {type(exc).__name__}: {exc}"
             ) from exc
@@ -345,25 +357,6 @@ class RunContext:
         if _trim is not None:
             _trim(0)
         return parsed
-
-    def _parse_manifest(self, data: bytes) -> dict:
-        """manifest.json's document, refused unless it carries this run's
-        config_hash and `stages` maps each stage to a record whose `files`
-        map file names to SHA-256 hex digests."""
-        doc = _json_object(data)
-        if doc.get("config_hash") != self.hash:
-            raise StageError(
-                f"{MANIFEST} in {self.out_dir} holds artifacts for config "
-                f"{doc.get('config_hash')}, current config is {self.hash}; refusing to mix"
-            )
-        # a misshapen `stages` or record raises here, and load turns that into exit 3
-        for stage, record in doc["stages"].items():
-            files = record["files"]
-            if not isinstance(files, dict) or not all(
-                isinstance(v, str) and len(v) == 64 and set(v) <= HEX for v in files.values()
-            ):
-                raise TypeError(f"stage {stage!r} does not map its files to SHA-256 digests")
-        return doc
 
     def check_data(self, path: Path) -> None:
         """Refuse (exit 3) a data file outside the run directory whose bytes
@@ -397,11 +390,29 @@ def _json_object(data: bytes) -> dict:
     return doc
 
 
+def _parse_manifest(data: bytes) -> dict:
+    """manifest.json's document, refused unless `stages` maps each stage to
+    a record whose `files` map file names to SHA-256 hex digests."""
+    doc = _json_object(data)
+    # a misshapen `stages` or record raises here, and load turns that into exit 3
+    for stage, record in doc["stages"].items():
+        files = record["files"]
+        if not isinstance(files, dict) or not all(
+            isinstance(v, str) and len(v) == 64 and set(v) <= HEX for v in files.values()
+        ):
+            raise TypeError(f"stage {stage!r} does not map its files to SHA-256 digests")
+    return doc
+
+
 def _observed_e0(data: bytes, countries) -> dict[str, float]:
-    """observed_e0.csv's e0 for each of `countries`."""
+    """observed_e0.csv's e0 for each of `countries`, each a finite positive number."""
     body = data.decode().partition("\n")[2]  # after the config_hash line
     rows = csv.DictReader(io.StringIO(body))
     observed = {row["country"]: float(row["e0_observed"]) for row in rows}
+    for code in countries:
+        if not 0 < observed[code] < math.inf:
+            raise ValueError(f"{code}'s e0_observed is {observed[code]}, "
+                             "not a finite positive number")
     return {code: observed[code] for code in countries}
 
 
@@ -454,10 +465,27 @@ def _focus_country(ctx: RunContext, countries) -> str:
 
 
 def _load_model_panel(ctx: RunContext):
+    """params.json, the forecaster (refused unless it was split at the
+    config's `split_year`) and the factor panel."""
     params = ctx.load("params.json", parse_params)
     net = ctx.load("network.json", parse_network)
-    model = ctx.load("model.json", lambda data: parse_forecaster(data, net))
-    return params, model, FactorPanel.from_params(params)
+    split_year = ctx.cfg["split_year"]
+
+    def parse_model(data: bytes):
+        model = parse_forecaster(data, net)
+        if model.scaler.train_end_year != split_year:
+            raise ValueError(f"it was split at {model.scaler.train_end_year}, "
+                             f"not at the config's split_year {split_year}")
+        return model
+
+    return params, ctx.load("model.json", parse_model), FactorPanel.from_params(params)
+
+
+def _check_finite(name: str, figures) -> None:
+    """Refuse (exit 4) e0 or risk figures bound for file `name` unless every
+    one is finite, before the stage commits."""
+    if not np.isfinite(np.asarray(figures, dtype=float)).all():
+        raise DegenerateError(f"refusing to write {name}: it would hold a NaN or infinite figure")
 
 
 def _hybrid_config(ctx: RunContext, stream: str) -> HybridConfig:
@@ -638,28 +666,20 @@ def cmd_forecast(ctx: RunContext) -> dict:
                 fan_rows.append([lab, int(ens.years[h]), q, repr(float(bands[qi, h, j]))])
     ctx.write_csv("fan_factors.csv", ["factor", "year", "quantile", "value"], fan_rows)
 
-    summary_rows = []
+    summary = {}
     for code in params.countries:
         terminal = lifetable.e0_paths(ens, params, code, horizons=-1)
         origin_model = lifetable.e0_at(params, code, float(panel.values[-1, 0]))
         mean_term = float(terminal.mean())
         ci_low, ci_high = risk.sorted_quantiles(np.sort(terminal), (0.025, 0.975))
-        summary_rows.append(
-            [
-                code,
-                f"{origin_model:.4f}",
-                f"{observed[code]:.4f}",
-                f"{mean_term:.4f}",
-                f"{ci_low:.4f}",
-                f"{ci_high:.4f}",
-                f"{mean_term - origin_model:.4f}",
-            ]
-        )
+        summary[code] = (origin_model, observed[code], mean_term, ci_low, ci_high,
+                         mean_term - origin_model)
+    _check_finite("e0_summary.csv", list(summary.values()))
     ctx.write_csv(
         "e0_summary.csv",
         ["country", "e0_origin_model", "e0_origin_observed",
          "e0_terminal_mean", "ci_2.5", "ci_97.5", "net_gain"],
-        summary_rows,
+        [[code, *(f"{v:.4f}" for v in row)] for code, row in summary.items()],
     )
 
     # the focus country's fan, one horizon's (paths,) e0 sample at a time
@@ -668,6 +688,7 @@ def cmd_forecast(ctx: RunContext) -> dict:
                               quantiles)
         for h in range(ens.horizon)
     ]
+    _check_finite(f"fan_e0_{focus}.csv", bands_e0)
     fan_e0_rows = [
         [int(ens.years[h + 1]), q, f"{bands_e0[h][qi]:.4f}"]
         for qi, q in enumerate(quantiles)
@@ -740,20 +761,14 @@ def cmd_stress(ctx: RunContext) -> None:
     ens = ctx.load(ENSEMBLE, lambda data: _parse_ensemble(data, panel, fdoc))
     focus = _focus_country(ctx, params.countries)
 
-    risk_rows = []
-    reports = {}
-    for code in params.countries:
-        sample = lifetable.e0_paths(ens, params, code, horizons=-1)
-        rep = risk.scr(sample)
-        reports[code] = rep
-        risk_rows.append(
-            [code, f"{rep.mean_e0:.4f}", f"{rep.var_99_5:.4f}",
-             f"{rep.es_99_0:.4f}", f"{rep.scr_es:.4f}"]
-        )
+    reports = {code: risk.scr(lifetable.e0_paths(ens, params, code, horizons=-1))
+               for code in params.countries}
+    risk_rows = {code: (r.mean_e0, r.var_99_5, r.es_99_0, r.scr_es) for code, r in reports.items()}
+    _check_finite("risk.csv", list(risk_rows.values()))
     ctx.write_csv(
         "risk.csv",
         ["country", "mean_e0", "var_99_5", "es_99_0", "scr_es"],
-        risk_rows,
+        [[code, *(f"{v:.4f}" for v in row)] for code, row in risk_rows.items()],
     )
 
     rep = reports[focus]
@@ -765,6 +780,8 @@ def cmd_stress(ctx: RunContext) -> None:
         rep.scr_es,
         shock_grid=ctx.cfg["stress"]["shock_grid"],
     )
+    _check_finite("stress.json", [stress_res.delta_star, stress_res.sensitivity,
+                            stress_res.sensitivity_cv, *stress_res.e0_gains])
     ctx.write_json(
         "stress.json",
         {

@@ -1,9 +1,12 @@
 import fcntl
+import functools
 import hashlib
 import importlib.util
 import inspect
 import io
 import json
+import math
+import operator
 import os
 import platform
 import re
@@ -18,7 +21,7 @@ import numpy as np
 import pytest
 
 from mortlab import cli, forecast, lifetable, lstm, risk
-from mortlab.cli import STAGES, RunContext, main
+from mortlab.cli import MANIFEST, STAGES, RunContext, main
 from mortlab.errors import DegenerateRiskError
 from mortlab.forecast import ForecastEnsemble, HybridConfig, forecast_stochastic, parse_forecaster
 from mortlab.lilee import FactorPanel, parse_params
@@ -70,38 +73,6 @@ def foreign_run(tmp_path_factory):
     for stage in ("synth", "fit", "train", "forecast"):
         assert main([stage, "--config", str(cfg), "--quiet"]) == 0, stage
     return root / "run"
-
-
-def npy_bytes(array, **kwargs) -> bytes:
-    """The .npy file np.save would write; kwargs go to write_array."""
-    buf = io.BytesIO()
-    np.lib.format.write_array(buf, np.asanyarray(array), **kwargs)
-    return buf.getvalue()
-
-
-def rehash(run_dir: Path, name: str) -> None:
-    """Record the SHA-256 of the file `name` as it is now in manifest.json,
-    so only the checks behind the checksum stand in the way."""
-    path = run_dir / "manifest.json"
-    manifest = json.loads(path.read_text())
-    for stage in manifest["stages"].values():
-        if name in stage["files"]:
-            stage["files"][name] = hashlib.sha256((run_dir / name).read_bytes()).hexdigest()
-    path.write_text(json.dumps(manifest))
-
-
-def write_ensemble(run_dir: Path, data: bytes, record_checksum: bool = False) -> None:
-    """Replace ensemble.npy; optionally record the new bytes' SHA-256 in
-    manifest.json, so only the structural checks stand in the way."""
-    (run_dir / "ensemble.npy").write_bytes(data)
-    if record_checksum:
-        rehash(run_dir, "ensemble.npy")
-
-
-def zero_scaler_sd(text: str) -> str:
-    doc = json.loads(text)
-    doc["scaler"]["sd"] = [0.0] * len(doc["scaler"]["sd"])
-    return json.dumps(doc)
 
 
 class TestPipeline:
@@ -307,23 +278,131 @@ class TestAblate:
         assert all(line.split(",")[4] == "0" for line in lines[2:])
 
 
-# every (stage, run-directory artifact it reads)
-READS = [
-    ("train", "params.json"),
-    *(("forecast", name) for name in ("params.json", "model.json", "network.json",
-                                      "observed_e0.csv")),
-    *((stage, name) for stage in ("validate", "explain")
+def put(*keys, value):
+    """A change that sets doc[keys[0]]...[keys[-1]] to `value` and returns doc."""
+    def change(doc):
+        functools.reduce(operator.getitem, keys[:-1], doc)[keys[-1]] = value
+        return doc
+    return change
+
+
+def json_edit(change):
+    """A damage: the artifact's JSON document after `change` edits it in place."""
+    def damage(data, foreign):
+        doc = json.loads(data)
+        change(doc)
+        return json.dumps(doc).encode()
+    return damage
+
+
+def npy_edit(change, **kwargs):
+    """A damage: the .npy file of `change` of the artifact's array; kwargs go
+    to np.lib.format.write_array."""
+    def damage(data, foreign):
+        buf = io.BytesIO()
+        np.lib.format.write_array(buf, change(np.load(io.BytesIO(data))), **kwargs)
+        return buf.getvalue()
+    return damage
+
+
+def row(stage, name, label, damage, rehash=True, code=3, message=None):
+    """A damage case: `damage(bytes, the foreign run's bytes)` gives the file's
+    new bytes (None deletes it), whose SHA-256 is re-recorded when `rehash`;
+    the stage then exits `code` and logs `message`, by default that the
+    artifact does not parse."""
+    message = f"artifact {name} does not parse" if message is None else message
+    return pytest.param(stage, name, damage, rehash, code, message, id=f"{stage}-{name}-{label}")
+
+
+MODEL_READERS = ("forecast", "validate", "explain", "stress")
+FIT_FILES = ("stages", "fit", "files")
+DAMAGES = [
+    # manifest.json is bound to the run by its config hash, not by a checksum
+    *(row(stage, MANIFEST, "cut-to-5-bytes", lambda d, f: d[:5], rehash=False)
+      for stage in STAGES[1:]),
+    *(row("train", MANIFEST, label, json_edit(edit), rehash=False) for label, edit in {
+        "no-stages": lambda doc: doc.pop("stages"),
+        "stages-a-list": lambda doc: doc.update(stages=list(doc["stages"])),
+        "record-not-an-object": put("stages", "fit", value="done"),
+        "no-files": lambda doc: doc["stages"]["fit"].pop("files"),
+        "files-a-string": put(*FIT_FILES, value="params.json"),
+        "files-not-names": put(*FIT_FILES, value=[1, 2]),
+        "files-names-only": lambda doc: doc["stages"]["fit"].update(
+            files=list(doc["stages"]["fit"]["files"])),
+        "digest-not-hex": put(*FIT_FILES, "params.json", value="not-hex"),
+        "digest-short": put(*FIT_FILES, "params.json", value="ab" * 31),
+        "digest-upper-case": put(*FIT_FILES, "params.json", value="AB" * 32),
+        "digest-null": put("stages", "synth", "files", "extra.csv", value=None),
+    }.items()),
+    row("train", MANIFEST, "no-config-hash", json_edit(lambda doc: doc.pop("config_hash")),
+        rehash=False, message="refusing to mix"),
+    *(row(stage, name, "cut-to-5-bytes", lambda d, f: d[:5]) for stage in ("forecast", "stress")
       for name in ("params.json", "model.json", "network.json")),
-    *(("stress", name) for name in ("params.json", "model.json", "network.json",
-                                    "forecast_manifest.json", "ensemble.npy")),
-    ("ablate", "params.json"),
+    row("stress", "forecast_manifest.json", "cut-to-5-bytes", lambda d, f: d[:5]),
+    *(row(stage, "params.json", "not-an-object", lambda d, f: b"[]")
+      for stage in ("train", *MODEL_READERS, "ablate")),
+    row("forecast", "params.json", "empty", lambda d, f: b"{}"),
+    row("forecast", "network.json", "schema-only",
+        lambda d, f: b'{"schema": "mortlab/network-v1"}'),
+    row("forecast", "model.json", "schema-only", lambda d, f: json.dumps(
+        {key: json.loads(d)[key] for key in ("config_hash", "schema")}).encode()),
+    row("forecast", "model.json", "not-an-object", lambda d, f: b"[1, 2]"),
+    row("forecast", "model.json", "zero-sd", json_edit(
+        lambda doc: doc["scaler"].update(sd=[0.0] * len(doc["scaler"]["sd"])))),
+    *(row(stage, name, label, json_edit(put(*keys, value=value))) for stage in MODEL_READERS
+      for name, label, keys, value in (
+          ("model.json", "lookback-0", ["lookback"], 0),
+          ("model.json", "split-1800", ["scaler", "train_end_year"], 1800),
+          ("network.json", "nan-weight", ["weights", "bh", 0], math.nan))),
+    *(row(stage, "params.json", "alpha-1e3", json_edit(put("alpha", 0, 0, value=1e3)), code=4,
+          message=f"refusing to write {out}") for stage, out in (("forecast", "e0_summary.csv"),
+                                                                   ("stress", "risk.csv"))),
+    row("forecast", "observed_e0.csv", "last-row-cut",
+        lambda d, f: d[: d.rstrip().rfind(b"\n") + 1]),
+    *(row("forecast", "observed_e0.csv", f"e0-{v}", lambda d, f, v=v: re.sub(
+        rb"(\n\w+,\d+,)[^\r\n]+", rb"\g<1>" + v.encode(), d, count=1)) for v in ("nan", "-5")),
+    *(row("stress", "forecast_manifest.json", f"{key}-{value}", json_edit(put(key, value=value)),
+          message="artifact ensemble.npy does not parse")
+      for key, value in (("n_paths", 119), ("horizon", 5), ("origin_year", 2019))),
+    *(row("stress", "ensemble.npy", label, damage, message=message) for label, damage, message in (
+        ("cut-200-bytes", lambda d, f: d[:-200], None),
+        ("trailing-bytes", lambda d, f: d + bytes(8), "payload is"),
+        ("not-npy", lambda d, f: b"not an npy file", None),
+        ("float32", npy_edit(lambda a: a.astype("<f4")), None),
+        ("big-endian", npy_edit(lambda a: a.astype(">f8")), None),
+        ("fortran-order", npy_edit(np.asfortranarray), None),
+        ("object-dtype", npy_edit(lambda a: a.astype(object)), None),
+        ("factor-missing", npy_edit(lambda a: a[:, :, :-1]), None),
+        ("row-truncated", npy_edit(lambda a: a[:-30]), None),
+        ("header-only-reshaped", npy_edit(lambda a: a.reshape(-1, 4)),
+         "header (shape, fortran_order, dtype)"),
+        ("origin-row-zeroed", npy_edit(put((slice(None), 0), value=0.0)),
+         "does not start from the panel's last year"),
+        ("format-version-2", npy_edit(lambda a: a, version=(2, 0)), None),
+        ("nan-terminal-level", npy_edit(put((0, -1, 0), value=math.nan)), "NaN or infinite"),
+        ("inf-mid-path-level", npy_edit(put((5, 3, 1), value=math.inf)), "NaN or infinite"),
+    )),
+    row("stress", "ensemble.npy", "all-paths-equal", npy_edit(
+        lambda a: np.repeat(a[:1], len(a), axis=0)), code=4, message="SCR must be positive"),
+    row("stress", "ensemble.npy", "rewritten-intact", npy_edit(lambda a: a), rehash=False, code=0,
+        message=""),
 ]
+# every (stage, artifact) pair above but the manifest's, through each damage
+# its recorded checksum refuses
+DAMAGES += [row(stage, name, label, damage, rehash=False,
+                message=f"artifact {name} is missing or does not match its checksum")
+            for stage, name in sorted({p.values[:2] for p in DAMAGES if p.values[1] != MANIFEST})
+            for label, damage in {
+                "foreign": lambda d, f: f,
+                "cut-in-half": lambda d, f: d[: len(d) // 2],
+                "flipped-byte": lambda d, f: bytes(b ^ (i == len(d) // 2) for i, b in enumerate(d)),
+                "deleted": lambda d, f: None,
+            }.items()]
 
 
-def flip_middle_byte(data: bytes) -> bytes:
-    edited = bytearray(data)
-    edited[len(data) // 2] ^= 0x01
-    return bytes(edited)
+def file_states(root: Path) -> dict:
+    """Every file under `root`, hidden pending files included, with its bytes and mtime."""
+    return {p: (p.read_bytes(), p.stat().st_mtime_ns) for p in root.rglob("*") if p.is_file()}
 
 
 class TestArtifactRule:
@@ -371,31 +450,12 @@ class TestArtifactRule:
         assert {"path_blocks", "max_grad_norm", "start_rss_mb", "minor_faults", "env"} <= keys
         assert not [key for key in sorted(keys) if f"`{key}`" not in paragraph]
 
-    @pytest.mark.parametrize("damage", ["foreign", "cut-in-half", "flipped-byte", "deleted"])
-    @pytest.mark.parametrize("stage, name", READS, ids=[f"{s}-{n}" for s, n in READS])
-    def test_damaged_artifact_is_3(
-        self, pipeline, foreign_run, tmp_path, caplog, stage, name, damage
-    ):
-        root, _ = pipeline
-        copy = shutil.copytree(root, tmp_path / "copy")
-        path = copy / "run" / name
-        data = path.read_bytes()
-        if damage == "foreign":
-            shutil.copy(foreign_run / name, path)
-        elif damage == "cut-in-half":
-            path.write_bytes(data[: len(data) // 2])
-        elif damage == "flipped-byte":
-            path.write_bytes(flip_middle_byte(data))
-        else:
-            path.unlink()
-        assert main([stage, "--config", str(copy / "config.json"), "--quiet"]) == 3
-        assert f"artifact {name} is missing or does not match its checksum" in caplog.text
-
     def test_stages_read_only_through_load(self, tmp_path, monkeypatch):
         """Each stage opens no run-directory file for reading but
-        manifest.json and the ones it reads through RunContext.load, and
-        opens no file for writing under its final name: it writes only
-        pending files, which the runner moves into place."""
+        manifest.json and the ones it reads through RunContext.load, each of
+        which has a row in DAMAGES, and opens no file for writing under its
+        final name: it writes only pending files, which the runner moves
+        into place."""
         cfg = write_config(tmp_path)
         run_dir = (tmp_path / "run").resolve()
         opened, loaded, written = set(), set(), set()
@@ -425,43 +485,35 @@ class TestArtifactRule:
             assert "manifest.json" in opened or stage == "synth", stage
             assert written and all(re.fullmatch(rf"\..+\.{os.getpid()}\.pending", n)
                                    for n in written), stage
+            assert {(stage, name) for name in loaded} <= {p.values[:2] for p in DAMAGES}, stage
 
-    @pytest.mark.parametrize("edit", [
-        lambda doc: doc.pop("stages"),
-        lambda doc: doc.update(stages=list(doc["stages"])),
-        lambda doc: doc["stages"].update(fit="done"),
-        lambda doc: doc["stages"]["fit"].pop("files"),
-        lambda doc: doc["stages"]["fit"].update(files="params.json"),
-        lambda doc: doc["stages"]["fit"].update(files=[1, 2]),
-        lambda doc: doc["stages"]["fit"].update(files=list(doc["stages"]["fit"]["files"])),
-        lambda doc: doc["stages"]["fit"]["files"].update({"params.json": "not-hex"}),
-        lambda doc: doc["stages"]["fit"]["files"].update({"params.json": "ab" * 31}),
-        lambda doc: doc["stages"]["fit"]["files"].update({"params.json": "AB" * 32}),
-        lambda doc: doc["stages"]["synth"]["files"].update({"extra.csv": None}),
-    ], ids=["no-stages", "stages-a-list", "record-not-an-object", "no-files",
-            "files-a-string", "files-not-names", "files-names-only", "digest-not-hex", "digest-short",
-            "digest-upper-case", "digest-null"])
-    def test_misshapen_manifest_is_3(self, pipeline, tmp_path, caplog, edit):
-        """A manifest that parses, with the run's config_hash, but whose
-        `stages` is not a dict of stage records mapping file names to
-        SHA-256 digests is refused by name, never with a traceback."""
-        assert self._train_on_edited_manifest(pipeline, tmp_path, edit) == 3
-        assert "artifact manifest.json does not parse" in caplog.text
-
-    def test_manifest_without_config_hash_is_3(self, pipeline, tmp_path, caplog):
-        assert self._train_on_edited_manifest(
-            pipeline, tmp_path, lambda doc: doc.pop("config_hash")) == 3
-        assert "manifest.json in" in caplog.text and "refusing to mix" in caplog.text
-
-    @staticmethod
-    def _train_on_edited_manifest(pipeline, tmp_path, edit) -> int:
-        root, _ = pipeline
-        copy = shutil.copytree(root, tmp_path / "copy")
-        path = copy / "run" / "manifest.json"
-        manifest = json.loads(path.read_text())
-        edit(manifest)
-        path.write_text(json.dumps(manifest))
-        return main(["train", "--config", str(copy / "config.json"), "--quiet"])
+    @pytest.mark.parametrize("stage, name, damage, rehash, code, message", DAMAGES)
+    def test_damaged_artifact(self, pipeline, foreign_run, tmp_path, caplog, stage, name, damage,
+                              rehash, code, message):
+        """The stage, run on a copy of the pipeline whose artifact went through
+        the damage, exits with the row's code and logs its message; a refusal
+        leaves every file of the copy with its bytes and mtime, and no pending
+        file (test_a_stage_that_raises_leaves_every_file)."""
+        copy = shutil.copytree(pipeline[0], tmp_path / "copy")
+        path, manifest = copy / "run" / name, copy / "run" / MANIFEST
+        data = damage(path.read_bytes(), (foreign_run / name).read_bytes())
+        if data is None:
+            path.unlink()
+        else:
+            path.write_bytes(data)
+        if rehash:
+            doc = json.loads(manifest.read_text())
+            for record in doc["stages"].values():
+                if name in record["files"]:
+                    record["files"][name] = hashlib.sha256(data).hexdigest()
+            manifest.write_text(json.dumps(doc))
+        for file in file_states(copy):
+            os.utime(file, ns=(1, 1))
+        before = file_states(copy)
+        assert main([stage, "--config", str(copy / "config.json"), "--quiet"]) == code
+        assert message in caplog.text
+        if code:
+            assert file_states(copy) == before
 
 
 class TestExitCodes:
@@ -532,17 +584,6 @@ class TestExitCodes:
         errors = [r for r in caplog.records if r.levelname == "ERROR"]
         assert len(errors) == 1 and "series too short" in errors[0].getMessage()
 
-    def test_degenerate_scr_is_4(self, tmp_path):
-        cfg = write_config(tmp_path)
-        for stage in ("synth", "fit", "train", "forecast"):
-            assert main([stage, "--config", str(cfg), "--quiet"]) == 0
-        # collapse the ensemble: identical paths make SCR exactly zero
-        out = tmp_path / "run"
-        levels = np.load(out / "ensemble.npy", allow_pickle=False)
-        collapsed = np.repeat(levels[:1], levels.shape[0], axis=0)
-        write_ensemble(out, npy_bytes(collapsed), record_checksum=True)
-        assert main(["stress", "--config", str(cfg), "--quiet"]) == 4
-
     def test_stress_with_an_empty_es_tail_is_4(self, tmp_path, caplog):
         # 50 paths pass the forecast floor, but the 99% ES needs 100
         cfg = write_config(tmp_path, train={"max_epochs": 5},
@@ -561,142 +602,6 @@ class TestExitCodes:
         assert main(["explain", "--config", str(cfg), "--quiet"]) == 4
         errors = [r for r in caplog.records if r.levelname == "ERROR"]
         assert len(errors) == 1 and "must be at least 39" in errors[0].getMessage()
-
-    def _stress_on_edited_ensemble(self, pipeline, tmp_path, edit, record_checksum=False):
-        """Rerun stress on a copy of the pipeline whose ensemble.npy bytes
-        went through `edit`."""
-        root, _ = pipeline
-        copy = shutil.copytree(root, tmp_path / "copy")
-        data = (copy / "run" / "ensemble.npy").read_bytes()
-        write_ensemble(copy / "run", edit(data), record_checksum)
-        return main(["stress", "--config", str(copy / "config.json"), "--quiet"])
-
-    def test_rewritten_intact_ensemble_is_0(self, pipeline, tmp_path):
-        def resave(data):
-            return npy_bytes(np.load(io.BytesIO(data), allow_pickle=False))
-
-        assert self._stress_on_edited_ensemble(pipeline, tmp_path, resave) == 0
-
-    def test_row_truncated_ensemble_is_3(self, pipeline, tmp_path):
-        # a well-formed file missing its last 30 paths, checksum recorded
-        def drop_paths(data):
-            return npy_bytes(np.load(io.BytesIO(data), allow_pickle=False)[:-30])
-
-        assert self._stress_on_edited_ensemble(
-            pipeline, tmp_path, drop_paths, record_checksum=True) == 3
-
-    @pytest.mark.parametrize("key, value", [
-        ("n_paths", 119), ("horizon", 5), ("origin_year", 2019),
-    ])
-    def test_manifest_disagreeing_with_ensemble_is_3(self, pipeline, tmp_path, key, value):
-        root, _ = pipeline
-        copy = shutil.copytree(root, tmp_path / "copy")
-        path = copy / "run" / "forecast_manifest.json"
-        doc = json.loads(path.read_text())
-        doc[key] = value
-        path.write_text(json.dumps(doc))
-        rehash(copy / "run", "forecast_manifest.json")
-        assert main(["stress", "--config", str(copy / "config.json"), "--quiet"]) == 3
-
-    @pytest.mark.parametrize("edit", [
-        lambda d: d[:-200],
-        lambda d: d + bytes(8),
-        lambda d: b"not an npy file",
-        lambda d: npy_bytes(np.load(io.BytesIO(d)).astype("<f4")),
-        lambda d: npy_bytes(np.load(io.BytesIO(d)).astype(">f8")),
-        lambda d: npy_bytes(np.asfortranarray(np.load(io.BytesIO(d)))),
-        lambda d: npy_bytes(np.load(io.BytesIO(d)).astype(object)),
-        lambda d: npy_bytes(np.load(io.BytesIO(d))[:, :, :-1]),
-        lambda d: npy_bytes(np.load(io.BytesIO(d)) * np.r_[0.0, np.ones(6)][:, None]),
-        lambda d: npy_bytes(np.load(io.BytesIO(d)), version=(2, 0)),
-    ], ids=["cut-200-bytes", "trailing-bytes", "not-npy", "float32", "big-endian",
-            "fortran-order", "object-dtype", "factor-missing", "origin-row-zeroed",
-            "format-version-2"])
-    def test_misshapen_ensemble_with_recorded_checksum_is_3(self, pipeline, tmp_path, edit):
-        assert self._stress_on_edited_ensemble(
-            pipeline, tmp_path, edit, record_checksum=True) == 3
-
-    @pytest.mark.parametrize("path, step, factor, value", [
-        (0, -1, 0, np.nan), (5, 3, 1, np.inf),
-    ], ids=["nan-terminal-level", "inf-mid-path-level"])
-    def test_non_finite_ensemble_is_3(self, pipeline, tmp_path, caplog, path, step, factor,
-                                      value):
-        """One NaN or infinite level, its checksum recorded, is refused before
-        stress writes risk.csv or stress.json."""
-        copy = shutil.copytree(pipeline[0], tmp_path / "copy")
-        run = copy / "run"
-        for name in ("risk.csv", "stress.json"):
-            (run / name).unlink()
-        levels = np.load(run / "ensemble.npy", allow_pickle=False)
-        levels[path, step, factor] = value
-        write_ensemble(run, npy_bytes(levels), record_checksum=True)
-        assert main(["stress", "--config", str(copy / "config.json"), "--quiet"]) == 3
-        assert "NaN or infinite" in caplog.text
-        assert not (run / "risk.csv").exists() and not (run / "stress.json").exists()
-
-    @pytest.mark.parametrize("edit, refusal", [
-        (lambda d: npy_bytes(np.load(io.BytesIO(d)).reshape(-1, 4)),
-         "header (shape, fortran_order, dtype)"),
-        (lambda d: d + bytes(8), "payload is"),
-        (lambda d: npy_bytes(np.load(io.BytesIO(d)) * np.r_[0.0, np.ones(6)][:, None]),
-         "does not start from the panel's last year"),
-    ], ids=["header-only-reshaped", "trailing-bytes", "origin-row-zeroed"])
-    def test_ensemble_refusal_names_its_check(self, pipeline, tmp_path, caplog, edit, refusal):
-        """Each structural check refuses on its own: the reshaped file keeps
-        the payload bytes and only its header disagrees."""
-        assert self._stress_on_edited_ensemble(
-            pipeline, tmp_path, edit, record_checksum=True) == 3
-        assert refusal in caplog.text
-
-    @pytest.mark.parametrize("stage, name, edit", [
-        pytest.param(stage, name, lambda t: t[:5], id=f"{stage}-{name}")
-        for stage in ("forecast", "stress")
-        for name in ("manifest.json", "params.json", "model.json", "network.json")
-    ] + [
-        pytest.param("stress", "forecast_manifest.json", lambda t: t[:5],
-                     id="stress-forecast_manifest.json"),
-        pytest.param("forecast", "network.json", lambda t: '{"schema": "mortlab/network-v1"}',
-                     id="forecast-network.json-schema-only"),
-        pytest.param("forecast", "params.json", lambda t: "{}", id="forecast-params.json-empty"),
-        pytest.param("forecast", "model.json", lambda t: json.dumps(
-                         {"config_hash": json.loads(t)["config_hash"],
-                          "schema": "mortlab/forecaster-v1"}),
-                     id="forecast-model.json-schema-only"),
-        pytest.param("forecast", "model.json", lambda t: "[1, 2]",
-                     id="forecast-model.json-not-an-object"),
-        pytest.param("stress", "params.json", lambda t: "[]",
-                     id="stress-params.json-not-an-object"),
-        pytest.param("forecast", "model.json", zero_scaler_sd, id="forecast-model.json-zero-sd"),
-    ] + [
-        pytest.param(stage, "model.json", lambda t: json.dumps({**json.loads(t), "lookback": 0}),
-                     id=f"{stage}-model.json-lookback-0")
-        for stage in ("forecast", "validate", "explain", "stress")
-    ])
-    def test_cut_json_artifact_is_3(self, pipeline, tmp_path, caplog, stage, name, edit):
-        """The artifact cut to 5 bytes, or replaced by a document that
-        parses as JSON but is incomplete, of the wrong schema or invalid."""
-        root, _ = pipeline
-        copy = shutil.copytree(root, tmp_path / "copy")
-        path = copy / "run" / name
-        path.write_text(edit(path.read_text()))
-        if name != "manifest.json":  # bound by its config_hash, not a checksum
-            rehash(copy / "run", name)
-        assert main([stage, "--config", str(copy / "config.json"), "--quiet"]) == 3
-        assert f"artifact {name} does not parse" in caplog.text
-
-    @pytest.mark.parametrize("edit", ["foreign", "deleted", "last-row-cut"])
-    def test_bad_observed_e0_is_3(self, pipeline, foreign_run, tmp_path, caplog, edit):
-        root, _ = pipeline
-        copy = shutil.copytree(root, tmp_path / "copy")
-        path = copy / "run" / "observed_e0.csv"
-        if edit == "foreign":
-            shutil.copy(foreign_run / "observed_e0.csv", path)
-        elif edit == "deleted":
-            path.unlink()
-        else:
-            path.write_text("".join(path.read_text().splitlines(keepends=True)[:-1]))
-        assert main(["forecast", "--config", str(copy / "config.json"), "--quiet"]) == 3
-        assert "observed_e0.csv" in caplog.text
 
     @pytest.mark.parametrize("keep", ["one-country", "header-only"])
     def test_cluster_of_fewer_than_two_countries_is_2(self, tmp_path, caplog, keep):
@@ -924,13 +829,9 @@ class TestStageRunner:
         else:
             cfg = shutil.copytree(pipeline[0], tmp_path / "copy") / "config.json"
 
-        def files():
-            return {p: (p.read_bytes(), p.stat().st_mtime_ns)
-                    for p in tmp_path.rglob("*") if p.is_file()}
-
-        for path in files():
+        for path in file_states(tmp_path):
             os.utime(path, ns=(1, 1))
-        before, body = files(), getattr(cli, f"cmd_{stage}")
+        before, body = file_states(tmp_path), getattr(cli, f"cmd_{stage}")
 
         def raising(ctx):
             body(ctx)
@@ -938,7 +839,7 @@ class TestStageRunner:
 
         monkeypatch.setattr(cli, f"cmd_{stage}", raising)
         assert main([stage, "--config", str(cfg), "--quiet"]) == 4
-        assert files() == before
+        assert file_states(tmp_path) == before
 
     def test_overlapping_stages_keep_each_others_records(self, pipeline, tmp_path, monkeypatch):
         """explain, started and committed while validate's body runs, keeps
