@@ -305,104 +305,175 @@ def npy_edit(change, **kwargs):
     return damage
 
 
-def row(stage, name, label, damage, rehash=True, code=3, message=None):
+def row(stage, name, damage, rehash=True, code=3, message=None):
     """A damage case: `damage(bytes, the foreign run's bytes)` gives the file's
     new bytes (None deletes it), whose SHA-256 is re-recorded when `rehash`;
     the stage then exits `code` and logs `message`, by default that the
     artifact does not parse."""
     message = f"artifact {name} does not parse" if message is None else message
-    return pytest.param(stage, name, damage, rehash, code, message, id=f"{stage}-{name}-{label}")
+    return stage, name, damage, rehash, code, message
 
 
+# the damages an artifact's recorded checksum refuses
+CHECKSUM_DAMAGES = {
+    "foreign": lambda d, f: f,
+    "cut-in-half": lambda d, f: d[: len(d) // 2],
+    "flipped-byte": lambda d, f: bytes(b ^ (i == len(d) // 2) for i, b in enumerate(d)),
+    "deleted": lambda d, f: None,
+}
+
+
+def checksum_row(stage, name, label):
+    return row(stage, name, CHECKSUM_DAMAGES[label], rehash=False,
+               message=f"artifact {name} is missing or does not match its checksum")
+
+
+def cut(d, f):
+    return d[:5]
+
+
+ensemble = functools.partial(row, "stress", "ensemble.npy")
+observed = functools.partial(row, "forecast", "observed_e0.csv")
 MODEL_READERS = ("forecast", "validate", "explain", "stress")
 FIT_FILES = ("stages", "fit", "files")
-DAMAGES = [
-    # manifest.json is bound to the run by its config hash, not by a checksum
-    *(row(stage, MANIFEST, "cut-to-5-bytes", lambda d, f: d[:5], rehash=False)
-      for stage in STAGES[1:]),
-    *(row("train", MANIFEST, label, json_edit(edit), rehash=False) for label, edit in {
-        "no-stages": lambda doc: doc.pop("stages"),
-        "stages-a-list": lambda doc: doc.update(stages=list(doc["stages"])),
-        "record-not-an-object": put("stages", "fit", value="done"),
-        "no-files": lambda doc: doc["stages"]["fit"].pop("files"),
-        "files-a-string": put(*FIT_FILES, value="params.json"),
-        "files-not-names": put(*FIT_FILES, value=[1, 2]),
-        "files-names-only": lambda doc: doc["stages"]["fit"].update(
-            files=list(doc["stages"]["fit"]["files"])),
-        "digest-not-hex": put(*FIT_FILES, "params.json", value="not-hex"),
-        "digest-short": put(*FIT_FILES, "params.json", value="ab" * 31),
-        "digest-upper-case": put(*FIT_FILES, "params.json", value="AB" * 32),
-        "digest-null": put("stages", "synth", "files", "extra.csv", value=None),
-    }.items()),
-    row("train", MANIFEST, "no-config-hash", json_edit(lambda doc: doc.pop("config_hash")),
-        rehash=False, message="refusing to mix"),
-    *(row(stage, name, "cut-to-5-bytes", lambda d, f: d[:5]) for stage in ("forecast", "stress")
-      for name in ("params.json", "model.json", "network.json")),
-    row("stress", "forecast_manifest.json", "cut-to-5-bytes", lambda d, f: d[:5]),
-    *(row(stage, "params.json", "not-an-object", lambda d, f: b"[]")
-      for stage in ("train", *MODEL_READERS, "ablate")),
-    row("forecast", "params.json", "empty", lambda d, f: b"{}"),
-    row("forecast", "network.json", "schema-only",
-        lambda d, f: b'{"schema": "mortlab/network-v1"}'),
-    row("forecast", "model.json", "schema-only", lambda d, f: json.dumps(
-        {key: json.loads(d)[key] for key in ("config_hash", "schema")}).encode()),
-    row("forecast", "model.json", "not-an-object", lambda d, f: b"[1, 2]"),
-    row("forecast", "model.json", "zero-sd", json_edit(
-        lambda doc: doc["scaler"].update(sd=[0.0] * len(doc["scaler"]["sd"])))),
-    *(row(stage, name, label, json_edit(put(*keys, value=value))) for stage in MODEL_READERS
-      for name, label, keys, value in (
-          ("model.json", "lookback-0", ["lookback"], 0),
-          ("model.json", "split-1800", ["scaler", "train_end_year"], 1800),
-          ("network.json", "nan-weight", ["weights", "bh", 0], math.nan))),
-    *(row(stage, "params.json", "alpha-1e3", json_edit(put("alpha", 0, 0, value=1e3)), code=4,
-          message=f"refusing to write {out}") for stage, out in (("forecast", "e0_summary.csv"),
-                                                                   ("stress", "risk.csv"))),
-    row("forecast", "observed_e0.csv", "last-row-cut",
-        lambda d, f: d[: d.rstrip().rfind(b"\n") + 1]),
-    *(row("forecast", "observed_e0.csv", f"e0-{v}", lambda d, f, v=v: re.sub(
-        rb"(\n\w+,\d+,)[^\r\n]+", rb"\g<1>" + v.encode(), d, count=1)) for v in ("nan", "-5")),
-    *(row("stress", "forecast_manifest.json", f"{key}-{value}", json_edit(put(key, value=value)),
-          message="artifact ensemble.npy does not parse")
-      for key, value in (("n_paths", 119), ("horizon", 5), ("origin_year", 2019))),
-    *(row("stress", "ensemble.npy", label, damage, message=message) for label, damage, message in (
-        ("cut-200-bytes", lambda d, f: d[:-200], None),
-        ("trailing-bytes", lambda d, f: d + bytes(8), "payload is"),
-        ("not-npy", lambda d, f: b"not an npy file", None),
-        ("float32", npy_edit(lambda a: a.astype("<f4")), None),
-        ("big-endian", npy_edit(lambda a: a.astype(">f8")), None),
-        ("fortran-order", npy_edit(np.asfortranarray), None),
-        ("object-dtype", npy_edit(lambda a: a.astype(object)), None),
-        ("factor-missing", npy_edit(lambda a: a[:, :, :-1]), None),
-        ("row-truncated", npy_edit(lambda a: a[:-30]), None),
-        ("header-only-reshaped", npy_edit(lambda a: a.reshape(-1, 4)),
-         "header (shape, fortran_order, dtype)"),
-        ("origin-row-zeroed", npy_edit(put((slice(None), 0), value=0.0)),
-         "does not start from the panel's last year"),
-        ("format-version-2", npy_edit(lambda a: a, version=(2, 0)), None),
-        ("nan-terminal-level", npy_edit(put((0, -1, 0), value=math.nan)), "NaN or infinite"),
-        ("inf-mid-path-level", npy_edit(put((5, 3, 1), value=math.inf)), "NaN or infinite"),
-    )),
-    row("stress", "ensemble.npy", "all-paths-equal", npy_edit(
-        lambda a: np.repeat(a[:1], len(a), axis=0)), code=4, message="SCR must be positive"),
-    row("stress", "ensemble.npy", "rewritten-intact", npy_edit(lambda a: a), rehash=False, code=0,
-        message=""),
-]
+ENSEMBLE_CHECKS = {  # each structural check refuses on its own and names itself
+    "header-only-reshaped": ensemble(npy_edit(lambda a: a.reshape(-1, 4)),
+                                     message="header (shape, fortran_order, dtype)"),
+    "trailing-bytes": ensemble(lambda d, f: d + bytes(8), message="payload is"),
+    "origin-row-zeroed": ensemble(npy_edit(put((slice(None), 0), value=0.0)),
+                                  message="does not start from the panel's last year"),
+}
+# the rows of each test by id; manifest.json is bound to the run by its
+# config hash, not by a checksum
+DAMAGES = {
+    "test_misshapen_manifest_is_3": {
+        label: row("train", MANIFEST, json_edit(edit), rehash=False) for label, edit in {
+            "no-stages": lambda doc: doc.pop("stages"),
+            "stages-a-list": lambda doc: doc.update(stages=list(doc["stages"])),
+            "record-not-an-object": put("stages", "fit", value="done"),
+            "no-files": lambda doc: doc["stages"]["fit"].pop("files"),
+            "files-a-string": put(*FIT_FILES, value="params.json"),
+            "files-not-names": put(*FIT_FILES, value=[1, 2]),
+            "files-names-only": lambda doc: doc["stages"]["fit"].update(
+                files=list(doc["stages"]["fit"]["files"])),
+            "digest-not-hex": put(*FIT_FILES, "params.json", value="not-hex"),
+            "digest-short": put(*FIT_FILES, "params.json", value="ab" * 31),
+            "digest-upper-case": put(*FIT_FILES, "params.json", value="AB" * 32),
+            "digest-null": put("stages", "synth", "files", "extra.csv", value=None),
+        }.items()},
+    "test_manifest_without_config_hash_is_3": {None: row(
+        "train", MANIFEST, json_edit(lambda doc: doc.pop("config_hash")), rehash=False,
+        message="refusing to mix")},
+    "test_cut_json_artifact_is_3": {
+        **{f"{stage}-{MANIFEST}": row(stage, MANIFEST, cut, rehash=False)
+           for stage in STAGES[1:]},
+        **{f"{stage}-{name}": row(stage, name, cut) for stage in ("forecast", "stress")
+           for name in ("params.json", "model.json", "network.json")},
+        "stress-forecast_manifest.json": row("stress", "forecast_manifest.json", cut),
+        **{f"{stage}-params.json-not-an-object": row(stage, "params.json", lambda d, f: b"[]")
+           for stage in ("train", *MODEL_READERS, "ablate")},
+        "forecast-params.json-empty": row("forecast", "params.json", lambda d, f: b"{}"),
+        "forecast-network.json-schema-only": row(
+            "forecast", "network.json", lambda d, f: b'{"schema": "mortlab/network-v1"}'),
+        "forecast-model.json-schema-only": row("forecast", "model.json", lambda d, f: json.dumps(
+            {key: json.loads(d)[key] for key in ("config_hash", "schema")}).encode()),
+        "forecast-model.json-not-an-object": row("forecast", "model.json", lambda d, f: b"[1, 2]"),
+        "forecast-model.json-zero-sd": row("forecast", "model.json", json_edit(
+            lambda doc: doc["scaler"].update(sd=[0.0] * len(doc["scaler"]["sd"])))),
+        **{f"{stage}-{name}-{label}": row(stage, name, json_edit(put(*keys, value=value)))
+           for stage in MODEL_READERS for name, label, keys, value in (
+               ("model.json", "lookback-0", ["lookback"], 0),
+               ("model.json", "split-1800", ["scaler", "train_end_year"], 1800),
+               ("network.json", "nan-weight", ["weights", "bh", 0], math.nan))},
+    },
+    "test_non_finite_figure_is_4": {
+        f"{stage}-params.json-alpha-1e3": row(
+            stage, "params.json", json_edit(put("alpha", 0, 0, value=1e3)), code=4,
+            message=f"refusing to write {out}")
+        for stage, out in (("forecast", "e0_summary.csv"), ("stress", "risk.csv"))},
+    "test_bad_observed_e0_is_3": {
+        **{label: checksum_row("forecast", "observed_e0.csv", label)
+           for label in ("foreign", "deleted")},
+        "last-row-cut": observed(lambda d, f: d[: d.rstrip().rfind(b"\n") + 1]),
+        **{f"e0-{v}": observed(lambda d, f, v=v: re.sub(
+            rb"(\n\w+,\d+,)[^\r\n]+", rb"\g<1>" + v.encode(), d, count=1)) for v in ("nan", "-5")},
+    },
+    "test_manifest_disagreeing_with_ensemble_is_3": {
+        f"{key}-{value}": row("stress", "forecast_manifest.json", json_edit(put(key, value=value)),
+                              message="artifact ensemble.npy does not parse")
+        for key, value in (("n_paths", 119), ("horizon", 5), ("origin_year", 2019))},
+    "test_misshapen_ensemble_with_recorded_checksum_is_3": {
+        "cut-200-bytes": ensemble(lambda d, f: d[:-200]),
+        "trailing-bytes": ENSEMBLE_CHECKS["trailing-bytes"],
+        "not-npy": ensemble(lambda d, f: b"not an npy file"),
+        "float32": ensemble(npy_edit(lambda a: a.astype("<f4"))),
+        "big-endian": ensemble(npy_edit(lambda a: a.astype(">f8"))),
+        "fortran-order": ensemble(npy_edit(np.asfortranarray)),
+        "object-dtype": ensemble(npy_edit(lambda a: a.astype(object))),
+        "factor-missing": ensemble(npy_edit(lambda a: a[:, :, :-1])),
+        "origin-row-zeroed": ENSEMBLE_CHECKS["origin-row-zeroed"],
+        "format-version-2": ensemble(npy_edit(lambda a: a, version=(2, 0))),
+    },
+    "test_ensemble_refusal_names_its_check": ENSEMBLE_CHECKS,
+    "test_non_finite_ensemble_is_3": {
+        "nan-terminal-level": ensemble(npy_edit(put((0, -1, 0), value=math.nan)),
+                                       message="NaN or infinite"),
+        "inf-mid-path-level": ensemble(npy_edit(put((5, 3, 1), value=math.inf)),
+                                       message="NaN or infinite"),
+    },
+    "test_degenerate_scr_is_4": {None: ensemble(npy_edit(
+        lambda a: np.repeat(a[:1], len(a), axis=0)), code=4, message="SCR must be positive")},
+    "test_rewritten_intact_ensemble_is_0": {None: ensemble(
+        npy_edit(lambda a: a), rehash=False, code=0, message="")},
+    "test_row_truncated_ensemble_is_3": {None: ensemble(npy_edit(lambda a: a[:-30]))},
+}
 # every (stage, artifact) pair above but the manifest's, through each damage
 # its recorded checksum refuses
-DAMAGES += [row(stage, name, label, damage, rehash=False,
-                message=f"artifact {name} is missing or does not match its checksum")
-            for stage, name in sorted({p.values[:2] for p in DAMAGES if p.values[1] != MANIFEST})
-            for label, damage in {
-                "foreign": lambda d, f: f,
-                "cut-in-half": lambda d, f: d[: len(d) // 2],
-                "flipped-byte": lambda d, f: bytes(b ^ (i == len(d) // 2) for i, b in enumerate(d)),
-                "deleted": lambda d, f: None,
-            }.items()]
+LOADED = {case[:2] for group in DAMAGES.values() for case in group.values()}
+DAMAGES["test_damaged_artifact_is_3"] = {
+    f"{stage}-{name}-{label}": checksum_row(stage, name, label)
+    for stage, name in sorted(LOADED) if name != MANIFEST for label in CHECKSUM_DAMAGES}
+
+
+def cases(test):
+    """The rows of DAMAGES[test] as parameters with their ids."""
+    return [pytest.param(case, id=id) for id, case in DAMAGES[test].items()]
 
 
 def file_states(root: Path) -> dict:
     """Every file under `root`, hidden pending files included, with its bytes and mtime."""
     return {p: (p.read_bytes(), p.stat().st_mtime_ns) for p in root.rglob("*") if p.is_file()}
+
+
+@pytest.fixture
+def damaged(pipeline, foreign_run, tmp_path, caplog):
+    """Runs one row of DAMAGES: the stage, run on a copy of the pipeline whose
+    artifact went through the damage, exits with the row's code and logs its
+    message; a refusal leaves every file of the copy with its bytes and
+    mtime, and no pending file (test_a_stage_that_raises_leaves_every_file)."""
+    def check(case):
+        stage, name, damage, rehash, code, message = case
+        copy = shutil.copytree(pipeline[0], tmp_path / "copy")
+        path, manifest = copy / "run" / name, copy / "run" / MANIFEST
+        data = damage(path.read_bytes(), (foreign_run / name).read_bytes())
+        if data is None:
+            path.unlink()
+        else:
+            path.write_bytes(data)
+        if rehash:
+            doc = json.loads(manifest.read_text())
+            for record in doc["stages"].values():
+                if name in record["files"]:
+                    record["files"][name] = hashlib.sha256(data).hexdigest()
+            manifest.write_text(json.dumps(doc))
+        for file in file_states(copy):
+            os.utime(file, ns=(1, 1))
+        before = file_states(copy)
+        assert main([stage, "--config", str(copy / "config.json"), "--quiet"]) == code
+        assert message in caplog.text
+        if code:
+            assert file_states(copy) == before
+    return check
 
 
 class TestArtifactRule:
@@ -485,35 +556,21 @@ class TestArtifactRule:
             assert "manifest.json" in opened or stage == "synth", stage
             assert written and all(re.fullmatch(rf"\..+\.{os.getpid()}\.pending", n)
                                    for n in written), stage
-            assert {(stage, name) for name in loaded} <= {p.values[:2] for p in DAMAGES}, stage
+            assert {(stage, name) for name in loaded} <= LOADED, stage
 
-    @pytest.mark.parametrize("stage, name, damage, rehash, code, message", DAMAGES)
-    def test_damaged_artifact(self, pipeline, foreign_run, tmp_path, caplog, stage, name, damage,
-                              rehash, code, message):
-        """The stage, run on a copy of the pipeline whose artifact went through
-        the damage, exits with the row's code and logs its message; a refusal
-        leaves every file of the copy with its bytes and mtime, and no pending
-        file (test_a_stage_that_raises_leaves_every_file)."""
-        copy = shutil.copytree(pipeline[0], tmp_path / "copy")
-        path, manifest = copy / "run" / name, copy / "run" / MANIFEST
-        data = damage(path.read_bytes(), (foreign_run / name).read_bytes())
-        if data is None:
-            path.unlink()
-        else:
-            path.write_bytes(data)
-        if rehash:
-            doc = json.loads(manifest.read_text())
-            for record in doc["stages"].values():
-                if name in record["files"]:
-                    record["files"][name] = hashlib.sha256(data).hexdigest()
-            manifest.write_text(json.dumps(doc))
-        for file in file_states(copy):
-            os.utime(file, ns=(1, 1))
-        before = file_states(copy)
-        assert main([stage, "--config", str(copy / "config.json"), "--quiet"]) == code
-        assert message in caplog.text
-        if code:
-            assert file_states(copy) == before
+    @pytest.mark.parametrize("case", cases("test_damaged_artifact_is_3"))
+    def test_damaged_artifact_is_3(self, damaged, case):
+        damaged(case)
+
+    @pytest.mark.parametrize("case", cases("test_misshapen_manifest_is_3"))
+    def test_misshapen_manifest_is_3(self, damaged, case):
+        """A manifest that parses, with the run's config_hash, but whose
+        `stages` is not a dict of stage records mapping file names to
+        SHA-256 digests is refused by name, never with a traceback."""
+        damaged(case)
+
+    def test_manifest_without_config_hash_is_3(self, damaged):
+        damaged(DAMAGES["test_manifest_without_config_hash_is_3"][None])
 
 
 class TestExitCodes:
@@ -751,6 +808,53 @@ class TestExitCodes:
 # config_hash of three configs, computed before the config table replaced
 # the per-rule tables: a valid config's hash, and so its artifacts, must
 # not move when the config's checking changes
+
+    @pytest.mark.parametrize("case", cases("test_cut_json_artifact_is_3"))
+    def test_cut_json_artifact_is_3(self, damaged, case):
+        """The artifact cut to 5 bytes, or replaced by a document that
+        parses as JSON but is incomplete, of the wrong schema or invalid."""
+        damaged(case)
+
+    @pytest.mark.parametrize("case", cases("test_non_finite_figure_is_4"))
+    def test_non_finite_figure_is_4(self, damaged, case):
+        """An e0 or risk figure that would be NaN or infinite is refused
+        before the stage commits."""
+        damaged(case)
+
+    @pytest.mark.parametrize("case", cases("test_bad_observed_e0_is_3"))
+    def test_bad_observed_e0_is_3(self, damaged, case):
+        damaged(case)
+
+    @pytest.mark.parametrize("case", cases("test_manifest_disagreeing_with_ensemble_is_3"))
+    def test_manifest_disagreeing_with_ensemble_is_3(self, damaged, case):
+        damaged(case)
+
+    @pytest.mark.parametrize("case", cases("test_misshapen_ensemble_with_recorded_checksum_is_3"))
+    def test_misshapen_ensemble_with_recorded_checksum_is_3(self, damaged, case):
+        damaged(case)
+
+    @pytest.mark.parametrize("case", cases("test_ensemble_refusal_names_its_check"))
+    def test_ensemble_refusal_names_its_check(self, damaged, case):
+        """Each structural check refuses on its own: the reshaped file keeps
+        the payload bytes and only its header disagrees."""
+        damaged(case)
+
+    @pytest.mark.parametrize("case", cases("test_non_finite_ensemble_is_3"))
+    def test_non_finite_ensemble_is_3(self, damaged, case):
+        """One NaN or infinite level, its checksum recorded, is refused before
+        stress writes risk.csv or stress.json."""
+        damaged(case)
+
+    def test_degenerate_scr_is_4(self, damaged):
+        # identical paths make SCR exactly zero
+        damaged(DAMAGES["test_degenerate_scr_is_4"][None])
+
+    def test_rewritten_intact_ensemble_is_0(self, damaged):
+        damaged(DAMAGES["test_rewritten_intact_ensemble_is_0"][None])
+
+    def test_row_truncated_ensemble_is_3(self, damaged):
+        # a well-formed file missing its last 30 paths, checksum recorded
+        damaged(DAMAGES["test_row_truncated_ensemble_is_3"][None])
 README_CONFIG = {
     "out_dir": "run",
     "data": {"cluster_csv": "data/cluster.csv", "year_range": [1956, 2020]},
