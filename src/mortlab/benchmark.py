@@ -2,17 +2,20 @@
 
 It holds the linear benchmark (a random walk with drift for the common
 index and a zero-mean AR(1) per specific index, fitted by `lilee`), the
-network's validation forecasts, the benchmark table, the design ablations
-and the lookback sweep.
+benchmark table, the design ablations and the lookback sweep.
 
 The comparison protocol: factors are extracted once from the full
-observation period, every forecaster is estimated strictly on the training
-years, and both produce level forecasts over the validation years.  The
-mean-bias correction - the network's validation bias vector, one constant
-per factor - is applied to BOTH sides: the network adds it in its scaled
-output space, the linear benchmark receives the identical vector mapped to
-unscaled difference units.  Both contenders therefore get the same
-constant adjustment and the comparison isolates structural adaptability.
+observation period and split once, by `windows.holdout`, into the history
+(the level years up to `split_year`) and the validation years' levels; the
+network's scaler rows and windows are split at the same boundary, each
+difference carrying its later level's year.  Every forecaster is estimated
+strictly on the training years, and each contender returns only its
+(horizon, factors) level forecasts of the validation years.  The mean-bias
+correction (the network's validation bias vector, one constant per factor)
+is applied to BOTH sides: the network adds it in its scaled output space,
+the linear benchmark receives the identical vector mapped to unscaled
+difference units.  Both contenders therefore get the same constant
+adjustment and the comparison isolates structural adaptability.
 
 Forecasts are recursive: each model feeds its own predictions forward
 over the validation years.  `validate` reports RMSE per country on the
@@ -30,7 +33,7 @@ from .errors import DegenerateSeriesError, InsufficientHistoryError
 from .forecast import ForecastModel, HybridConfig, fit_forecaster, forecast_deterministic
 from .lilee import FactorPanel, fit_ar1, fit_rwd
 from .lstm import predict
-from .windows import inverse_transform, transform
+from .windows import holdout, inverse_transform, transform
 
 
 @dataclass(frozen=True)
@@ -67,27 +70,17 @@ def rmse(forecast: np.ndarray, actual: np.ndarray) -> float:
     return float(np.sqrt(np.mean((forecast - actual) ** 2)))
 
 
-def _split_panel(panel: FactorPanel, split_year: int):
-    train_rows = panel.years <= split_year
-    val_rows = panel.years > split_year
-    if train_rows.sum() < 3 or val_rows.sum() < 1:
-        raise InsufficientHistoryError("split leaves too little data on one side")
-    return train_rows, val_rows
+def linear_benchmark_forecast(history: FactorPanel, horizon: int, bias: np.ndarray) -> np.ndarray:
+    """Drift/AR(1) level forecasts, (horizon, factors), of the `horizon`
+    years after the history's last.
 
-
-def linear_benchmark_forecast(
-    panel: FactorPanel, split_year: int, bias: np.ndarray
-) -> np.ndarray:
-    """Drift/AR(1) level forecasts over the validation years.
-
-    The drift and AR coefficients come from the training years only.
-    `bias` is the shared mean-bias correction in unscaled difference units
-    (the network's validation bias vector mapped through the scaler), added
-    to every per-step difference so both contenders receive the identical
+    The drift and AR coefficients come from the history only.  `bias` is
+    the shared mean-bias correction in unscaled difference units (the
+    network's validation bias vector mapped through the scaler), added to
+    every per-step difference so both contenders receive the identical
     adjustment.
     """
-    train_rows, val_rows = _split_panel(panel, split_year)
-    train_vals = panel.values[train_rows]
+    train_vals = history.values
     n_factors = train_vals.shape[1]
     bias = np.asarray(bias, dtype=float)
 
@@ -101,28 +94,13 @@ def linear_benchmark_forecast(
 
     # K moves by its drift, each specific index decays by its phi, and
     # every factor takes its shared bias
-    out = np.empty((int(val_rows.sum()), n_factors))
+    out = np.empty((horizon, n_factors))
     state = train_vals[-1]
-    for h in range(out.shape[0]):
+    for h in range(horizon):
         out[h, 0] = state[0] + (drift + bias[0])
         out[h, 1:] = phis * state[1:] + bias[1:]
         state = out[h]
     return out
-
-
-def hybrid_validation_forecast(
-    model: ForecastModel, panel: FactorPanel, split_year: int
-) -> np.ndarray:
-    """Network level forecasts over the validation years, recursive from
-    the training years."""
-    train_rows, val_rows = _split_panel(panel, split_year)
-    horizon = int(val_rows.sum())
-    history = FactorPanel(
-        years=panel.years[train_rows],
-        values=panel.values[train_rows],
-        labels=panel.labels,
-    )
-    return forecast_deterministic(model, history, horizon).values[-horizon:]
 
 
 def validate(panel: FactorPanel, model: ForecastModel, split_year: int) -> list[BenchmarkRow]:
@@ -131,11 +109,10 @@ def validate(panel: FactorPanel, model: ForecastModel, split_year: int) -> list[
 
     The network's bias vector, mapped to unscaled difference units, is the
     single shared correction applied to both forecast paths."""
-    _, val_rows = _split_panel(panel, split_year)
-    actual = panel.values[val_rows]
+    history, actual = holdout(panel, split_year)
     shared_bias = model.mbc * model.scaler.sd
-    ll = linear_benchmark_forecast(panel, split_year, shared_bias)
-    hy = hybrid_validation_forecast(model, panel, split_year)
+    ll = linear_benchmark_forecast(history, len(actual), shared_bias)
+    hy = forecast_deterministic(model, history, len(actual))
     return [
         BenchmarkRow(
             country=panel.labels[1 + i],
@@ -146,27 +123,17 @@ def validate(panel: FactorPanel, model: ForecastModel, split_year: int) -> list[
     ]
 
 
-def _rmse_kt_recursive(model: ForecastModel, panel: FactorPanel, split_year: int) -> float:
-    _, val_rows = _split_panel(panel, split_year)
-    actual_k = panel.values[val_rows][:, 0]
-    hy = hybrid_validation_forecast(model, panel, split_year)
-    return rmse(hy[:, 0], actual_k)
-
-
-def _levels_variant_rmse(panel: FactorPanel, split_year: int, cfg: HybridConfig) -> float:
-    """Retrain on absolute levels instead of differences, identical
-    architecture and seeds; bias correction stays on, computed in the
-    scaled level space.  The network forecasts levels, so this loop, not
-    `_advance`, steps it."""
-    model = fit_forecaster(panel, split_year, cfg, differences=False)[0]
-    train_rows, val_rows = _split_panel(panel, split_year)
-    window = transform(model.scaler, panel.values[train_rows][-cfg.lookback :])
-    out = np.empty((int(val_rows.sum()), panel.n_factors))
-    for h in range(out.shape[0]):
+def _levels_forecast(model: ForecastModel, history: FactorPanel, horizon: int) -> np.ndarray:
+    """The recursive forecast of a network trained on levels (the levels
+    ablation's), (horizon, factors).  Such a network forecasts levels, so
+    this loop, not `_advance`, steps it."""
+    window = transform(model.scaler, history.values[-model.lookback :])
+    out = np.empty((horizon, history.n_factors))
+    for h in range(horizon):
         pred = predict(model.net, window[None])[0] + model.mbc
         out[h] = inverse_transform(model.scaler, pred)
         window = np.vstack([window[1:], pred])
-    return rmse(out[:, 0], panel.values[val_rows][:, 0])
+    return out
 
 
 def ablate(
@@ -178,11 +145,18 @@ def ablate(
 
     `baseline` is `fit_forecaster(panel, split_year, cfg)`."""
     model = baseline[0]
-    base = _rmse_kt_recursive(model, panel, split_year)
+    history, actual = holdout(panel, split_year)
+
+    def rmse_kt(forecast, m: ForecastModel) -> float:
+        return rmse(forecast(m, history, len(actual))[:, 0], actual[:, 0])
+
+    base = rmse_kt(forecast_deterministic, model)
     variants = {
-        "no_mbc": _rmse_kt_recursive(replace(model, mbc=np.zeros_like(model.mbc)),
-                                     panel, split_year),
-        "no_differences": _levels_variant_rmse(panel, split_year, cfg),
+        "no_mbc": rmse_kt(forecast_deterministic, replace(model, mbc=np.zeros_like(model.mbc))),
+        # retrained on levels with identical architecture and seeds; its bias
+        # correction stays on, computed in the scaled level space
+        "no_differences": rmse_kt(
+            _levels_forecast, fit_forecaster(panel, split_year, cfg, differences=False)[0]),
     }
     return {
         "baseline": AblationResult("baseline", base, 0.0),
@@ -203,6 +177,7 @@ def lookback_sweep(
 
     `baseline` is `fit_forecaster(panel, split_year, cfg)`; the sweep
     reuses it for `cfg.lookback` instead of training the same model again."""
+    history, actual = holdout(panel, split_year)
     results = []
     n_diffs = panel.values.shape[0] - 1
     for lb in lookbacks:
@@ -214,6 +189,6 @@ def lookback_sweep(
             note = f"skipped: {exc} ({n_diffs} difference rows)"
             results.append(SweepResult(lb, None, 0, 0, skipped=True, note=note))
             continue
-        rmse_kt = _rmse_kt_recursive(model, panel, split_year)
+        rmse_kt = rmse(forecast_deterministic(model, history, len(actual))[:, 0], actual[:, 0])
         results.append(SweepResult(lb, rmse_kt, int(train_idx.size), int(val_idx.size)))
     return results

@@ -14,8 +14,8 @@ the only reader and refuses a file that is missing, whose bytes differ
 from that checksum, or that does not parse into a complete, valid object;
 any package error its parser raises, a non-finite weight included, counts
 as unparseable (exit 3).  Neither does a manifest in any other form, a
-`model.json` split at another year than the config's `split_year`, or an
-observed e0 that is not a finite positive number.  `forecast` and `stress`
+forecaster that is not the config's or the panel's (`_load_model_panel`),
+or an observed e0 that is not a finite positive number.  `forecast` and `stress`
 refuse (exit 4) an e0 or risk figure that is NaN or infinite rather than
 write it.
 The binary ensemble (`ensemble.npy`, little-endian float64, paths x
@@ -465,20 +465,38 @@ def _focus_country(ctx: RunContext, countries) -> str:
 
 
 def _load_model_panel(ctx: RunContext):
-    """params.json, the forecaster (refused unless it was split at the
-    config's `split_year`) and the factor panel."""
+    """params.json, the forecaster and the factor panel.  network.json and
+    model.json are refused unless they hold the config's forecaster (its
+    lookback, hidden sizes, dropout rate and split year) for the panel's
+    factors (the network's input and output widths and the bias vector's
+    length are the factor count)."""
     params = ctx.load("params.json", parse_params)
-    net = ctx.load("network.json", parse_network)
-    split_year = ctx.cfg["split_year"]
+    panel = FactorPanel.from_params(params)
+    n = panel.n_factors
+    expected = {"lookback": ctx.cfg["lookback"], "hidden": tuple(ctx.cfg["hidden"]),
+                "dropout": ctx.cfg["dropout"], "split_year": ctx.cfg["split_year"],
+                "input width": n, "output width": n, "bias length": n}
+
+    def check(found: dict) -> None:
+        for key, value in found.items():
+            if value != expected[key]:
+                raise ValueError(f"its {key} is {value}, not the run's {expected[key]}")
+
+    def parse_net(data: bytes):
+        net = parse_network(data)
+        check({"hidden": net.hidden, "dropout": net.dropout_rate,
+               "input width": net.input_dim, "output width": net.Wh.shape[1]})
+        return net
+
+    net = ctx.load("network.json", parse_net)
 
     def parse_model(data: bytes):
         model = parse_forecaster(data, net)
-        if model.scaler.train_end_year != split_year:
-            raise ValueError(f"it was split at {model.scaler.train_end_year}, "
-                             f"not at the config's split_year {split_year}")
+        check({"lookback": model.lookback, "split_year": model.scaler.train_end_year,
+               "bias length": model.mbc.size})
         return model
 
-    return params, ctx.load("model.json", parse_model), FactorPanel.from_params(params)
+    return params, ctx.load("model.json", parse_model), panel
 
 
 def _check_finite(name: str, figures) -> None:

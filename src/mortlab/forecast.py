@@ -170,8 +170,10 @@ def _advance(model: ForecastModel, windows: np.ndarray, mask) -> np.ndarray:
 
 def forecast_deterministic(
     model: ForecastModel, history: FactorPanel, horizon: int
-) -> FactorPanel:
-    """Recursive central forecast; returns history plus `horizon` new rows.
+) -> np.ndarray:
+    """Recursive central forecast: the (horizon, factors) levels of the
+    `horizon` years after the history's last, one window shifted in place
+    as `_run_block` shifts a block's.
 
     No dropout, no noise: repeated runs are bit-identical."""
     if horizon < 0:
@@ -179,14 +181,13 @@ def forecast_deterministic(
     need = model.lookback + 1
     if history.values.shape[0] < need:
         raise InsufficientHistoryError(f"need at least {need} level rows")
-    if horizon == 0:
-        return history
-    levels = list(history.values)
-    for _ in range(horizon):
-        window = np.asarray(levels[-need:])[None]
-        levels.append(_advance(model, window, mask=None)[0])
-    years = np.arange(history.years[0], history.years[-1] + horizon + 1)
-    return FactorPanel(years=years, values=np.asarray(levels), labels=history.labels)
+    window = history.values[None, -need:].copy()
+    out = np.empty((horizon, history.values.shape[1]))
+    for h in range(horizon):
+        out[h] = _advance(model, window, mask=None)[0]
+        window[:, :-1] = window[:, 1:]
+        window[:, -1] = out[h]
+    return out
 
 
 def historical_diff_sd(panel: FactorPanel) -> np.ndarray:

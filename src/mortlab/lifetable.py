@@ -1,10 +1,13 @@
 """Mortality-curve reconstruction and period life tables.
 
 Projected common-factor levels map back to death rates through
-m_x = exp(alpha_x + B_x * K); the country-specific term is deliberately
-omitted so long-horizon projections do not accumulate extra integration
-drift from the specific indices.  Life tables use the standard mid-period
-approximation q = m / (1 + 0.5 m) on a closed table with terminal age 90.
+m_x = exp(alpha_x + B_x * K); the country-specific term b_i * k_i is
+deliberately omitted so long-horizon projections do not accumulate extra
+integration drift from the specific indices.  The omission shows at the
+origin: on the README quickstart config (seed 4242) `e0_origin_model` misses
+`e0_origin_observed` by 0.64, 1.80 and 1.17 years for SYA, SYB and SYC
+(ROADMAP item 9).  Life tables use the standard mid-period approximation
+q = m / (1 + 0.5 m) on a closed table with terminal age 90.
 """
 
 from __future__ import annotations

@@ -1,10 +1,14 @@
-"""First differences, train-only standardization, and sliding windows.
+"""The training/validation hold-out, first differences, train-only
+standardization, and sliding windows.
 
-The factor panel is differenced once (a velocity representation), scaled
-to zero mean and unit variance using statistics fitted on training rows
-only, and cut into overlapping windows of the last L scaled differences
-with the following difference as the target.  A difference row carries the
-year of its later level, so the split boundary is defined by target years.
+The split is decided here alone: the history is the level years up to and
+including `split_year` (`holdout`), and the later years validate.  The panel
+is differenced once (a velocity representation), scaled to zero mean and
+unit variance using statistics fitted on training rows only, and cut into
+overlapping windows of the last L scaled differences with the following
+difference as the target.  A difference row, and so a window's target,
+carries the year of its later level, so the same boundary splits the
+scaler's rows and the windows.
 """
 
 from __future__ import annotations
@@ -54,6 +58,17 @@ class WindowedDataset:
             raise DimensionError("X must be (samples, L, features), Y (samples, features)")
         if not (self.X.shape[0] == self.Y.shape[0] == self.sample_years.size):
             raise DimensionError("sample counts disagree")
+
+
+def holdout(panel: FactorPanel, split_year: int) -> tuple[FactorPanel, np.ndarray]:
+    """(history, actual): the level years up to `split_year` as a panel and
+    the later years' levels, (validation years, factors).  Refused with
+    InsufficientHistoryError unless at least 3 years train and 1 validates."""
+    train = panel.years <= split_year
+    if train.sum() < 3 or train.all():
+        raise InsufficientHistoryError("split leaves too little data on one side")
+    history = replace(panel, years=panel.years[train], values=panel.values[train])
+    return history, panel.values[~train]
 
 
 def difference(panel: FactorPanel) -> FactorPanel:

@@ -21,13 +21,7 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 
-from mortlab.benchmark import (
-    ablate,
-    hybrid_validation_forecast,
-    linear_benchmark_forecast,
-    rmse,
-    validate,
-)
+from mortlab.benchmark import ablate, linear_benchmark_forecast, rmse, validate
 from mortlab.cli import SYNTH_REGIMES
 from mortlab.data import synthesize_cluster, synthetic_truth
 from mortlab.explain import kernel_shap
@@ -47,6 +41,7 @@ from mortlab.lstm import TrainConfig, init_params, input_gradient, mse, predict,
 from mortlab.lstm import _backward, _infer
 from mortlab.risk import delta_star_from, es, reverse_stress, var
 from mortlab.stationarity import adf_test, kpss_test
+from mortlab.windows import holdout
 from tests.test_lifetable import direct_e0_oracle, make_params
 from tests.test_lilee import jacobi_svd
 from tests.test_lstm import assert_close_grads, numeric_weight_grads
@@ -126,10 +121,11 @@ class Score(NamedTuple):
 
 def _score(run: ChampionFit) -> Score:
     panel, (model, trace, _, _) = run.panel, run.fit
-    actual = panel.values[panel.years > 2011]
-    ll = linear_benchmark_forecast(panel, 2011, bias=model.mbc * model.scaler.sd)
-    hy = hybrid_validation_forecast(model, panel, 2011)
-    off = hybrid_validation_forecast(_network_off(model), panel, 2011)
+    history, actual = holdout(panel, 2011)
+    horizon = len(actual)
+    ll = linear_benchmark_forecast(history, horizon, bias=model.mbc * model.scaler.sd)
+    hy = forecast_deterministic(model, history, horizon)
+    off = forecast_deterministic(_network_off(model), history, horizon)
     rows = validate(panel, model, 2011)
     return Score(
         lilee=rmse(ll[:, 1:], actual[:, 1:]),
@@ -287,8 +283,7 @@ def test_c07_degenerate_ensemble(fits):
         det_model, panel, 30, n_paths=1000,
         sigma=np.zeros(panel.n_factors), seed=707,
     )
-    ext = det.values[-30:]
-    identical = all(np.array_equal(ens.levels[p, 1:], ext) for p in range(1000))
+    identical = all(np.array_equal(ens.levels[p, 1:], det) for p in range(1000))
     report(7, "degenerate-ensemble", identical, "(1000 paths bit-identical)")
 
 
@@ -504,8 +499,9 @@ def test_c17_network_off_contender(fits, scorecard):
     for regime in ("unit_root", "stationary"):
         for run in fits(regime):
             model = run.fit[0]
-            off = hybrid_validation_forecast(_network_off(model), run.panel, 2011)
-            previous = np.vstack([run.panel.values[run.panel.years <= 2011][-1], off[:-1]])
+            history, actual = holdout(run.panel, 2011)
+            off = forecast_deterministic(_network_off(model), history, len(actual))
+            previous = np.vstack([history.values[-1], off[:-1]])
             step = model.scaler.mean + model.mbc * model.scaler.sd
             exact &= np.array_equal(off, previous + step)
         cards = scorecard(regime)

@@ -13,9 +13,10 @@ from mortlab.benchmark import (
     validate,
 )
 from mortlab.data import synthesize_cluster, synthetic_truth
-from mortlab.forecast import HybridConfig, fit_forecaster
+from mortlab.forecast import HybridConfig, fit_forecaster, forecast_deterministic
 from mortlab.lilee import FactorPanel, fit_ar1, fit_lilee, fit_rwd
 from mortlab.lstm import TrainConfig
+from mortlab.windows import holdout
 
 
 def quick_cfg(seed=0, epochs=60):
@@ -71,6 +72,12 @@ def phi_zero_panel():
     )
 
 
+def linear(panel, split_year, bias):
+    """linear_benchmark_forecast over the years after `split_year`."""
+    history, actual = holdout(panel, split_year)
+    return linear_benchmark_forecast(history, len(actual), bias)
+
+
 class TestLinearBenchmark:
     def test_pure_drift_recursion(self):
         t = 30
@@ -82,7 +89,7 @@ class TestLinearBenchmark:
             values=np.column_stack([K, k1]),
             labels=("K", "C0"),
         )
-        out = linear_benchmark_forecast(panel, 2014, np.zeros(2))
+        out = linear(panel, 2014, np.zeros(2))
         # drift on the training slice is exactly -1 per year
         train_K = K[: np.sum(panel.years <= 2014)]
         d = fit_rwd(train_K).drift
@@ -91,8 +98,8 @@ class TestLinearBenchmark:
 
     def test_shared_bias_shifts_drift(self):
         panel = noisy_panel()
-        base = linear_benchmark_forecast(panel, 2010, np.zeros(2))
-        shifted = linear_benchmark_forecast(panel, 2010, np.array([0.5, 0.0]))
+        base = linear(panel, 2010, np.zeros(2))
+        shifted = linear(panel, 2010, np.array([0.5, 0.0]))
         steps = np.arange(1, base.shape[0] + 1)
         assert np.allclose(shifted[:, 0] - base[:, 0], 0.5 * steps)
 
@@ -100,7 +107,7 @@ class TestLinearBenchmark:
         # the specific forecast is zero no matter where the series ends
         panel = phi_zero_panel()
         assert fit_ar1(panel.values[panel.years <= 2013, 1]).phi == 0.0
-        out = linear_benchmark_forecast(panel, 2013, np.zeros(2))
+        out = linear(panel, 2013, np.zeros(2))
         assert np.all(out[:, 1] == 0.0)
 
 
@@ -140,18 +147,15 @@ class TestAblate:
         assert out["baseline"].degradation_pct == 0.0
 
     def test_no_mbc_on_zero_bias_model_is_noop(self, fitted_panel):
-        import dataclasses
-
-        from mortlab.benchmark import _rmse_kt_recursive
-
         _, panel = fitted_panel
         model = fit_forecaster(panel, 2011, quick_cfg(seed=5))[0]
-        zeroed = dataclasses.replace(model, mbc=np.zeros_like(model.mbc))
-        base = _rmse_kt_recursive(zeroed, panel, 2011)
-        again = _rmse_kt_recursive(
-            dataclasses.replace(zeroed, mbc=np.zeros_like(model.mbc)), panel, 2011
+        zeroed = replace(model, mbc=np.zeros_like(model.mbc))
+        history, actual = holdout(panel, 2011)
+        base = forecast_deterministic(zeroed, history, len(actual))
+        again = forecast_deterministic(
+            replace(zeroed, mbc=np.zeros_like(model.mbc)), history, len(actual)
         )
-        assert base == again
+        assert np.array_equal(base, again)
 
     def test_variants_present(self, fitted_panel):
         _, panel = fitted_panel

@@ -384,7 +384,19 @@ DAMAGES = {
            for stage in MODEL_READERS for name, label, keys, value in (
                ("model.json", "lookback-0", ["lookback"], 0),
                ("model.json", "split-1800", ["scaler", "train_end_year"], 1800),
-               ("network.json", "nan-weight", ["weights", "bh", 0], math.nan))},
+               ("model.json", "lookback-12", ["lookback"], 12),
+               ("network.json", "nan-weight", ["weights", "bh", 0], math.nan),
+               ("network.json", "dropout-0.5", ["dropout_rate"], 0.5))},
+        # the pipeline's forecaster is hidden (16, 8) over 4 factors
+        **{f"{stage}-network.json-{label}": row(
+            stage, "network.json", lambda d, f, net=net: lstm.dump_network(net).encode())
+           for stage in MODEL_READERS for label, net in (
+               ("hidden-8-4", lstm.init_params(4, hidden=(8, 4), output_dim=4)),
+               ("5-factors", lstm.init_params(5, hidden=(16, 8), output_dim=5)))},
+        **{f"{stage}-model.json-5-factors": row(stage, "model.json", json_edit(
+            lambda doc: [v.append(v[-1]) for v in (doc["mbc"], *doc["scaler"].values())
+                         if isinstance(v, list)]))
+           for stage in MODEL_READERS},
     },
     "test_non_finite_figure_is_4": {
         f"{stage}-params.json-alpha-1e3": row(
@@ -815,6 +827,9 @@ class TestExitCodes:
         parses as JSON but is incomplete, of the wrong schema or invalid."""
         damaged(case)
 
+    # alpha 1e3 overflows exp in the life table, and inf / inf is NaN there
+    @pytest.mark.filterwarnings("ignore:overflow encountered in exp:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in divide:RuntimeWarning")
     @pytest.mark.parametrize("case", cases("test_non_finite_figure_is_4"))
     def test_non_finite_figure_is_4(self, damaged, case):
         """An e0 or risk figure that would be NaN or infinite is refused

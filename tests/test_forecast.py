@@ -87,25 +87,24 @@ class TestDeterministic:
         model = zero_model(mean=[0.5, -0.25, 1.0])
         rng = np.random.default_rng(4)
         history = make_panel(rng.standard_normal((8, 3)))
-        out = forecast_deterministic(model, history, horizon=4)
-        ext = out.values[8:]
+        ext = forecast_deterministic(model, history, horizon=4)
         expect = history.values[-1] + np.outer(
             np.arange(1, 5), np.array([0.5, -0.25, 1.0])
         )
         assert np.allclose(ext, expect, atol=1e-12)
 
-    def test_horizon_zero_returns_history(self):
+    def test_horizon_zero_returns_no_rows(self):
         model = zero_model()
         history = make_panel(np.random.default_rng(5).standard_normal((6, 3)))
         out = forecast_deterministic(model, history, horizon=0)
-        assert out is history
+        assert out.shape == (0, 3)
 
     def test_repeated_runs_bit_identical(self, trained_model, fitted_panel):
         model = trained_model[0]
         _, panel = fitted_panel
         a = forecast_deterministic(model, panel, horizon=10)
         b = forecast_deterministic(model, panel, horizon=10)
-        assert np.array_equal(a.values, b.values)
+        assert np.array_equal(a, b)
 
     def test_insufficient_history(self):
         model = zero_model(lookback=6)
@@ -201,9 +200,8 @@ class TestStochastic:
             sigma=np.zeros(panel.n_factors),
             seed=5,
         )
-        ext = det.values[-horizon:]
         for p in range(ens.n_paths):
-            assert np.array_equal(ens.levels[p, 1:], ext)
+            assert np.array_equal(ens.levels[p, 1:], det)
 
     @pytest.mark.parametrize("n_paths", [0, -2])
     def test_empty_ensemble_refused(self, n_paths):
@@ -241,7 +239,7 @@ class TestStochastic:
         ens = forecast_stochastic(
             model, history, horizon=1, n_paths=10_000, sigma=sigma, seed=10
         )
-        det = forecast_deterministic(model, history, horizon=1).values[-1]
+        det = forecast_deterministic(model, history, horizon=1)[0]
         bound = 3.0 * sigma / np.sqrt(10_000)
         assert np.all(np.abs(ens.levels[:, 1, :].mean(axis=0) - det) <= bound)
 

@@ -10,6 +10,7 @@ from mortlab.windows import (
     ScalerParams,
     difference,
     fit_scaler,
+    holdout,
     inverse_transform,
     make_windows,
     prepare_windows,
@@ -23,6 +24,23 @@ def panel_from(values, first_year=2000):
     years = first_year + np.arange(values.shape[0])
     labels = tuple(f"f{i}" for i in range(values.shape[1]))
     return FactorPanel(years=years, values=values, labels=labels)
+
+
+class TestHoldout:
+    def test_history_is_the_years_up_to_the_split(self):
+        p = panel_from(np.arange(16.0).reshape(8, 2))
+        history, actual = holdout(p, 2004)
+        assert np.array_equal(history.years, np.arange(2000, 2005))
+        assert np.array_equal(history.values, p.values[:5])
+        assert history.labels == p.labels
+        assert np.array_equal(actual, p.values[5:])
+
+    @pytest.mark.parametrize("split_year", [2001, 2007],
+                             ids=["2-training-years", "split-on-last-year"])
+    def test_too_little_data_on_one_side_raises(self, split_year):
+        p = panel_from(np.arange(16.0).reshape(8, 2))
+        with pytest.raises(InsufficientHistoryError, match="split leaves too little data"):
+            holdout(p, split_year)
 
 
 class TestDifference:
