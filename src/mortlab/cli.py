@@ -12,12 +12,12 @@ in manifest.json under the stage that wrote it (each stage's `files` maps
 file names to digests, the one manifest format), and `RunContext.load` is
 the only reader and refuses a file that is missing, whose bytes differ
 from that checksum, or that does not parse into a complete, valid object;
-any package error its parser raises, a non-finite weight included, counts
-as unparseable (exit 3).  Neither does a manifest in any other form, a
-forecaster that is not the config's or the panel's (`_load_model_panel`),
-or an observed e0 that is not a finite positive number.  `forecast` and `stress`
-refuse (exit 4) an e0 or risk figure that is NaN or infinite rather than
-write it.
+any package error its parser raises, a non-finite weight or parameter
+included, counts as unparseable (exit 3).  Neither does a manifest in any
+other form, a forecaster that is not the config's or the panel's
+(`_load_model_panel`), or an observed e0 that is not a finite positive
+number.  `forecast` and `stress` refuse (exit 4) an e0 or risk figure
+that is NaN or infinite rather than write it.
 The binary ensemble (`ensemble.npy`, little-endian float64, paths x
 (horizon + 1) x factors, origin row included) is also refused unless its
 header, shape and origin row are exactly what forecast wrote and every
@@ -27,9 +27,10 @@ bit-reproducible.
 
 One runner, `run_stage`, owns every stage's lifecycle: it loads the
 context, runs the body `cmd_<stage>(ctx)` and records in manifest.json the
-files the body wrote, the facts it returned (forecast: `path_blocks`,
-`path_workers`; train: `epochs_run`, `best_epoch`, `stopped_early`,
-`clipped_epochs`, `max_grad_norm`), the stage process's peak RSS in MB
+files the body wrote, the facts it returned (fit: `adf_lags`; forecast:
+`path_blocks`, `path_workers`; train: `epochs_run`, `best_epoch`,
+`stopped_early`, `clipped_epochs`, `max_grad_norm`), the body's wall and
+CPU time (`elapsed_s`, `cpu_s`), the stage process's peak RSS in MB
 before the body runs (`start_rss_mb`) and after it (`peak_rss_mb`), the
 minor page faults the body took (`minor_faults`) and the Python, numpy
 and BLAS it ran on (`env`).  A stage commits all or nothing: `write` keeps
@@ -65,6 +66,7 @@ import math
 import os
 import resource
 import sys
+import time
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -551,13 +553,14 @@ def cmd_fit(ctx: RunContext) -> None:
     if _trim is not None:
         _trim(0)
     params, _resid = fit_lilee(dataset)
-    rows = []
+    rows, adf_lags = [], {}
     for i, code in enumerate(params.countries):
         rep = stationarity.analyze(params.k[i])
         rows.append(
             [code, f"{rep.adf_stat:.4f}", f"{rep.adf_p:.4f}",
              f"{rep.kpss_stat:.4f}", f"{rep.kpss_p:.4f}", rep.verdict]
         )
+        adf_lags[code] = rep.adf_lag
     ctx.write("params.json", dump_params(params))
 
     panel = FactorPanel.from_params(params)
@@ -579,6 +582,7 @@ def cmd_fit(ctx: RunContext) -> None:
     ctx.write_csv("observed_e0.csv", ["country", "year", "e0_observed"], obs_rows)
     log.info("fit: %d countries, years %s..%s", len(params.countries),
              params.years[0], params.years[-1])
+    return {"adf_lags": adf_lags}
 
 
 def cmd_train(ctx: RunContext) -> dict:
@@ -878,7 +882,9 @@ def build_parser() -> argparse.ArgumentParser:
 def run_stage(args) -> int:
     """Run stage `args.command`: build the RunContext from the config file,
     run the body `cmd_<stage>(ctx)`, then commit the stage, recording the
-    files it wrote, the facts it returned, the process's peak RSS (`ru_maxrss`)
+    files it wrote, the facts it returned, the body's wall time
+    (`elapsed_s`, `perf_counter`) and CPU time (`cpu_s`, the user + system
+    `getrusage` delta), the process's peak RSS (`ru_maxrss`)
     in MB just before the body runs (`start_rss_mb`: the interpreter, numpy,
     the modules every stage imports and the config) and after it
     (`peak_rss_mb`: the body's own imports too), the minor page faults the
@@ -894,11 +900,13 @@ def run_stage(args) -> int:
     except (json.JSONDecodeError, TypeError) as exc:
         raise ConfigError(f"config is not a valid JSON object: {exc}") from exc
     ctx = RunContext(cfg, cfg_path.resolve().parent)
-    start = resource.getrusage(resource.RUSAGE_SELF)
+    start, t0 = resource.getrusage(resource.RUSAGE_SELF), time.perf_counter()
     try:
         facts = globals()[f"cmd_{args.command}"](ctx) or {}
-        end = resource.getrusage(resource.RUSAGE_SELF)
-        ctx.record_stage(args.command, **facts, start_rss_mb=_mb(start.ru_maxrss),
+        end, elapsed = resource.getrusage(resource.RUSAGE_SELF), time.perf_counter() - t0
+        cpu = end.ru_utime + end.ru_stime - start.ru_utime - start.ru_stime
+        ctx.record_stage(args.command, **facts, elapsed_s=round(elapsed, 4),
+                         cpu_s=round(cpu, 4), start_rss_mb=_mb(start.ru_maxrss),
                          peak_rss_mb=_mb(end.ru_maxrss),
                          minor_faults=end.ru_minflt - start.ru_minflt, env=_environment())
     except BaseException:

@@ -368,12 +368,6 @@ def cluster_csv_chunks(dataset: ClusterDataset, header_lines: Sequence[str] = ()
         yield "".join([f"{code}{cell}{rate!r}\r\n" for cell, rate in zip(cells, rates)])
 
 
-def write_cluster_csv(dataset: ClusterDataset, path: str | Path, header_lines: Sequence[str] = ()) -> None:
-    """Write a cluster as CSV with columns country,year,age,m."""
-    with Path(path).open("w", newline="") as fh:
-        fh.writelines(cluster_csv_chunks(dataset, header_lines))
-
-
 def read_cluster_csv(
     path: str | Path,
     country_order: Sequence[str] | None = None,

@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
-from .errors import DegenerateSeriesError, DimensionError, RankError
+from .errors import DegenerateSeriesError, DimensionError, NumericError, RankError
 
 if TYPE_CHECKING:  # pragma: no cover
     from .data import ClusterDataset
@@ -37,7 +37,8 @@ class LiLeeParams:
 
     alpha has shape (N, A), B shape (A,), K shape (T,), b shape (N, A) and
     k shape (N, T), where N is the number of countries in configuration
-    order, A the number of ages and T the number of years.
+    order, A the number of ages and T the number of years.  Every float
+    array must be finite.
     """
 
     countries: tuple[str, ...]
@@ -60,6 +61,9 @@ class LiLeeParams:
             raise DimensionError("B must be (ages,), K must be (years,)")
         if self.k.shape != (n, t):
             raise DimensionError("k must have shape (countries, years)")
+        for name in ("alpha", "B", "K", "b", "k"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise NumericError(f"non-finite values in {name}")
 
     @property
     def n_countries(self) -> int:

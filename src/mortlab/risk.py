@@ -64,19 +64,6 @@ def quantile(sample: np.ndarray, level: float) -> float:
     return float(sorted_quantiles(a, (level,))[0])
 
 
-def var(sample: np.ndarray, level: float = 0.995) -> float:
-    """Value-at-risk of the upper tail at the given confidence level."""
-    a = np.asarray(sample, dtype=float).ravel()
-    if a.size < 2:
-        raise ValueError("need at least 2 observations")
-    return quantile(a, level)
-
-
-def es(sample: np.ndarray, level: float = 0.99) -> float:
-    """Expected shortfall: mean of the ceil(n * (1 - level)) largest values."""
-    return _tail_mean(np.sort(np.asarray(sample, dtype=float).ravel()), level)
-
-
 def _tail_mean(a: np.ndarray, level: float) -> float:
     """Expected shortfall of a sample already sorted ascending."""
     # tolerance absorbs float fuzz in n * (1 - level) near integers

@@ -39,6 +39,7 @@ _KPSS_TABLE = ((0.347, 0.10), (0.463, 0.05), (0.574, 0.025), (0.739, 0.01))
 class StationarityReport:
     adf_stat: float
     adf_p: float
+    adf_lag: int
     kpss_stat: float
     kpss_p: float
 
@@ -55,15 +56,18 @@ def default_adf_max_lag(n: int) -> int:
     return int(math.floor(12.0 * (n / 100.0) ** 0.25))
 
 
-def adf_test(series: np.ndarray) -> tuple[float, float]:
+def adf_test(series: np.ndarray) -> tuple[float, float, int]:
     """Augmented Dickey-Fuller test, constant-only regression.
 
     Regresses the first difference on the lagged level, `p` lagged
     differences and a constant, selecting p in 0..max_lag by AIC on a
     common sample, with max_lag = default_adf_max_lag(n) (Schwert's rule).
-    Returns (t statistic on the lagged level, p-value).
-    The p-values are MacKinnon's for the constant-only regression, the
-    only one supported.
+    Candidate p is the first p + 2 columns of the largest design, constant
+    first, so one QR gives every candidate's SSR: the full residual SSR
+    plus the trailing sum of (Q'z)^2.  Candidates from the first column
+    with |R_jj| <= 1e-10 on are singular and skipped.  Returns (t statistic
+    on the lagged level, p-value, chosen lag); the p-values are MacKinnon's
+    for the constant-only regression, the only one supported.
     """
     y = np.asarray(series, dtype=float)
     n = y.size
@@ -73,23 +77,18 @@ def adf_test(series: np.ndarray) -> tuple[float, float]:
             f"series too short: need at least max_lag + 10 = {max_lag + 10}")
 
     dy = np.diff(y)
-    best = None  # (aic, lag)
-    n_common = dy.size - max_lag
-    for lag in range(max_lag + 1):
-        X, z = _adf_design(y, dy, lag, n_obs=n_common)
-        fit = _ols(X, z)
-        if fit is None:
-            continue
-        _, ssr, _ = fit
-        k = X.shape[1]
-        sigma2 = max(ssr / n_common, 1e-300)
-        aic = n_common * math.log(sigma2) + 2.0 * k
-        if best is None or aic < best[0]:
-            best = (aic, lag)
-    if best is None:
+    X, z = _adf_design(y, dy, max_lag, n_obs=dy.size - max_lag)
+    q, r = np.linalg.qr(np.roll(X, 1, axis=1))
+    qz = q.T @ z
+    resid = z - q @ qz
+    ssr = resid @ resid + np.append(np.cumsum(qz[:1:-1] ** 2)[::-1], 0.0)
+    # ok[p]: none of candidate p's p + 2 columns has |R_jj| <= 1e-10
+    ok = ~np.logical_or.accumulate(np.abs(np.diag(r)) <= 1e-10)[1:]
+    if not ok[0]:
         raise RegressionError("all candidate ADF regressions are singular")
+    k = np.arange(2, ok.sum() + 2)
+    lag = int(np.argmin(z.size * np.log(np.maximum(ssr[ok] / z.size, 1e-300)) + 2.0 * k))
 
-    lag = best[1]
     X, z = _adf_design(y, dy, lag, n_obs=dy.size - lag)
     fit = _ols(X, z)
     if fit is None:
@@ -104,12 +103,12 @@ def adf_test(series: np.ndarray) -> tuple[float, float]:
     else:
         se = math.sqrt(ssr / dof * xtx_inv[0, 0])
         stat = float(beta[0] / se)
-    return stat, mackinnon_p(stat)
+    return stat, mackinnon_p(stat), lag
 
 
 def _adf_design(y, dy, lag, n_obs):
     """Design for Delta y_t on [y_{t-1}, Delta y_{t-1..t-lag}, 1], using the
-    last n_obs rows so lag orders can share a common sample.
+    last n_obs rows, so lag orders can share a common sample.
 
     Non-constant columns are centered: with an intercept present this
     leaves slopes and their t statistics mathematically unchanged while
@@ -217,11 +216,12 @@ def classify(adf_p: float, kpss_p: float) -> str:
 
 def analyze(series: np.ndarray) -> StationarityReport:
     """Run both tests on a series and classify the outcome."""
-    adf_stat, adf_p = adf_test(series)
+    adf_stat, adf_p, adf_lag = adf_test(series)
     kpss_stat, kpss_p = kpss_test(series)
     return StationarityReport(
         adf_stat=adf_stat,
         adf_p=adf_p,
+        adf_lag=adf_lag,
         kpss_stat=kpss_stat,
         kpss_p=kpss_p,
     )

@@ -39,7 +39,7 @@ from mortlab.lifetable import life_table, monotonicity_check
 from mortlab.lilee import FactorPanel, LiLeeParams, fit_lilee, leading_singular_pair
 from mortlab.lstm import TrainConfig, init_params, input_gradient, mse, predict, train
 from mortlab.lstm import _backward, _infer
-from mortlab.risk import delta_star_from, es, reverse_stress, var
+from mortlab.risk import delta_star_from, reverse_stress, scr
 from mortlab.stationarity import adf_test, kpss_test
 from mortlab.windows import holdout
 from tests.test_lifetable import direct_e0_oracle, make_params
@@ -319,9 +319,8 @@ def test_c09_life_table_oracle():
 
 
 def test_c10_var_es_oracles():
-    sample = np.arange(1, 1001, dtype=float)
-    v = var(sample, 0.995)
-    e = es(sample, 0.99)
+    rep = scr(np.arange(1, 1001, dtype=float))
+    v, e = rep.var_99_5, rep.es_99_0
     report(
         10, "var-es-oracles",
         abs(v - 995.005) <= 1e-12 and abs(e - 995.5) <= 1e-12,

@@ -132,6 +132,15 @@ class TestPipeline:
         verdicts = {line.split(",")[-1] for line in lines}
         assert verdicts <= {"Stationary", "UnitRoot", "Conflict-Persistent", "Conflict-Inertial"}
 
+    def test_fit_records_each_countrys_adf_lag(self, pipeline):
+        from mortlab.stationarity import adf_test
+
+        out = pipeline[0] / "run"
+        params = parse_params((out / "params.json").read_text())
+        record = json.loads((out / "manifest.json").read_text())["stages"]["fit"]
+        assert record["adf_lags"] == {
+            code: adf_test(params.k[i])[2] for i, code in enumerate(params.countries)}
+
     def test_saliency_sums_to_100(self, pipeline):
         root, _ = pipeline
         lines = (root / "run" / "saliency.csv").read_text().splitlines()[2:]
@@ -373,6 +382,10 @@ DAMAGES = {
         **{f"{stage}-params.json-not-an-object": row(stage, "params.json", lambda d, f: b"[]")
            for stage in ("train", *MODEL_READERS, "ablate")},
         "forecast-params.json-empty": row("forecast", "params.json", lambda d, f: b"{}"),
+        # one NaN in the common index K and one in the first specific index k
+        **{f"{stage}-params.json-nan-K-k": row(stage, "params.json", json_edit(
+            lambda doc: put("k", 0, 0, value=math.nan)(put("K", 0, value=math.nan)(doc))))
+           for stage in ("train", *MODEL_READERS, "ablate")},
         "forecast-network.json-schema-only": row(
             "forecast", "network.json", lambda d, f: b'{"schema": "mortlab/network-v1"}'),
         "forecast-model.json-schema-only": row("forecast", "model.json", lambda d, f: json.dumps(
@@ -508,9 +521,10 @@ class TestArtifactRule:
         env = {"python": platform.python_version(), "numpy": np.__version__,
                "blas": {"name": blas["name"], "version": blas["version"]}}
         for stage, record in manifest["stages"].items():
-            assert {"completed", "files", "start_rss_mb", "peak_rss_mb", "minor_faults",
-                    "env"} <= record.keys(), stage
+            assert {"completed", "files", "elapsed_s", "cpu_s", "start_rss_mb", "peak_rss_mb",
+                    "minor_faults", "env"} <= record.keys(), stage
             assert 0 < record["peak_rss_mb"] <= ceiling + 0.01, stage
+            assert 0 < record["elapsed_s"] and 0 <= record["cpu_s"], stage
             assert record["env"] == env, stage
 
     def test_manifest_records_each_stage_memory_baseline(self, pipeline):
@@ -530,7 +544,8 @@ class TestArtifactRule:
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
         paragraph = next(p for p in readme.split("\n\n") if "`manifest.json` carries" in p)
         keys = {key for record in manifest["stages"].values() for key in record}
-        assert {"path_blocks", "max_grad_norm", "start_rss_mb", "minor_faults", "env"} <= keys
+        assert {"path_blocks", "max_grad_norm", "adf_lags", "elapsed_s", "start_rss_mb",
+                "minor_faults", "env"} <= keys
         assert not [key for key in sorted(keys) if f"`{key}`" not in paragraph]
 
     def test_stages_read_only_through_load(self, tmp_path, monkeypatch):

@@ -17,7 +17,6 @@ from mortlab.data import (
     read_cluster_csv,
     synthesize_cluster,
     synthetic_truth,
-    write_cluster_csv,
 )
 from mortlab.errors import (
     DataGapError,
@@ -27,6 +26,12 @@ from mortlab.errors import (
     StructureError,
 )
 from mortlab.lilee import LiLeeParams
+
+
+def write_csv(cluster, path, header_lines=()):
+    """The cluster's CSV at `path`, as synth writes it."""
+    path.write_bytes("".join(cluster_csv_chunks(cluster, header_lines)).encode())
+
 
 HMD_SAMPLE = """\
 Testland, Death rates (period 1x1),\tLast modified: 01 Jan 2024
@@ -221,8 +226,7 @@ class TestCsvRoundTrip:
         assert '"A,B",2019,0,0.0\r\n' in text and '"Q""R",2020,1,1.0\r\n' in text
 
         path = tmp_path / "cluster.csv"
-        write_cluster_csv(cluster, path, header_lines=("config_hash=abc",))
-        assert path.read_bytes() == text.encode()
+        path.write_bytes(text.encode())
         back = read_cluster_csv(path, age_max=1)
         assert back.countries == tuple(rates)
         for sa, sb in zip(back.surfaces, cluster.surfaces):
@@ -230,7 +234,7 @@ class TestCsvRoundTrip:
 
     def test_write_then_read(self, tmp_path, small_cluster):
         path = tmp_path / "cluster.csv"
-        write_cluster_csv(small_cluster, path, header_lines=("config_hash=abc",))
+        write_csv(small_cluster, path, header_lines=("config_hash=abc",))
         back = read_cluster_csv(path, country_order=small_cluster.countries)
         assert back.countries == small_cluster.countries
         for sa, sb in zip(back.surfaces, small_cluster.surfaces):
@@ -240,7 +244,7 @@ class TestCsvRoundTrip:
 
     def test_file_order_without_country_order(self, tmp_path, small_cluster):
         path = tmp_path / "cluster.csv"
-        write_cluster_csv(small_cluster, path)
+        write_csv(small_cluster, path)
         assert read_cluster_csv(path).countries == small_cluster.countries
 
     def test_interleaved_rows_in_first_appearance_order(self, tmp_path, small_cluster):
@@ -262,7 +266,7 @@ class TestCsvRoundTrip:
         # below 2 x the rows; np.unique over every row's code peaked at 2.34 x
         truth = synthetic_truth(n_countries=6, year_range=(1921, 2020), seed=3)
         path = tmp_path / "cluster.csv"
-        write_cluster_csv(synthesize_cluster(truth, noise_sd=0.01, seed=4), path)
+        write_csv(synthesize_cluster(truth, noise_sd=0.01, seed=4), path)
         read_cluster_csv(path)
         tracemalloc.start()
         try:
@@ -275,13 +279,13 @@ class TestCsvRoundTrip:
 
     def test_missing_country_in_order(self, tmp_path, small_cluster):
         path = tmp_path / "cluster.csv"
-        write_cluster_csv(small_cluster, path)
+        write_csv(small_cluster, path)
         with pytest.raises(DataGapError):
             read_cluster_csv(path, country_order=("NOPE", "ALSO"))
 
     def test_unknown_code_among_known_ones(self, tmp_path, small_cluster):
         path = tmp_path / "cluster.csv"
-        write_cluster_csv(small_cluster, path)
+        write_csv(small_cluster, path)
         with pytest.raises(DataGapError, match="'NOPE'"):
             read_cluster_csv(path, country_order=(*small_cluster.countries, "NOPE"))
 
@@ -290,7 +294,7 @@ class TestCsvRoundTrip:
         """The cluster's CSV (a comment line, the header, then data rows
         from line 3) with its list of lines passed through `edit`."""
         path = tmp_path / "cluster.csv"
-        write_cluster_csv(cluster, path, header_lines=("config_hash=abc",))
+        write_csv(cluster, path, header_lines=("config_hash=abc",))
         lines = path.read_text().splitlines(keepends=True)
         path.write_text("".join(edit(lines)))
         return path

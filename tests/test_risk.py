@@ -5,13 +5,24 @@ from hypothesis import strategies as st
 
 from mortlab.errors import DegenerateRiskError
 from mortlab.risk import (
+    _tail_mean,
     delta_star_from,
-    es,
     reverse_stress,
     scr,
     shock_sensitivities,
-    var,
+    sorted_quantiles,
 )
+
+
+def var(sample, level):
+    """Upper-tail VaR as `scr` takes it: the linear-rule quantile of the
+    sorted sample."""
+    return float(sorted_quantiles(np.sort(sample), (level,))[0])
+
+
+def es(sample, level):
+    """Expected shortfall as `scr` takes it, from the sorted sample."""
+    return _tail_mean(np.sort(sample), level)
 
 
 class TestVar:
@@ -22,8 +33,9 @@ class TestVar:
         assert var(np.array([1.0, 2.0]), 0.5) == pytest.approx(1.5)
 
     def test_needs_two(self):
-        with pytest.raises(ValueError):
-            var(np.array([1.0]), 0.5)
+        # one value leaves scr's expected-shortfall tail empty
+        with pytest.raises(DegenerateRiskError):
+            scr(np.array([1.0]))
 
     def test_matches_numpy_linear_rule(self):
         rng = np.random.default_rng(0)

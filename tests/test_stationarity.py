@@ -1,10 +1,14 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mortlab.errors import DegenerateSeriesError, InsufficientHistoryError
+from mortlab.errors import DegenerateSeriesError, InsufficientHistoryError, RegressionError
 from mortlab.stationarity import (
+    _adf_design,
+    _ols,
     adf_test,
     analyze,
     classify,
@@ -12,6 +16,36 @@ from mortlab.stationarity import (
     kpss_test,
     mackinnon_p,
 )
+
+
+def adf_loop_oracle(series):
+    """`adf_test` as it chose its lag before the one QR: each candidate
+    lag refitted by `_ols` on the common sample, the first lowest AIC kept,
+    singular candidates skipped.  Returns (stat, p, lag)."""
+    y = np.asarray(series, dtype=float)
+    max_lag = default_adf_max_lag(y.size)
+    dy = np.diff(y)
+    n_common = dy.size - max_lag
+    best = None  # (aic, lag)
+    for lag in range(max_lag + 1):
+        X, z = _adf_design(y, dy, lag, n_obs=n_common)
+        fit = _ols(X, z)
+        if fit is None:
+            continue
+        aic = n_common * math.log(max(fit[1] / n_common, 1e-300)) + 2.0 * X.shape[1]
+        if best is None or aic < best[0]:
+            best = (aic, lag)
+    if best is None:
+        raise RegressionError("all candidate ADF regressions are singular")
+    lag = best[1]
+    X, z = _adf_design(y, dy, lag, n_obs=dy.size - lag)
+    beta, ssr, xtx_inv = _ols(X, z)
+    dof = X.shape[0] - X.shape[1]
+    if ssr <= 1e-20 * max(float(z @ z), 1.0) or dof <= 0:
+        stat = 0.0
+    else:
+        stat = float(beta[0] / math.sqrt(ssr / dof * xtx_inv[0, 0]))
+    return stat, mackinnon_p(stat), lag
 
 
 class TestAdf:
@@ -27,15 +61,40 @@ class TestAdf:
         assert mackinnon_p(5.0) == 1.0
 
     def test_deterministic_trend_fails_to_reject(self):
-        stat, p = adf_test(np.arange(200, dtype=float))
+        stat, p, _ = adf_test(np.arange(200, dtype=float))
         assert p > 0.05
 
     def test_constant_shift_invariance(self):
         rng = np.random.default_rng(12)
         y = rng.standard_normal(150)
-        s1, _ = adf_test(y)
-        s2, _ = adf_test(y + 1e4)
+        s1, _, _ = adf_test(y)
+        s2, _, _ = adf_test(y + 1e4)
         assert abs(s1 - s2) <= 1e-8
+
+    @pytest.mark.parametrize("n", [30, 45, 65, 100])
+    @pytest.mark.parametrize("kind", ["white-noise", "random-walk"])
+    def test_lag_choice_matches_the_per_candidate_loop(self, kind, n):
+        """One QR of the nested designs chooses the loop's lag, and the
+        chosen lag's fit gives the loop's (stat, p) bit for bit."""
+        rng = np.random.default_rng(n)
+        lags = set()
+        for _ in range(25):
+            y = rng.standard_normal(n)
+            if kind == "random-walk":
+                y = np.cumsum(y)
+            got = adf_test(y)
+            assert got == adf_loop_oracle(y)
+            lags.add(got[2])
+        assert len(lags) > 1, "every series chose the same lag"
+
+    def test_degenerate_series_keep_their_outcomes(self):
+        for y in (np.full(60, 3.0), np.full(100, -7.5)):
+            with pytest.raises(RegressionError):
+                adf_loop_oracle(y)
+            with pytest.raises(RegressionError):
+                adf_test(y)
+        for y in (np.arange(60, dtype=float), 5.0 - 0.25 * np.arange(100)):
+            assert adf_test(y) == adf_loop_oracle(y) == (0.0, mackinnon_p(0.0), 0)
 
     def test_too_short_series(self):
         with pytest.raises(InsufficientHistoryError):
