@@ -94,10 +94,8 @@ def adf_test(series: np.ndarray) -> tuple[float, float, int]:
     if fit is None:
         raise RegressionError("singular ADF design matrix")
     beta, ssr, xtx_inv = fit
-    nobs, k = X.shape
-    dof = nobs - k
-    scale = float(z @ z) if z.size else 1.0
-    if ssr <= 1e-20 * max(scale, 1.0) or dof <= 0:
+    dof = X.shape[0] - X.shape[1]
+    if ssr <= 1e-20 * max(float(z @ z), 1.0) or dof <= 0:
         # perfect fit: no stochastic evidence against the unit root
         stat = 0.0
     else:
